@@ -293,23 +293,6 @@ class BehavioralModel:
         return frozenset(self.event_ids - targets)
 
 
-def region_problems(model: StaticModel, region: Region) -> list[str]:
-    """Invariant check for a region against its model."""
-    problems = []
-    if not region.stage_ids:
-        problems.append("region has no stages")
-    for sid in sorted(region.stage_ids, key=natural_key):
-        if sid not in model.stages_by_id:
-            problems.append(f"region references unknown stage {sid!r}")
-    for eid in sorted(region.edge_ids, key=natural_key):
-        edge = model.flows_by_id.get(eid) or model.triggers_by_id.get(eid)
-        if edge is None:
-            problems.append(f"region references unknown edge {eid!r}")
-        elif not {edge.source, edge.target} <= region.stage_ids:
-            problems.append(f"region edge {eid!r} has an endpoint outside the region")
-    return problems
-
-
 def find_stage(
     model: StaticModel, machine_path: Sequence[str], kind: ActionKind
 ) -> Optional[Stage]:

@@ -18,6 +18,16 @@ its shared transfer gate.  A receive may hand over to the machine's release
 A release with no incoming flow is anchored at its machine's surviving stage
 (process preferred over create): the five-stage layout feeds release from
 inside the machine even when the feeding arrow is left undrawn.
+
+A chain is any walk over (gate stage, routing mode) states, so it may pass
+a state more than once: in a gate cycle such as two relay machines feeding
+each other, every gate that some walk from a surviving stage carries on to
+a surviving stage is covered, and `DanglingChain` names only gates on no
+such walk.  On an acyclic state graph this is the same as asking for a
+simple path.  Contraction visits each state and routed flow once and merges
+target sets as it goes, so its cost is linear in the gate stages and flows
+times at most the number of targets a chain delivers to, however many
+distinct paths the gates form.
 """
 
 from __future__ import annotations
@@ -67,91 +77,132 @@ def _implicit_anchor(model: StaticModel, release: Stage) -> Optional[Stage]:
     return machine.stage_of(P) or machine.stage_of(C)
 
 
-def _gate_mode(at: Stage, came_from: Optional[Stage]) -> str:
-    """Routing state at a transfer: fed by the machine's own release means the
-    thing is on its way out; fed from elsewhere means it is being delivered."""
-    if at.kind is not T:
-        return ""
-    outbound = came_from is not None and came_from.owner == at.owner and came_from.kind is R
-    return "out" if outbound else "in"
+State = tuple[str, str]  # (gate stage id, routing mode: "out", "in" or "")
+_NOTHING: frozenset[str] = frozenset()
 
 
-def _routed_next(model: StaticModel, at: Stage, mode: str) -> list[Stage]:
-    """Successor stages of a gate stage along the routing discipline."""
-    outs = [model.stages_by_id[f.target] for f in model.flows_from.get(at.id, ())]
-    if at.kind is R:
-        return [s for s in outs if s.kind is T and s.owner == at.owner]
-    if at.kind is T:
-        if mode == "out":
-            return [s for s in outs if s.kind is T and s.owner != at.owner]
-        return [s for s in outs if s.kind is V and s.owner == at.owner]
-    if at.kind is V:
-        return [s for s in outs if s.owner == at.owner and s.kind in (P, R)]
-    return []
+def _entry_state(gate: Stage) -> State:
+    """State of a gate entered from a surviving stage: a transfer fed from
+    anything but its own machine's release is delivering inward."""
+    return (gate.id, "in" if gate.kind is T else "")
 
 
-def _walk_chains(
-    model: StaticModel, anchor: Stage, entry: Stage
-) -> tuple[set[str], set[str]]:
-    """All surviving targets reachable from `anchor` entering the gate chain
-    at `entry`, plus every gate stage lying on a completing path.
+def _routed_step(model: StaticModel, state: State) -> tuple[list[str], list[State]]:
+    """Surviving stages and gate states one step on from a gate state.
 
-    A relay machine revisits its shared transfer gate once inbound and once
-    outbound, so cycle detection keys on (stage, routing state)."""
-    targets: set[str] = set()
-    covered: set[str] = set()
-
-    def step(at: Stage, came_from: Optional[Stage], path: tuple) -> bool:
-        key = (at.id, _gate_mode(at, came_from))
-        if key in path:
-            return False  # genuine gate cycle: nothing completes along here
-        reached = False
-        for nxt in _routed_next(model, at, key[1]):
-            if nxt.kind in CORE_KINDS:
-                targets.add(nxt.id)
-                reached = True
-            elif step(nxt, at, path + (key,)):
-                reached = True
-        if reached:
-            covered.add(at.id)
-        return reached
-
-    step(entry, anchor, ())
-    return targets, covered
+    A release hands over to its own machine's transfer, which is then on
+    its way out ("out") and continues to other machines' transfers; those
+    are delivering inward ("in") and hand over to their own receive, which
+    delivers to its machine's process or passes on to its release."""
+    sid, mode = state
+    at = model.stages_by_id[sid]
+    kind = at.kind
+    targets: list[str] = []
+    onward: list[State] = []
+    for flow in model.flows_from.get(sid, ()):
+        nxt = model.stages_by_id[flow.target]
+        own = nxt.owner == at.owner
+        if kind is R:
+            if own and nxt.kind is T:
+                onward.append((nxt.id, "out"))
+        elif kind is T:
+            if mode == "out":
+                if not own and nxt.kind is T:
+                    onward.append((nxt.id, "in"))
+            elif own and nxt.kind is V:
+                onward.append((nxt.id, ""))
+        elif own and nxt.kind is P:
+            targets.append(nxt.id)
+        elif own and nxt.kind is R:
+            onward.append((nxt.id, ""))
+    return targets, onward
 
 
 def _chain_map(model: StaticModel) -> tuple[dict[str, set[str]], set[str]]:
     """Map each surviving source stage to the surviving stages its gate chains
-    deliver to.  Raises DanglingChain if any gate stage never completes."""
-    delivered: dict[str, set[str]] = {}
-    covered: set[str] = set()
-    gate_ids = {s.id for s in model.all_stages() if s.kind in GATE_KINDS}
+    deliver to, and return the gate stages on some walk from a surviving
+    stage to a surviving stage.
 
-    entries: list[tuple[Stage, Stage]] = []
+    Walks the graph of (gate stage, routing mode) states once: an iterative
+    Tarjan pass from the entry states closes each strongly connected
+    component after every component it leads to, so the targets reachable
+    from a state are its component's direct targets plus the sets already
+    found for the components one step on.  A relay machine passes its
+    shared transfer gate once inbound and once outbound, which is why
+    states key on the routing mode as well as the stage."""
+    entries: list[tuple[Stage, State]] = []
     for stage in model.all_stages():
-        if stage.kind not in CORE_KINDS:
-            continue
-        for flow in model.flows_from.get(stage.id, ()):
-            nxt = model.stages_by_id[flow.target]
-            if nxt.kind in GATE_KINDS:
-                entries.append((stage, nxt))
-    # releases fed by nothing anchor at their machine's surviving stage
-    for stage in model.all_stages():
-        if stage.kind is R and not model.flows_into.get(stage.id):
-            anchor = _implicit_anchor(model, stage)
+        if stage.kind is R:
+            # a release fed by nothing anchors at its machine's surviving stage
+            anchor = None if model.flows_into.get(stage.id) else _implicit_anchor(model, stage)
             if anchor is not None:
-                entries.append((anchor, stage))
+                entries.append((anchor, _entry_state(stage)))
+        elif stage.kind in CORE_KINDS:
+            for flow in model.flows_from.get(stage.id, ()):
+                nxt = model.stages_by_id[flow.target]
+                if nxt.kind in GATE_KINDS:
+                    entries.append((stage, _entry_state(nxt)))
 
-    for anchor, entry in entries:
-        targets, walked = _walk_chains(model, anchor, entry)
-        covered |= walked
-        if targets:
-            delivered.setdefault(anchor.id, set()).update(targets)
+    # Per state, numbered in discovery order: its Tarjan lowlink, its
+    # direct targets and successor states, and, once its component closes,
+    # every target reachable from it.
+    number: dict[State, int] = {}
+    low: list[int] = []
+    steps: list[tuple[list[str], list[State]]] = []
+    reach: list[Optional[frozenset[str]]] = []
+    stack: list[int] = []  # Tarjan's stack of open states
 
-    uncovered = gate_ids - covered
-    if uncovered:
-        raise DanglingChain(uncovered)
-    return delivered, gate_ids
+    def discover(state: State) -> int:
+        i = number[state] = len(low)
+        low.append(i)
+        steps.append(_routed_step(model, state))
+        reach.append(None)
+        stack.append(i)
+        return i
+
+    for _, root in entries:
+        if root in number:
+            continue
+        i = discover(root)
+        work = [(i, iter(steps[i][1]))]
+        while work:
+            i, pending = work[-1]
+            for nxt in pending:
+                j = number.get(nxt)
+                if j is None:
+                    j = discover(nxt)
+                    work.append((j, iter(steps[j][1])))
+                    break
+                if reach[j] is None and j < low[i]:  # j is open: same component
+                    low[i] = j
+            else:
+                work.pop()
+                if work and low[i] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[i]
+                if low[i] != i:
+                    continue
+                members = [stack.pop()]
+                while members[-1] != i:
+                    members.append(stack.pop())
+                found = _NOTHING
+                for m in members:
+                    targets, nexts = steps[m]
+                    if targets:
+                        found = found.union(targets)
+                    for nxt in nexts:
+                        more = reach[number[nxt]]
+                        if more and not more <= found:
+                            found = found | more if found else more
+                for m in members:
+                    reach[m] = found
+
+    delivered: dict[str, set[str]] = {}
+    for anchor, root in entries:
+        found = reach[number[root]]
+        if found:
+            delivered.setdefault(anchor.id, set()).update(found)
+    covered = {state[0] for state, i in number.items() if reach[i]}
+    return delivered, covered
 
 
 def _nearest_surviving(
@@ -209,7 +260,9 @@ def _rebuild_machines(
 
     def rebuild(machine: Machine) -> Machine:
         stages = tuple(
-            replace(s, has_storage=s.has_storage or keep_storage_for.get(s.id, False))
+            replace(s, has_storage=True)
+            if keep_storage_for.get(s.id) and not s.has_storage
+            else s
             for s in machine.stages
             if s.kind in CORE_KINDS
         )
@@ -226,7 +279,11 @@ def simplify(model: StaticModel) -> StaticModel:
     stage (upstream for sources, downstream for targets); storage markers on
     removed stages migrate to the nearest surviving upstream stage.
     """
-    delivered, gate_ids = _chain_map(model)
+    delivered, covered = _chain_map(model)
+    gate_ids = {s.id for s in model.all_stages() if s.kind in GATE_KINDS}
+    uncovered = gate_ids - covered
+    if uncovered:
+        raise DanglingChain(uncovered)
 
     direct_pairs = set()
     flows: list[Flow] = []

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import canonical_models, simplified_models
 from test_model import two_machine_chain
@@ -19,8 +20,10 @@ from tmkit import (
     model_isomorphic,
     parse_or_raise,
     simplify,
+    validate_static,
 )
-from tmkit.model import CORE_KINDS
+from tmkit.model import CORE_KINDS, GATE_KINDS, natural_key
+from tmkit.transform import _chain_map
 
 C, P, R, T, V = ActionKind
 
@@ -212,6 +215,205 @@ def test_simplify_preserves_machines_core_stages_and_guards(model):
     )
     for machine in model.all_machines():
         assert simplified.machines_by_id[machine.id].is_constraint == machine.is_constraint
+
+
+# -- gate contraction against the simple-path walker ----------------------------
+
+
+def _walker_gate_mode(at, came_from):
+    if at.kind is not T:
+        return ""
+    outbound = came_from is not None and came_from.owner == at.owner and came_from.kind is R
+    return "out" if outbound else "in"
+
+
+def _walker_routed_next(model, at, mode):
+    outs = [model.stages_by_id[f.target] for f in model.flows_from.get(at.id, ())]
+    if at.kind is R:
+        return [s for s in outs if s.kind is T and s.owner == at.owner]
+    if at.kind is T:
+        if mode == "out":
+            return [s for s in outs if s.kind is T and s.owner != at.owner]
+        return [s for s in outs if s.kind is V and s.owner == at.owner]
+    if at.kind is V:
+        return [s for s in outs if s.owner == at.owner and s.kind in (P, R)]
+    return []
+
+
+def simple_path_chain_map(model):
+    """Reference contraction: enumerate every simple path of (gate stage,
+    routing mode) states from each entry, as simplify once did.  Exponential
+    in the worst case, so only for small models.  Returns the delivered
+    map, the gate stages on no completing simple path, and whether any walk
+    ran into a cycle of states."""
+    delivered: dict[str, set[str]] = {}
+    covered: set[str] = set()
+    saw_cycle = False
+
+    def walk(anchor, entry):
+        nonlocal saw_cycle
+        targets: set[str] = set()
+
+        def step(at, came_from, path):
+            nonlocal saw_cycle
+            key = (at.id, _walker_gate_mode(at, came_from))
+            if key in path:
+                saw_cycle = True
+                return False
+            reached = False
+            for nxt in _walker_routed_next(model, at, key[1]):
+                if nxt.kind in CORE_KINDS:
+                    targets.add(nxt.id)
+                    reached = True
+                elif step(nxt, at, path + (key,)):
+                    reached = True
+            if reached:
+                covered.add(at.id)
+            return reached
+
+        step(entry, anchor, ())
+        if targets:
+            delivered.setdefault(anchor.id, set()).update(targets)
+
+    for stage in model.all_stages():
+        if stage.kind not in CORE_KINDS:
+            continue
+        for flow in model.flows_from.get(stage.id, ()):
+            nxt = model.stages_by_id[flow.target]
+            if nxt.kind in GATE_KINDS:
+                walk(stage, nxt)
+    for stage in model.all_stages():
+        if stage.kind is R and not model.flows_into.get(stage.id):
+            machine = model.machines_by_id[stage.owner]
+            anchor = machine.stage_of(P) or machine.stage_of(C)
+            if anchor is not None:
+                walk(anchor, stage)
+    gate_ids = {s.id for s in model.all_stages() if s.kind in GATE_KINDS}
+    return delivered, gate_ids - covered, saw_cycle
+
+
+# the intra-machine steps routing follows, plus ones it ignores
+_INTRA_STEPS = {(C, R), (P, R), (R, T), (T, V), (V, P), (V, R), (C, P), (V, T)}
+
+
+@st.composite
+def gate_rich_models(draw, max_machines: int = 4) -> StaticModel:
+    """Small models dense in gate chains: relay machines (transfer, receive
+    and release in a loop) and machines with any stage kinds, joined by a
+    random subset of intra-machine steps, transfer-to-transfer hops and
+    entries from surviving stages into gates."""
+    n = draw(st.integers(min_value=1, max_value=max_machines))
+    machines = []
+    stages: list[Stage] = []
+    pairs: set[tuple[str, str]] = set()
+    for i in range(n):
+        mid = f"m{i}"
+        relay = draw(st.booleans())
+        kinds = [k for k in ActionKind if (relay and k in GATE_KINDS) or draw(st.booleans())]
+        own = {k: Stage(f"{mid}.{k.value}", k, mid) for k in kinds}
+        if relay:
+            pairs |= {(own[T].id, own[V].id), (own[V].id, own[R].id), (own[R].id, own[T].id)}
+        machines.append(Machine(id=mid, name=mid, stages=tuple(own.values())))
+        stages += own.values()
+    for a in stages:
+        for b in stages:
+            same = a.owner == b.owner
+            if (
+                (same and (a.kind, b.kind) in _INTRA_STEPS)
+                or (not same and b.kind is T and (a.kind is T or a.kind in CORE_KINDS))
+            ) and draw(st.booleans()):
+                pairs.add((a.id, b.id))
+    flows = [Flow(f"f{k}", a, b) for k, (a, b) in enumerate(sorted(pairs), 1)]
+    return StaticModel.build(machines, flows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gate_rich_models())
+def test_contraction_matches_the_simple_path_walker(model):
+    expected, uncovered, cyclic = simple_path_chain_map(model)
+    delivered, covered = _chain_map(model)
+    assert delivered == expected
+    try:
+        simplify(model)
+    except DanglingChain as exc:
+        raised = set(exc.stage_ids)
+    else:
+        raised = set()
+    if cyclic:
+        # a walk may close a cycle that no simple path can complete
+        assert raised <= uncovered
+    else:
+        assert raised == uncovered
+
+
+def test_gate_cycle_contracts_like_a_walk():
+    # A and B relay into each other: A.release -> A.transfer -> B.transfer
+    # -> B.receive -> B.release -> B.transfer -> A.transfer -> A.receive
+    # -> A.process revisits A.transfer inbound, so no simple path of
+    # states completes it, yet the walk does.
+    text = (
+        "machine Z { create; release; transfer; }\n"
+        "machine A { process; release; transfer; receive; }\n"
+        "machine B { release; transfer; receive; }\n"
+        "flow Z.create -> Z.release;\n"
+        "flow Z.release -> Z.transfer;\n"
+        "flow Z.transfer -> A.transfer;\n"
+        "flow A.transfer -> A.receive;\n"
+        "flow A.receive -> A.process;\n"
+        "flow A.receive -> A.release;\n"
+        "flow A.release -> A.transfer;\n"
+        "flow A.transfer -> B.transfer;\n"
+        "flow B.transfer -> B.receive;\n"
+        "flow B.receive -> B.release;\n"
+        "flow B.release -> B.transfer;\n"
+        "flow B.transfer -> A.transfer;\n"
+    )
+    model = parse_or_raise(text).model
+    assert validate_static(model) == []
+    _, uncovered, cyclic = simple_path_chain_map(model)
+    assert cyclic
+    assert sorted(uncovered, key=natural_key) == [
+        "A.release", "B.receive", "B.release", "B.transfer"
+    ]
+    simplified = simplify(model)
+    assert gate_free(simplified)
+    assert [(f.source, f.target) for f in simplified.flows] == [("Z.create", "A.process")]
+
+
+def relay_text(width: int, layers: int, fanout: int) -> str:
+    """A source, `layers` layers of `width` relay machines each feeding
+    every relay of the next layer, and `fanout` destinations: width**layers
+    * fanout gate paths over O(width * layers) stages."""
+    lines = ["machine Src { create; release; transfer; }"]
+    flows = ["Src.create -> Src.release", "Src.release -> Src.transfer"]
+    previous = ["Src.transfer"]
+    for k in range(layers):
+        layer = []
+        for w in range(width):
+            m = f"L{k}_{w}"
+            lines.append(f"machine {m} {{ release; transfer; receive; }}")
+            flows += [f"{p} -> {m}.transfer" for p in previous]
+            flows += [f"{m}.transfer -> {m}.receive", f"{m}.receive -> {m}.release",
+                      f"{m}.release -> {m}.transfer"]
+            layer.append(f"{m}.transfer")
+        previous = layer
+    for d in range(fanout):
+        m = f"Dst{d}"
+        lines.append(f"machine {m} {{ process; transfer; receive; }}")
+        flows += [f"{p} -> {m}.transfer" for p in previous]
+        flows += [f"{m}.transfer -> {m}.receive", f"{m}.receive -> {m}.process"]
+    return "\n".join(lines + [f"flow {f};" for f in flows]) + "\n"
+
+
+def test_relay_contraction_is_linear_in_model_size():
+    # 3**30 * 3 simple gate paths: only a pass that visits each
+    # (stage, routing mode) state once finishes this
+    model = parse_or_raise(relay_text(3, 30, 3)).model
+    simplified = simplify(model)
+    assert gate_free(simplified)
+    assert sorted((f.source, f.target) for f in simplified.flows) == [
+        ("Src.create", f"Dst{d}.process") for d in range(3)
+    ]
 
 
 # -- expand -------------------------------------------------------------------
