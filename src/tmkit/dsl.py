@@ -19,13 +19,20 @@ dotted paths from the root; a stage is addressed as ``path.kind``.  Unlabeled
 flows and triggers receive ids ``f1, f2, ...`` / ``t1, t2, ...`` in declaration
 order.  The printer is deterministic (everything sorted by id) and always
 emits explicit edge ids, so parse/print round-trips preserve identity.
+
+The lexer is one master regular expression with a named group per token
+class, matched from the end of the previous token; line and column come from
+the offset of the current line start.  Only a string literal that holds a
+backslash or is never closed leaves the pattern for a character loop, which
+reports bad escapes and unterminated strings.  An escaped newline stays in
+the string's value and still starts a new source line.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .model import (
     ActionKind,
@@ -115,8 +122,7 @@ class PrintError(TmError):
 # -- lexer --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ID STRING LBRACE RBRACE SEMI COLON DOT ARROW DARROW EOF
     value: str
     line: int
@@ -140,96 +146,114 @@ _PUNCT = {
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
+# One alternative per token class, tried at the end of the previous match after
+# skipping blanks.  A string with no backslash that closes on its own line is
+# read whole here; any other '"' is read by _lex_string.
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<ID>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<PUNCT>->|=>|[{};:.])"
+    r'|"(?P<STRING>[^"\\\n]*)"'
+    r"|#(?P<COMMENT>[^\n]*)"
+    r"|(?P<NEWLINE>\n)"
+    r'|(?P<QUOTE>")'
+    r"|(?P<OTHER>[^ \t\r])"  # not a blank, or trailing blanks would backtrack into it
+    r")"
+)
+
+
+def _lex_string(
+    text: str, start: int, line: int, line_start: int, diagnostics: list[ParseDiagnostic]
+) -> tuple[str, int, int, int]:
+    """Read the string literal whose opening quote is at offset ``start``.
+
+    Reports unknown escapes and a missing closing quote.  Returns the value and
+    the offset, line and line-start offset just past the literal: an escaped
+    newline is kept in the value and still starts a new source line.
+    """
+    n = len(text)
+    start_line, start_col = line, start - line_start + 1
+    out = []
+    closed = False
+    i = start + 1
+    while i < n:
+        c = text[i]
+        if c == '"':
+            i += 1
+            closed = True
+            break
+        if c == "\n":
+            break
+        if c == "\\":
+            esc = text[i + 1 : i + 2]
+            if esc not in _ESCAPES:
+                diagnostics.append(
+                    ParseDiagnostic(
+                        SourceSpan(line, i - line_start + 1, 2),
+                        "syntax",
+                        f"unknown escape \\{esc}",
+                    )
+                )
+                out.append(esc)
+                if esc == "\n":
+                    line, line_start = line + 1, i + 2
+            else:
+                out.append(_ESCAPES[esc])
+            i = min(i + 2, n)
+            continue
+        out.append(c)
+        i += 1
+    if not closed:
+        diagnostics.append(
+            ParseDiagnostic(
+                SourceSpan(start_line, start_col, max(1, i - start)),
+                "syntax",
+                "unterminated string literal",
+            )
+        )
+    return "".join(out), i, line, line_start
+
+
 def _lex(text: str) -> tuple[list[_Token], list[tuple[int, str]], list[ParseDiagnostic]]:
     tokens: list[_Token] = []
     comments: list[tuple[int, str]] = []
     diagnostics: list[ParseDiagnostic] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    append = tokens.append
+    new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
+    match = _MASTER.match
+    line, line_start, pos = 1, 0, 0
+    while (m := match(text, pos)) is not None:
+        group = m.lastgroup
+        start, pos = m.span(group)
+        if group == "ID":
+            append(new(_Token, ("ID", text[start:pos], line, start - line_start + 1)))
+        elif group == "PUNCT":
+            value = text[start:pos]
+            append(new(_Token, (_PUNCT[value], value, line, start - line_start + 1)))
+        elif group == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            body = text[i + 1 : j]
+            line_start = pos
+        elif group == "STRING":
+            append(new(_Token, ("STRING", text[start:pos], line, start - line_start)))
+            pos += 1
+        elif group == "COMMENT":
+            body = text[start:pos]
             comments.append((line, body[1:] if body.startswith(" ") else body))
-            col += j - i
-            i = j
-            continue
-        if text[i : i + 2] in _PUNCT:
-            tokens.append(_Token(_PUNCT[text[i : i + 2]], text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    closed = True
-                    break
-                if c == "\n":
-                    break
-                if c == "\\":
-                    esc = text[i + 1 : i + 2]
-                    if esc not in _ESCAPES:
-                        diagnostics.append(
-                            ParseDiagnostic(
-                                SourceSpan(line, col, 2), "syntax", f"unknown escape \\{esc}"
-                            )
-                        )
-                        out.append(esc)
-                    else:
-                        out.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                out.append(c)
-                i += 1
-                col += 1
-            if not closed:
-                diagnostics.append(
-                    ParseDiagnostic(
-                        SourceSpan(start_line, start_col, max(1, col - start_col)),
-                        "syntax",
-                        "unterminated string literal",
-                    )
+        elif group == "QUOTE":
+            value, pos, end_line, end_start = _lex_string(
+                text, start, line, line_start, diagnostics
+            )
+            append(new(_Token, ("STRING", value, line, start - line_start + 1)))
+            line, line_start = end_line, end_start
+        else:
+            diagnostics.append(
+                ParseDiagnostic(
+                    SourceSpan(line, start - line_start + 1, 1),
+                    "syntax",
+                    f"unexpected character {text[start]!r}",
                 )
-            tokens.append(_Token("STRING", "".join(out), start_line, start_col))
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            word = m.group(0)
-            tokens.append(_Token("ID", word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        diagnostics.append(
-            ParseDiagnostic(SourceSpan(line, col, 1), "syntax", f"unexpected character {ch!r}")
-        )
-        i += 1
-        col += 1
-    tokens.append(_Token("EOF", "", line, col))
+            )
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens, comments, diagnostics
 
 
@@ -305,11 +329,8 @@ class _Parser:
     def cur(self) -> _Token:
         return self.tokens[self.pos]
 
-    def peek(self, offset: int = 1) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
     def advance(self) -> _Token:
-        tok = self.cur
+        tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
@@ -319,10 +340,12 @@ class _Parser:
         self.diagnostics.append(ParseDiagnostic(tok.span, code, message))
 
     def expect(self, kind: str, what: str) -> Optional[_Token]:
-        if self.cur.kind == kind:
-            return self.advance()
-        found = self.cur.value or self.cur.kind
-        self.error(f"expected {what}, found {found!r}")
+        tok = self.tokens[self.pos]
+        if tok.kind == kind:  # callers never expect "EOF", so a next token exists
+            self.pos += 1
+            return tok
+        found = tok.value or tok.kind
+        self.error(f"expected {what}, found {found!r}", tok)
         return None
 
     def expect_word(self, word: str) -> bool:
@@ -346,21 +369,23 @@ class _Parser:
     # grammar
 
     def parse_model(self) -> None:
-        while self.cur.kind != "EOF":
-            if self.at_word("machine"):
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind != "EOF":
+            word = tok.value if tok.kind == "ID" else ""
+            if word == "machine":
                 machine = self.parse_machine()
                 if machine:
                     self.machines.append(machine)
-            elif self.at_word("flow"):
+            elif word == "flow":
                 self.parse_edge(dashed=False)
-            elif self.at_word("trigger"):
+            elif word == "trigger":
                 self.parse_edge(dashed=True)
-            elif self.at_word("event"):
+            elif word == "event":
                 self.parse_event()
-            elif self.at_word("behavior"):
+            elif word == "behavior":
                 self.parse_behavior()
             else:
-                found = self.cur.value or self.cur.kind
+                found = tok.value or tok.kind
                 self.error(f"expected a declaration, found {found!r}")
                 self.advance()
                 self.sync_statement()
@@ -393,17 +418,19 @@ class _Parser:
             self.sync_statement()
             return None
         machine = _RawMachine(name_tok, display, constraint, [], [])
-        while self.cur.kind not in ("RBRACE", "EOF"):
-            if self.at_word("machine"):
+        tokens = self.tokens
+        while (tok := tokens[self.pos]).kind not in ("RBRACE", "EOF"):
+            word = tok.value if tok.kind == "ID" else ""
+            if word == "machine":
                 child = self.parse_machine()
                 if child:
                     machine.children.append(child)
-            elif self.cur.kind == "ID" and self.cur.value in KIND_WORDS:
+            elif word in KIND_WORDS:
                 stage = self.parse_stage()
                 if stage:
                     machine.stages.append(stage)
             else:
-                found = self.cur.value or self.cur.kind
+                found = tok.value or tok.kind
                 self.error(f"expected a stage or submachine, found {found!r}")
                 self.advance()
                 self.sync_statement()
@@ -411,15 +438,18 @@ class _Parser:
         return machine
 
     def parse_stage(self) -> Optional[_RawStage]:
-        tok = self.advance()
+        tokens = self.tokens
+        tok = tokens[self.pos]  # a stage kind word
+        self.pos += 1
         kind = KIND_WORDS[tok.value]
-        store = False
-        if self.at_word("store"):
-            self.advance()
-            store = True
+        nxt = tokens[self.pos]
+        store = nxt.kind == "ID" and nxt.value == "store"
+        if store:
+            self.pos += 1
+            nxt = tokens[self.pos]
         label = None
-        if self.cur.kind == "COLON":
-            self.advance()
+        if nxt.kind == "COLON":
+            self.pos += 1
             lab = self.expect("STRING", "stage label")
             label = lab.value if lab else None
         if self.expect("SEMI", "';'") is None:
@@ -431,13 +461,18 @@ class _Parser:
         first = self.expect("ID", "stage reference")
         if first is None:
             return None
+        tokens = self.tokens
+        pos = self.pos
         parts = [first]
-        while self.cur.kind == "DOT":
-            self.advance()
-            nxt = self.expect("ID", "name or stage kind")
-            if nxt is None:
+        while tokens[pos].kind == "DOT":  # a DOT is never the final EOF
+            nxt = tokens[pos + 1]
+            if nxt.kind != "ID":
+                self.pos = pos + 1
+                self.expect("ID", "name or stage kind")
                 return None
             parts.append(nxt)
+            pos += 2
+        self.pos = pos
         last = parts[-1]
         if len(parts) < 2 or last.value not in KIND_WORDS:
             self.error("a stage reference ends in a stage kind (machine.kind)", last)
@@ -446,14 +481,16 @@ class _Parser:
         return _RawRef(parts[:-1], KIND_WORDS[last.value], span)
 
     def parse_edge(self, dashed: bool) -> None:
-        head = self.advance()  # 'flow' | 'trigger'
+        tokens = self.tokens
+        head = tokens[self.pos]  # 'flow' | 'trigger'
+        self.pos += 1
         label_tok = None
-        if self.cur.kind == "ID" and self.peek().kind == "COLON":
+        if tokens[self.pos].kind == "ID" and tokens[self.pos + 1].kind == "COLON":
             label_tok = self.parse_name("flow" if not dashed else "trigger")
             if label_tok is None:
                 self.sync_statement()
                 return
-            self.advance()  # ':'
+            self.pos += 1  # ':'
         source = self.parse_ref()
         if source is None:
             self.sync_statement()
@@ -467,8 +504,9 @@ class _Parser:
             self.sync_statement()
             return
         guard = None
-        if dashed and self.at_word("if"):
-            self.advance()
+        tok = tokens[self.pos]
+        if dashed and tok.kind == "ID" and tok.value == "if":
+            self.pos += 1
             tok = self.expect("STRING", "guard text")
             guard = tok.value if tok else None
         if self.expect("SEMI", "';'") is None:

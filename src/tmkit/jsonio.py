@@ -8,6 +8,7 @@ Keys serialize alphabetically and lists sort by id, so byte output is stable.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .model import (
@@ -28,6 +29,56 @@ from .model import (
 
 class JsonFormatError(TmError):
     pass
+
+
+def _canonical_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for values built from dicts with string keys, lists, strings, booleans and
+    None; anything else raises TypeError.  ``dumps`` with an indent falls back
+    to its pure-Python encoder; this writer hands each string to the C escaper
+    that ``dumps`` itself uses."""
+    out: list[str] = []
+    append = out.append
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = indent + "  "
+            sep = "{" + inner
+            for key in sorted(value):
+                append(sep)
+                append(encode_basestring_ascii(key))  # TypeError unless a str
+                append(": ")
+                write(value[key], inner)
+                sep = "," + inner
+            append(indent + "}")
+        elif isinstance(value, list):
+            if not value:
+                append("[]")
+                return
+            inner = indent + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                write(item, inner)
+                sep = "," + inner
+            append(indent + "]")
+        else:
+            raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
+
+    write(value, "\n")
+    append("\n")
+    return "".join(out)
 
 
 def _machine_dict(machine: Machine) -> dict:
@@ -93,7 +144,7 @@ def document_to_json(
             ],
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(doc)
 
 
 def _opt_str(value, what: str) -> Optional[str]:

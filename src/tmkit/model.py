@@ -42,6 +42,10 @@ class ActionKind(Enum):
     TRANSFER = "transfer"
     RECEIVE = "receive"
 
+    # Members are singletons compared by identity, so the identity hash agrees
+    # with equality and skips Enum.__hash__, a Python-level call per set test.
+    __hash__ = object.__hash__
+
 
 #: Canonical ordering used by the printer and renderer.
 KIND_ORDER = (

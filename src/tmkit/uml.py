@@ -35,6 +35,7 @@ from .model import (
     natural_key,
 )
 from .dsl import RESERVED
+from .jsonio import _canonical_json
 from .transform import NotSimplified
 
 NODE_KINDS = ("Initial", "Final", "Action", "Decision", "Merge")
@@ -144,7 +145,7 @@ def activity_to_json(graph: ActivityGraph) -> str:
             )
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _canonical_json(doc)
 
 
 def activity_from_json(text: str) -> ActivityGraph:

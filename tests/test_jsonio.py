@@ -6,6 +6,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import documents
 from tmkit import (
@@ -15,6 +16,14 @@ from tmkit import (
     model_isomorphic,
     parse_or_raise,
 )
+from tmkit.cli import run
+from tmkit.corpus import corpus_dir, mentcare_path
+from tmkit.jsonio import _canonical_json
+
+
+def dumps_canonical(value) -> str:
+    """The reference the canonical writer must reproduce byte for byte."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_keys_are_alphabetical():
@@ -90,3 +99,44 @@ def test_json_round_trip_property(doc):
     assert set(events2) == set(events)
     assert behavior2 == behavior
     assert document_to_json(model2, events2, behavior2) == text
+
+
+# any character, with control, non-ASCII, line-separator, astral and lone
+# surrogate code points drawn often
+_json_strings = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\u2028", "\U0001f600", "\ud800"]),
+    max_size=12,
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | _json_strings,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_values)
+def test_canonical_writer_matches_json_dumps(value):
+    assert _canonical_json(value) == dumps_canonical(value)
+
+
+@pytest.mark.parametrize("value", [1, 1.5, (), {"a": [0]}, {1: "a"}, {None: "a"}, b"x"])
+def test_canonical_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _canonical_json(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fmt", "--json", str(mentcare_path())],
+        ["simplify", "--json", str(mentcare_path())],
+        ["export-uml", str(mentcare_path())],
+        ["import-uml", "--json", str(corpus_dir() / "mentcare.act.json")],
+    ],
+)
+def test_cli_json_output_is_the_json_dumps_bytes(argv, capsys):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out == dumps_canonical(json.loads(out))
