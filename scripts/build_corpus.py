@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate the corpus fixtures and golden files.
+"""Regenerate the derived corpus files from the committed sources.
 
-The model source below is organized narratively; it is parsed and re-printed
-in canonical form before being written, so corpus/mentcare.tm is a byte-exact
-fixpoint of `tmkit fmt` by construction.  Golden DOT/coverage files are
-derived from the written fixtures.  Run from the repository root:
+`corpus/mentcare.tm`, `corpus/mentcare.act.json` and `corpus/traces/*.json`
+are the sources and are only read: the model must be a byte-exact fixpoint of
+`tmkit fmt` and validate cleanly, and the activity graph must be in canonical
+JSON.  The recorded trace verdicts (`traces/expected.json`) and the golden
+DOT/coverage files are derived from them.  Run from the repository root:
 
     python3 scripts/build_corpus.py
 """
@@ -19,9 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from tmkit import (  # noqa: E402
-    ActivityEdge,
-    ActivityGraph,
-    ActivityNode,
+    activity_from_json,
     activity_to_json,
     conform,
     coverage,
@@ -34,738 +33,40 @@ from tmkit import (  # noqa: E402
 )
 from tmkit import corpus as corpus_mod  # noqa: E402
 
-MENTCARE_SOURCE = '''\
-# Mentcare case study: involuntary detention process (1-19), the
-# record-keeping extension (20-47), and the record-uniqueness check (48-53).
-# Numbers in comments cite the walkthrough circles; E-numbers cite events.
-
-# the person under involuntary detention
-machine Person {
-  # the person is brought to the facility (1, 2)
-  create;
-  # the person is informed of decisions, rights, and contacts (4, 6, 30)
-  process;
-  # the case is handed over for assessment
-  release;
-  transfer;
-  receive;
-}
-
-# the detention decision about the person
-machine DetentionDecision {
-  # a detention decision is made (3)
-  create;
-  release;
-  # the decision is communicated (4)
-  transfer;
-}
-
-# the rights information owed to the detainee
-machine Rights {
-  # rights information is prepared (5)
-  create;
-  release;
-  # rights are provided to the person (6)
-  transfer;
-}
-
-# examination of the detainee for dangerousness
-machine DangerAssessment {
-  # dangerousness is determined (7, 10, 12)
-  process;
-  release;
-  transfer;
-  receive;
-}
-
-# police custody when no secure location exists
-machine PoliceStation {
-  # the person is taken into police custody (9)
-  process;
-  transfer;
-  receive;
-}
-
-# an available secure location
-machine SecureLocation {
-  # the person is placed in the secure location (11)
-  process;
-  transfer;
-  receive;
-}
-
-# hospital admission for non-dangerous patients
-machine PatientAdmission {
-  # the person is admitted as a patient (13)
-  process;
-  transfer;
-  receive;
-}
-
-# information generated about the detainee
-machine DetaineeInfo : "detainee information" {
-  # information about the detainee is generated (14)
-  create;
-  release;
-  # sent out to the interested parties (15, 16, 17)
-  transfer;
-}
-
-machine SocialServices {
-  # social services takes note (15)
-  process;
-  transfer;
-  receive;
-}
-
-machine NextOfKin {
-  # the next of kin is informed (16)
-  process;
-  transfer;
-  receive;
-}
-
-# the patient information system and its modules
-machine InfoSystem : "Mentcare information system" {
-  # detainee information is kept in the system (19)
-  process store;
-  # arrival of detainee information (17, 18)
-  transfer;
-  receive;
-
-  # access control for the receptionist (21)
-  machine Authorization {
-    # the clearance check (21, 23)
-    process store : "security clearance data";
-    transfer;
-    receive;
-  }
-
-  # the permission issued on successful authorization
-  machine Permission {
-    # permission is given (24)
-    create;
-    release;
-    # flows back to the receptionist (25)
-    transfer;
-  }
-
-  # module constructing a new patient record
-  machine RecordBuilder {
-    # patient data and the current file are processed (35)
-    process;
-    # takes the input data (32a) and the file (32b)
-    transfer;
-    receive;
-  }
-
-  # module deleting a patient record
-  machine RecordDeleter {
-    # identifier and file are processed (40)
-    process;
-    # takes the identifier (37a) and the file (37b)
-    transfer;
-    receive;
-  }
-
-  # module retrieving a patient record
-  machine RecordRetriever {
-    # the record key is processed with the file (43)
-    process;
-    transfer;
-    receive;
-  }
-
-  # the patient records file
-  machine PatientFile {
-    # a new version of the file is created (36, 41, 52, 53)
-    create store : "patient records file";
-    # the current file is served to the modules (33, 38, 49)
-    release;
-    transfer;
-  }
-
-  # a record awaiting registration
-  machine NewRecord {
-    # the record to be registered is produced (36, 48)
-    create;
-    release;
-    transfer;
-  }
-
-  # a record fetched for viewing
-  machine RetrievedRecord {
-    # the requested record is retrieved (44)
-    create;
-    release;
-    # sent to the medical receptionist (45)
-    transfer;
-  }
-
-  # the one-record-per-patient check (48-53)
-  machine RecordConstraint constraint {
-    # the record is checked against the file (50, 51)
-    process;
-    # receives the candidate record (48) and the file address (49)
-    transfer;
-    receive;
-  }
-}
-
-# the medical receptionist in charge of the system (20)
-machine MedicalReceptionist {
-  # an access request is created (22)
-  create;
-  # the received permission is processed; work may start (25)
-  process;
-  release;
-  transfer;
-  receive;
-
-  # register a patient (26)
-  machine Register {
-    # a register request with the patient data (26, 31)
-    create;
-    release;
-    transfer;
-  }
-
-  # unregister a patient (27)
-  machine Unregister {
-    # an unregister request with the record identifier (27, 37)
-    create;
-    release;
-    transfer;
-  }
-
-  # view patient information (28)
-  machine View {
-    # a view request with the record key (28, 42)
-    create;
-    release;
-    transfer;
-  }
-
-  # transfer patient data to the health authority (29)
-  machine TransferData {
-    # the received record is processed into a message (29, 46)
-    process;
-    release;
-    transfer;
-    receive;
-  }
-
-  # contact the patient (30)
-  machine Contact {
-    # the received record is processed into a message (30, 47)
-    process;
-    release;
-    transfer;
-    receive;
-  }
-}
-
-# the general patient record database
-machine HealthAuthority : "general patient record database" {
-  # the transferred data is taken up (29)
-  process;
-  transfer;
-  receive;
-}
-
-# the person is present at the facility (1, 2)
-flow f1: Person.create -> Person.process;
-# the case is handed over for assessment
-flow f2: Person.process -> Person.release;
-flow f3: Person.release -> Person.transfer;
-# the case reaches the assessment (7)
-flow f4: Person.transfer -> DangerAssessment.transfer;
-flow f5: DangerAssessment.transfer -> DangerAssessment.receive;
-flow f6: DangerAssessment.receive -> DangerAssessment.process;
-# the decision is released for communication (3, 4)
-flow f7: DetentionDecision.create -> DetentionDecision.release;
-flow f8: DetentionDecision.release -> DetentionDecision.transfer;
-# the decision reaches the person (4)
-flow f9: DetentionDecision.transfer -> Person.transfer;
-flow f10: Person.transfer -> Person.receive;
-flow f11: Person.receive -> Person.process;
-# rights information is released (5, 6)
-flow f12: Rights.create -> Rights.release;
-flow f13: Rights.release -> Rights.transfer;
-# rights reach the person (6)
-flow f14: Rights.transfer -> Person.transfer;
-# the assessed case leaves the assessment
-flow f15: DangerAssessment.process -> DangerAssessment.release;
-flow f16: DangerAssessment.release -> DangerAssessment.transfer;
-# the person is sent to the police station (9)
-flow f17: DangerAssessment.transfer -> PoliceStation.transfer;
-flow f18: PoliceStation.transfer -> PoliceStation.receive;
-flow f19: PoliceStation.receive -> PoliceStation.process;
-# the person is sent to the secure location (11)
-flow f20: DangerAssessment.transfer -> SecureLocation.transfer;
-flow f21: SecureLocation.transfer -> SecureLocation.receive;
-flow f22: SecureLocation.receive -> SecureLocation.process;
-# the person is admitted as a patient (13)
-flow f23: DangerAssessment.transfer -> PatientAdmission.transfer;
-flow f24: PatientAdmission.transfer -> PatientAdmission.receive;
-flow f25: PatientAdmission.receive -> PatientAdmission.process;
-# detainee information goes out (14)
-flow f26: DetaineeInfo.create -> DetaineeInfo.release;
-flow f27: DetaineeInfo.release -> DetaineeInfo.transfer;
-# to the social services (15)
-flow f28: DetaineeInfo.transfer -> SocialServices.transfer;
-flow f29: SocialServices.transfer -> SocialServices.receive;
-flow f30: SocialServices.receive -> SocialServices.process;
-# to the next of kin (16)
-flow f31: DetaineeInfo.transfer -> NextOfKin.transfer;
-flow f32: NextOfKin.transfer -> NextOfKin.receive;
-flow f33: NextOfKin.receive -> NextOfKin.process;
-# into the information system (17, 18, 19)
-flow f34: DetaineeInfo.transfer -> InfoSystem.transfer;
-flow f35: InfoSystem.transfer -> InfoSystem.receive;
-flow f36: InfoSystem.receive -> InfoSystem.process;
-
-# the access request leaves the receptionist (22)
-flow f37: MedicalReceptionist.create -> MedicalReceptionist.release;
-flow f38: MedicalReceptionist.release -> MedicalReceptionist.transfer;
-# the request flows to the authorization module (23)
-flow f39: MedicalReceptionist.transfer -> InfoSystem.Authorization.transfer;
-flow f40: InfoSystem.Authorization.transfer -> InfoSystem.Authorization.receive;
-flow f41: InfoSystem.Authorization.receive -> InfoSystem.Authorization.process;
-# the permission is released (24)
-flow f42: InfoSystem.Permission.create -> InfoSystem.Permission.release;
-flow f43: InfoSystem.Permission.release -> InfoSystem.Permission.transfer;
-# the permission reaches the receptionist (25)
-flow f44: InfoSystem.Permission.transfer -> MedicalReceptionist.transfer;
-flow f45: MedicalReceptionist.transfer -> MedicalReceptionist.receive;
-flow f46: MedicalReceptionist.receive -> MedicalReceptionist.process;
-
-# the register request with the patient data (26, 31)
-flow f47: MedicalReceptionist.Register.create -> MedicalReceptionist.Register.release;
-flow f48: MedicalReceptionist.Register.release -> MedicalReceptionist.Register.transfer;
-# the patient data flows to the record builder (31, 32a)
-flow f49: MedicalReceptionist.Register.transfer -> InfoSystem.RecordBuilder.transfer;
-flow f50: InfoSystem.RecordBuilder.transfer -> InfoSystem.RecordBuilder.receive;
-flow f51: InfoSystem.RecordBuilder.receive -> InfoSystem.RecordBuilder.process;
-# the current patient file is served (33, 34)
-flow f52: InfoSystem.PatientFile.create -> InfoSystem.PatientFile.release;
-flow f53: InfoSystem.PatientFile.release -> InfoSystem.PatientFile.transfer;
-# the file flows to the record builder (32b, 34)
-flow f54: InfoSystem.PatientFile.transfer -> InfoSystem.RecordBuilder.transfer;
-
-# the unregister request with the record identifier (27, 37)
-flow f55: MedicalReceptionist.Unregister.create -> MedicalReceptionist.Unregister.release;
-flow f56: MedicalReceptionist.Unregister.release -> MedicalReceptionist.Unregister.transfer;
-# the identifier flows to the record deleter (37, 37a)
-flow f57: MedicalReceptionist.Unregister.transfer -> InfoSystem.RecordDeleter.transfer;
-flow f58: InfoSystem.RecordDeleter.transfer -> InfoSystem.RecordDeleter.receive;
-flow f59: InfoSystem.RecordDeleter.receive -> InfoSystem.RecordDeleter.process;
-# the file flows to the record deleter (37b, 38, 39)
-flow f60: InfoSystem.PatientFile.transfer -> InfoSystem.RecordDeleter.transfer;
-
-# the view request with the record key (28, 42)
-flow f61: MedicalReceptionist.View.create -> MedicalReceptionist.View.release;
-flow f62: MedicalReceptionist.View.release -> MedicalReceptionist.View.transfer;
-# the key flows to the record retriever (42)
-flow f63: MedicalReceptionist.View.transfer -> InfoSystem.RecordRetriever.transfer;
-flow f64: InfoSystem.RecordRetriever.transfer -> InfoSystem.RecordRetriever.receive;
-flow f65: InfoSystem.RecordRetriever.receive -> InfoSystem.RecordRetriever.process;
-# the file is consulted for retrieval (43)
-flow f66: InfoSystem.PatientFile.transfer -> InfoSystem.RecordRetriever.transfer;
-# the retrieved record is released (44)
-flow f67: InfoSystem.RetrievedRecord.create -> InfoSystem.RetrievedRecord.release;
-flow f68: InfoSystem.RetrievedRecord.release -> InfoSystem.RetrievedRecord.transfer;
-# the record reaches the transfer-data function (45)
-flow f69: InfoSystem.RetrievedRecord.transfer -> MedicalReceptionist.TransferData.transfer;
-flow f70: MedicalReceptionist.TransferData.transfer -> MedicalReceptionist.TransferData.receive;
-flow f71: MedicalReceptionist.TransferData.receive -> MedicalReceptionist.TransferData.process;
-# the record reaches the contact function (45)
-flow f72: InfoSystem.RetrievedRecord.transfer -> MedicalReceptionist.Contact.transfer;
-flow f73: MedicalReceptionist.Contact.transfer -> MedicalReceptionist.Contact.receive;
-flow f74: MedicalReceptionist.Contact.receive -> MedicalReceptionist.Contact.process;
-
-# the formulated message leaves the transfer-data function (29, 46)
-flow f75: MedicalReceptionist.TransferData.process -> MedicalReceptionist.TransferData.release;
-flow f76: MedicalReceptionist.TransferData.release -> MedicalReceptionist.TransferData.transfer;
-# the message reaches the health authority (29)
-flow f77: MedicalReceptionist.TransferData.transfer -> HealthAuthority.transfer;
-flow f78: HealthAuthority.transfer -> HealthAuthority.receive;
-flow f79: HealthAuthority.receive -> HealthAuthority.process;
-# the contact message leaves the contact function (30, 47)
-flow f80: MedicalReceptionist.Contact.process -> MedicalReceptionist.Contact.release;
-flow f81: MedicalReceptionist.Contact.release -> MedicalReceptionist.Contact.transfer;
-# the patient is contacted (30)
-flow f82: MedicalReceptionist.Contact.transfer -> Person.transfer;
-
-# the candidate record goes out for checking (48)
-flow f83: InfoSystem.NewRecord.create -> InfoSystem.NewRecord.release;
-flow f84: InfoSystem.NewRecord.release -> InfoSystem.NewRecord.transfer;
-# the record arrives at the constraint module (48)
-flow f85: InfoSystem.NewRecord.transfer -> InfoSystem.RecordConstraint.transfer;
-flow f86: InfoSystem.RecordConstraint.transfer -> InfoSystem.RecordConstraint.receive;
-flow f87: InfoSystem.RecordConstraint.receive -> InfoSystem.RecordConstraint.process;
-# the file address flows to the constraint module (49)
-flow f88: InfoSystem.PatientFile.transfer -> InfoSystem.RecordConstraint.transfer;
-
-# arrival of the person prompts the detention decision (2, 3)
-trigger t1: Person.create => DetentionDecision.create;
-# the decision prompts the rights information (4, 5)
-trigger t2: DetentionDecision.create => Rights.create;
-# the dangerousness branches (7-13)
-trigger t3: DangerAssessment.process => PoliceStation.process if "the person is dangerous and no secure location is available";
-trigger t4: DangerAssessment.process => SecureLocation.process if "the person is dangerous and a secure location is available";
-trigger t5: DangerAssessment.process => PatientAdmission.process if "the person is not dangerous";
-# each outcome prompts the detainee information (9, 11, 13, 14)
-trigger t6: PoliceStation.process => DetaineeInfo.create;
-trigger t7: SecureLocation.process => DetaineeInfo.create;
-trigger t8: PatientAdmission.process => DetaineeInfo.create;
-# information in the system engages the receptionist (19, 20, 22)
-trigger t9: InfoSystem.process => MedicalReceptionist.create;
-# a successful clearance check issues the permission (21, 24)
-trigger t10: InfoSystem.Authorization.process => InfoSystem.Permission.create if "the security clearance admits access";
-# the authorized receptionist uses the functions (25, 26, 27, 28)
-trigger t11: MedicalReceptionist.process => MedicalReceptionist.Register.create;
-trigger t12: MedicalReceptionist.process => MedicalReceptionist.Unregister.create;
-trigger t13: MedicalReceptionist.process => MedicalReceptionist.View.create;
-# processing the data yields the candidate record (35, 36, 48)
-trigger t14: InfoSystem.RecordBuilder.process => InfoSystem.NewRecord.create;
-# deletion yields a new file version (40, 41)
-trigger t15: InfoSystem.RecordDeleter.process => InfoSystem.PatientFile.create;
-# the key is processed and the record retrieved (43, 44)
-trigger t16: InfoSystem.RecordRetriever.process => InfoSystem.RetrievedRecord.create;
-# the record is inserted only when absent (51, 52, 53)
-trigger t17: InfoSystem.RecordConstraint.process => InfoSystem.PatientFile.create if "the record is not in the file";
-
-event E1 : "A person is brought to the Mentcare center." {
-  time "t1";
-  region {
-    Person.create
-  }
-}
-
-event E2 : "A detention decision is made, and the person is informed." {
-  time "t2";
-  region {
-    DetentionDecision.create
-    DetentionDecision.release
-    DetentionDecision.transfer
-    Person.transfer
-    Person.receive
-    Person.process
-  }
-}
-
-event E3 : "The detainee is informed of his or her rights." {
-  time "t3";
-  region {
-    Rights.create
-    Rights.release
-    Rights.transfer
-    Person.transfer
-    Person.receive
-    Person.process
-  }
-}
-
-event E4 : "The detainee is examined and found to be dangerous." {
-  time "t4";
-  region {
-    Person.process
-    Person.release
-    Person.transfer
-    DangerAssessment.transfer
-    DangerAssessment.receive
-    DangerAssessment.process
-  }
-}
-
-# the one dated event of the case study (8, 9)
-event E5 : "The detainee is transferred to the police because no other secure location is available." {
-  time "1/1/2021";
-  region {
-    DangerAssessment.process
-    DangerAssessment.release
-    DangerAssessment.transfer
-    PoliceStation.transfer
-    PoliceStation.receive
-    PoliceStation.process
-  }
-}
-
-event E6 : "The detainee is transferred to a secure location that is available." {
-  time "t6";
-  region {
-    DangerAssessment.process
-    DangerAssessment.release
-    DangerAssessment.transfer
-    SecureLocation.transfer
-    SecureLocation.receive
-    SecureLocation.process
-  }
-}
-
-event E7 : "It is determined that the person is not dangerous." {
-  time "t7";
-  region {
-    DangerAssessment.process
-    DangerAssessment.release
-    DangerAssessment.transfer
-    PatientAdmission.transfer
-    PatientAdmission.receive
-    PatientAdmission.process
-  }
-}
-
-event E8 : "Information about the detainee is sent to the social services, his or her next of kin, and a medical receptionist." {
-  time "t8";
-  region {
-    DetaineeInfo.create
-    DetaineeInfo.release
-    DetaineeInfo.transfer
-    SocialServices.transfer
-    SocialServices.receive
-    SocialServices.process
-    NextOfKin.transfer
-    NextOfKin.receive
-    NextOfKin.process
-    InfoSystem.transfer
-    InfoSystem.receive
-    InfoSystem.process
-  }
-}
-
-event E9 : "The medical receptionist requests authorization to access the system and receives approval." {
-  time "t9";
-  region {
-    MedicalReceptionist.create
-    MedicalReceptionist.release
-    MedicalReceptionist.transfer
-    MedicalReceptionist.receive
-    MedicalReceptionist.process
-    InfoSystem.Authorization.transfer
-    InfoSystem.Authorization.receive
-    InfoSystem.Authorization.process
-    InfoSystem.Permission.create
-    InfoSystem.Permission.release
-    InfoSystem.Permission.transfer
-  }
-}
-
-event E10 : "The medical receptionist generates a request to register a patient, which flows to the information system." {
-  time "t10";
-  region {
-    MedicalReceptionist.Register.create
-    MedicalReceptionist.Register.release
-    MedicalReceptionist.Register.transfer
-    InfoSystem.RecordBuilder.transfer
-  }
-}
-
-event E11 : "The medical receptionist generates a request to unregister a patient, which flows to the information system." {
-  time "t11";
-  region {
-    MedicalReceptionist.Unregister.create
-    MedicalReceptionist.Unregister.release
-    MedicalReceptionist.Unregister.transfer
-    InfoSystem.RecordDeleter.transfer
-  }
-}
-
-event E12 : "The medical receptionist generates a request to view patient information." {
-  time "t12";
-  region {
-    MedicalReceptionist.View.create
-    MedicalReceptionist.View.release
-    MedicalReceptionist.View.transfer
-    InfoSystem.RecordRetriever.transfer
-  }
-}
-
-event E13 : "The information system checks whether a new patient is already in the system." {
-  time "t13";
-  region {
-    InfoSystem.RecordBuilder.receive
-    InfoSystem.RecordBuilder.process
-    InfoSystem.NewRecord.create
-    InfoSystem.NewRecord.release
-    InfoSystem.NewRecord.transfer
-    InfoSystem.RecordConstraint.transfer
-    InfoSystem.RecordConstraint.receive
-    InfoSystem.RecordConstraint.process
-  }
-}
-
-event E14 : "The information system creates a record for the new patient in the database." {
-  time "t14";
-  region {
-    InfoSystem.PatientFile.create
-  }
-}
-
-event E15 : "The information system unregisters a patient." {
-  time "t15";
-  region {
-    InfoSystem.RecordDeleter.receive
-    InfoSystem.RecordDeleter.process
-  }
-}
-
-event E16 : "The information system retrieves the requested patient information." {
-  time "t16";
-  region {
-    InfoSystem.RecordRetriever.receive
-    InfoSystem.RecordRetriever.process
-    InfoSystem.RetrievedRecord.create
-  }
-}
-
-event E17 : "The requested patient information flows to the medical receptionist." {
-  time "t17";
-  region {
-    InfoSystem.RetrievedRecord.release
-    InfoSystem.RetrievedRecord.transfer
-    MedicalReceptionist.TransferData.transfer
-    MedicalReceptionist.TransferData.receive
-    MedicalReceptionist.Contact.transfer
-    MedicalReceptionist.Contact.receive
-  }
-}
-
-event E18 : "The medical receptionist sends the information to the general patient record database (a health authority)." {
-  time "t18";
-  region {
-    MedicalReceptionist.TransferData.process
-    MedicalReceptionist.TransferData.release
-    MedicalReceptionist.TransferData.transfer
-    HealthAuthority.transfer
-    HealthAuthority.receive
-    HealthAuthority.process
-  }
-}
-
-event E19 : "The medical receptionist contacts the patient." {
-  time "t19";
-  region {
-    MedicalReceptionist.Contact.process
-    MedicalReceptionist.Contact.release
-    MedicalReceptionist.Contact.transfer
-    Person.transfer
-    Person.receive
-    Person.process
-  }
-}
-
-behavior {
-  E1 -> E2;
-  E2 -> E3;
-  # mutually exclusive outcome of the examination
-  E3 -> E4 excl "dangerousness";
-  E3 -> E7 excl "dangerousness";
-  # mutually exclusive placement of a dangerous person
-  E4 -> E5 excl "custody";
-  E4 -> E6 excl "custody";
-  E5 -> E8;
-  E6 -> E8;
-  E7 -> E8;
-  E8 -> E9;
-  E9 -> E10;
-  E9 -> E11;
-  E9 -> E12;
-  E10 -> E13;
-  E13 -> E14;
-  E11 -> E15;
-  E12 -> E16;
-  E16 -> E17;
-  E17 -> E18;
-  E17 -> E19;
-}
-'''
-
-
-MENTCARE_ACTIVITY = ActivityGraph.build(
-    nodes=[
-        ActivityNode("i", "Initial"),
-        ActivityNode("a0", "Action", "Receive person at the Mentcare facility"),
-        ActivityNode("a1", "Action", "Make detention decision"),
-        ActivityNode("a2", "Action", "Provide rights information"),
-        ActivityNode("a3", "Action", "Assess dangerousness"),
-        ActivityNode("d1", "Decision"),
-        ActivityNode("a4", "Action", "Send person to police station"),
-        ActivityNode("a5", "Action", "Send person to secure location"),
-        ActivityNode("a6", "Action", "Admit person as patient"),
-        ActivityNode("m1", "Merge"),
-        ActivityNode("a7", "Action", "Generate detainee information"),
-        ActivityNode("a8", "Action", "Notify social services"),
-        ActivityNode("a9", "Action", "Notify next of kin"),
-        ActivityNode("a10", "Action", "Update Mentcare information system"),
-        ActivityNode("f", "Final"),
-    ],
-    edges=[
-        ActivityEdge("i", "a0"),
-        ActivityEdge("a0", "a1"),
-        ActivityEdge("a1", "a2"),
-        ActivityEdge("a2", "a3"),
-        ActivityEdge("a3", "d1"),
-        ActivityEdge("d1", "a4", "the person is dangerous and no secure location is available"),
-        ActivityEdge("d1", "a5", "the person is dangerous and a secure location is available"),
-        ActivityEdge("d1", "a6", "the person is not dangerous"),
-        ActivityEdge("a4", "m1"),
-        ActivityEdge("a5", "m1"),
-        ActivityEdge("a6", "m1"),
-        ActivityEdge("m1", "a7"),
-        ActivityEdge("a7", "a8"),
-        ActivityEdge("a7", "a9"),
-        ActivityEdge("a7", "a10"),
-        ActivityEdge("a8", "f"),
-        ActivityEdge("a9", "f"),
-        ActivityEdge("a10", "f"),
-    ],
-)
-
-TRACES = {
-    "ok_police_path.json": ["E1", "E2", "E3", "E4", "E5", "E8"],
-    "ok_not_dangerous.json": ["E1", "E2", "E3", "E7", "E8"],
-    "bad_dangerous_then_not.json": ["E1", "E2", "E3", "E4", "E7"],
-    "bad_not_source.json": ["E2", "E3"],
-}
-
 
 def main() -> int:
     corpus = ROOT / "corpus"
-    (corpus / "traces").mkdir(parents=True, exist_ok=True)
     (corpus / "golden").mkdir(parents=True, exist_ok=True)
 
-    result = dsl.parse(MENTCARE_SOURCE)
+    source = (corpus / "mentcare.tm").read_text(encoding="utf-8")
+    result = dsl.parse(source)
     if not result.ok:
         for diag in result.diagnostics:
-            print(f"mentcare source: {diag}", file=sys.stderr)
+            print(f"corpus/mentcare.tm: {diag}", file=sys.stderr)
         return 1
-    canonical = dsl.print_model(result.model, result.events, result.behavior, result.comments)
-    reparsed = dsl.parse(canonical)
-    assert reparsed.ok, "canonical text must reparse"
-    assert dsl.print_model(
-        reparsed.model, reparsed.events, reparsed.behavior, reparsed.comments
-    ) == canonical, "canonical text must be a fixpoint"
+    if dsl.print_model(result.model, result.events, result.behavior, result.comments) != source:
+        print("corpus/mentcare.tm is not a fixpoint of `tmkit fmt`", file=sys.stderr)
+        return 1
 
-    diags = validate_document(reparsed.model, reparsed.events, reparsed.behavior)
+    model, events, behavior = result.model, result.events, result.behavior
+    diags = validate_document(model, events, behavior)
     if diags:
         for diag in diags:
             print(f"mentcare validation: {diag}", file=sys.stderr)
         if has_errors(diags):
             return 1
 
-    (corpus / "mentcare.tm").write_text(canonical, encoding="utf-8", newline="\n")
-    (corpus / "mentcare.act.json").write_text(
-        activity_to_json(MENTCARE_ACTIVITY), encoding="utf-8", newline="\n"
-    )
+    activity = (corpus / "mentcare.act.json").read_text(encoding="utf-8")
+    if activity_to_json(activity_from_json(activity)) != activity:
+        print("corpus/mentcare.act.json is not in canonical JSON", file=sys.stderr)
+        return 1
 
     expected = {}
-    for name, trace in TRACES.items():
-        (corpus / "traces" / name).write_text(
-            json.dumps(trace) + "\n", encoding="utf-8", newline="\n"
-        )
-        verdict = conform(trace, reparsed.behavior)
-        expected[name] = {
+    for path in sorted((corpus / "traces").glob("*.json")):
+        if path.name == "expected.json":
+            continue
+        verdict = conform(json.loads(path.read_text(encoding="utf-8")), behavior)
+        expected[path.name] = {
             "conforms": verdict.conforms,
             "violation_index": verdict.violation_index,
         }
@@ -773,7 +74,6 @@ def main() -> int:
         json.dumps(expected, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
     )
 
-    model, events, behavior = reparsed.model, reparsed.events, reparsed.behavior
     closed = [eventize(model, e) for e in events]
     e5 = next(e for e in closed if e.id == "E5")
     (corpus / "golden" / "static.dot").write_text(

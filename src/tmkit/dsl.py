@@ -191,7 +191,9 @@ def _lex_string(
                     ParseDiagnostic(
                         SourceSpan(line, i - line_start + 1, 2),
                         "syntax",
-                        f"unknown escape \\{esc}",
+                        f"unknown escape \\{esc}"
+                        if esc.isprintable()
+                        else f"unknown escape \\ followed by {esc!r}",
                     )
                 )
                 out.append(esc)

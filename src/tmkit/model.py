@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import filterfalse
 from typing import Iterator, Optional, Sequence
 
 
@@ -99,9 +100,12 @@ class Machine:
         return None
 
     def walk(self) -> Iterator["Machine"]:
-        yield self
-        for sub in self.submachines:
-            yield from sub.walk()
+        """This machine and all machines nested in it, in preorder."""
+        stack = [self]
+        while stack:
+            machine = stack.pop()
+            yield machine
+            stack += machine.submachines[::-1]
 
 
 @dataclass(frozen=True)
@@ -133,7 +137,7 @@ class StaticModel:
         triggers: Sequence[Trigger] = (),
     ) -> "StaticModel":
         """Normalize parent links and reject any invariant violation."""
-        normalized = tuple(_with_parents(m, None) for m in machines)
+        normalized = _with_parents(machines)
         model = cls(machines=normalized, flows=tuple(flows), triggers=tuple(triggers))
         problems = check_model(model)
         if problems:
@@ -190,11 +194,25 @@ def _group(items, key) -> dict:
     return {k: tuple(v) for k, v in out.items()}
 
 
-def _with_parents(machine: Machine, parent_id: Optional[str]) -> Machine:
-    subs = tuple(_with_parents(sub, machine.id) for sub in machine.submachines)
-    if machine.parent == parent_id and subs == machine.submachines:
-        return machine
-    return replace(machine, parent=parent_id, submachines=subs)
+def _with_parents(roots: Sequence[Machine]) -> tuple[Machine, ...]:
+    """Set every parent link, rebuilding children before their parent from an
+    explicit stack; a machine whose links already hold stays the same object."""
+    todo = [(root, None, False) for root in reversed(roots)]
+    done: list[Machine] = []
+    while todo:
+        machine, parent_id, children_done = todo.pop()
+        subs = machine.submachines
+        if subs and not children_done:
+            todo.append((machine, parent_id, True))
+            todo += [(sub, machine.id, False) for sub in reversed(subs)]
+            continue
+        cut = len(done) - len(subs)
+        kids = tuple(done[cut:])
+        del done[cut:]
+        if machine.parent != parent_id or subs and any(n is not o for n, o in zip(kids, subs)):
+            machine = replace(machine, parent=parent_id, submachines=kids)
+        done.append(machine)
+    return tuple(done)
 
 
 def check_model(model: StaticModel) -> list[str]:
@@ -343,86 +361,111 @@ def induced_region(model: StaticModel, stage_ids: Sequence[str] | frozenset[str]
 def model_isomorphic(a: StaticModel, b: StaticModel) -> bool:
     """True iff a bijection on machines exists preserving nesting, stage kinds,
     storage, constraint flags, flows, triggers, and guards.  Names, ids, and
-    stage labels are ignored.
+    stage labels are ignored; parallel flows or triggers count by multiplicity,
+    and a guard of ``None`` equals ``""``.
 
-    The one-stage-per-kind invariant makes the stage bijection a consequence
-    of the machine bijection, so the search runs over machine siblings only,
-    pruned by a structural signature.
+    The matcher refines colours one round only, since rounds to stability
+    cost quadratic time on long chains and nests, where its search is linear
+    anyway; it backtracks exponentially only on highly symmetric inputs.
     """
-    if len(a.flows) != len(b.flows) or len(a.triggers) != len(b.triggers):
+    return _digraph_isomorphic(_machine_digraph(a), _machine_digraph(b))
+
+
+def _machine_digraph(model: StaticModel) -> tuple[dict, dict]:
+    # One stage per kind makes the stage bijection follow from the machine
+    # bijection, so a link is an edge between machines (a self-loop within one)
+    # labelled with its kind, its end stages' kinds and its guard.
+    labels, place = {}, {}  # machine id -> label, stage id -> (machine id, kind)
+    edges: dict[tuple[str, str], list] = {}
+    for m in model.all_machines():
+        labels[m.id] = (m.is_constraint, frozenset((s.kind, s.has_storage) for s in m.stages))
+        place.update((s.id, (m.id, s.kind.value)) for s in m.stages)
+        for sub in m.submachines:
+            edges.setdefault((m.id, sub.id), []).append(("sub", "", "", ""))
+    links = [("flow", f.source, f.target, "") for f in model.flows]
+    links += [("trigger", t.source, t.target, t.guard or "") for t in model.triggers]
+    for kind, source, target, guard in links:
+        (src, src_kind), (dst, dst_kind) = place[source], place[target]
+        edges.setdefault((src, dst), []).append((kind, src_kind, dst_kind, guard))
+    return labels, edges
+
+
+def _digraph_isomorphic(a: tuple[dict, dict], b: tuple[dict, dict]) -> bool:
+    """Decide isomorphism of digraphs ``(labels, edges)``: ``labels`` maps each
+    node to a hashable label, ``edges`` a (source, target) pair to the labels
+    of its parallel edges, compared as a sorted multiset.  Nodes are coloured
+    by label, then once by their neighbours' colours and edge labels.  Each
+    weakly connected component of ``a`` is placed from its rarest colour along
+    edges, so a node's candidates are neighbours of a placed node's image
+    (VF2-style; Cordella et al., TPAMI 2004).
+    """
+    if len(a[0]) != len(b[0]) or len(a[1]) != len(b[1]):
         return False
-    sig_a = {m.id: _machine_signature(a, m) for m in a.all_machines()}
-    sig_b = {m.id: _machine_signature(b, m) for m in b.all_machines()}
+    edge_colour: dict = {}
+    adj = []  # per graph, node -> ({out-neighbour: edge colour}, {in-neighbour: edge colour})
+    for labels, edges in (a, b):
+        adj.append({n: ({}, {}) for n in labels})
+        for (u, v), labs in edges.items():
+            e = edge_colour.setdefault(tuple(sorted(labs)), len(edge_colour))
+            adj[-1][u][0][v] = adj[-1][v][1][u] = e
+    a_adj, b_adj = adj
 
-    a_flows = {(f.source, f.target) for f in a.flows}
-    if len(a_flows) != len({(f.source, f.target) for f in b.flows}):
-        return False
-
-    mapping: dict[str, str] = {}
-
-    def stages_map() -> Optional[dict[str, str]]:
-        smap: dict[str, str] = {}
-        for am_id, bm_id in mapping.items():
-            am = a.machines_by_id[am_id]
-            bm = b.machines_by_id[bm_id]
-            for stage in am.stages:
-                other = bm.stage_of(stage.kind)
-                if other is None:
-                    return None
-                smap[stage.id] = other.id
-        return smap
-
-    def match_siblings(a_sibs: Sequence[Machine], b_sibs: Sequence[Machine]) -> bool:
-        if len(a_sibs) != len(b_sibs):
+    keys = (a[0], b[0])
+    for refined in (False, True):
+        palette: dict = {}
+        ca, cb = ({n: palette.setdefault(k, len(palette)) for n, k in ks.items()} for ks in keys)
+        if sorted(ca.values()) != sorted(cb.values()):
             return False
-        if not a_sibs:
-            return True
-        first, *rest = a_sibs
-        for i, cand in enumerate(b_sibs):
-            if sig_a[first.id] != sig_b[cand.id]:
-                continue
-            mapping[first.id] = cand.id
-            remaining = list(b_sibs[:i]) + list(b_sibs[i + 1 :])
-            if match_siblings(first.submachines, cand.submachines) and match_siblings(
-                rest, remaining
-            ):
-                return True
-            # undo this subtree's tentative assignments
-            for m in first.walk():
-                mapping.pop(m.id, None)
-        return False
-
-    if not match_siblings(a.machines, b.machines):
-        return False
-    smap = stages_map()
-    if smap is None:
-        return False
-    mapped_flows = {(smap[f.source], smap[f.target]) for f in a.flows}
-    if mapped_flows != {(f.source, f.target) for f in b.flows}:
-        return False
-    mapped_trigs = sorted((smap[t.source], smap[t.target], t.guard or "") for t in a.triggers)
-    real_trigs = sorted((t.source, t.target, t.guard or "") for t in b.triggers)
-    return mapped_trigs == real_trigs
-
-
-def _machine_signature(model: StaticModel, machine: Machine) -> tuple:
-    """Iso-invariant fingerprint: local stage/edge structure plus child multiset."""
-    stage_part = []
-    for kind in KIND_ORDER:
-        stage = machine.stage_of(kind)
-        if stage is None:
-            stage_part.append(())  # absent stage; empty tuple keeps signatures sortable
-            continue
-        out_guards = tuple(sorted(t.guard or "" for t in model.triggers_from.get(stage.id, ())))
-        stage_part.append(
-            (
-                stage.has_storage,
-                len(model.flows_from.get(stage.id, ())),
-                len(model.flows_into.get(stage.id, ())),
-                len(model.triggers_from.get(stage.id, ())),
-                len(model.triggers_into.get(stage.id, ())),
-                out_guards,
-            )
+        if refined or len(palette) == len(ca):
+            break
+        keys = tuple(
+            {n: (c, *[tuple(sorted([(e, col[m]) for m, e in side.items()])) for side in g[n]])
+             for n, c in col.items()}
+            for col, g in ((ca, a_adj), (cb, b_adj))
         )
-    children = tuple(sorted(_machine_signature(model, sub) for sub in machine.submachines))
-    return (machine.is_constraint, tuple(stage_part), children)
+
+    b_class: dict = {}
+    for n, c in cb.items():
+        b_class.setdefault(c, []).append(n)
+    order = []  # (node, placed neighbour or None, 0 if node is its out-, 1 if in-neighbour)
+    placed: set = set()
+    for first in sorted(ca, key=lambda n: len(b_class[ca[n]])):
+        todo = [(first, None, 0)]
+        while todo:
+            node, anchor, side = todo.pop()
+            if node not in placed:
+                placed.add(node)
+                order.append((node, anchor, side))
+                todo += [(m, node, s) for s, near in enumerate(a_adj[node]) for m in near]
+
+    mapping, inverse = {}, {}  # node of a -> node of b, and back
+
+    def fits(node, image) -> bool:
+        for mine, theirs in zip(a_adj[node], b_adj[image]):
+            for other, e in mine.items():
+                if other in mapping and theirs.get(mapping[other]) != e:
+                    return False
+            for other, e in theirs.items():
+                if other in inverse and mine.get(inverse[other]) != e:
+                    return False
+        return True
+
+    stack: list[Iterator] = []  # candidate iterators; order[:len(mapping)] is placed
+    while len(mapping) < len(order):
+        depth = len(mapping)
+        node, anchor, side = order[depth]
+        if len(stack) == depth:
+            pool = b_class[ca[node]] if anchor is None else b_adj[mapping[anchor]][side]
+            stack.append(filterfalse(inverse.__contains__, pool))
+        for image in stack[depth]:
+            if cb[image] == ca[node]:
+                mapping[node], inverse[image] = image, node
+                if fits(node, image):
+                    break
+                del mapping[node], inverse[image]
+        else:
+            stack.pop()
+            if not stack:
+                return False
+            del inverse[mapping.pop(order[depth - 1][0])]
+    return True

@@ -32,6 +32,7 @@ from .model import (
     StaticModel,
     TmError,
     Trigger,
+    _digraph_isomorphic,
     natural_key,
 )
 from .dsl import RESERVED
@@ -411,58 +412,13 @@ def export_activity(model: StaticModel) -> ActivityGraph:
 
 
 def activity_isomorphic(a: ActivityGraph, b: ActivityGraph) -> bool:
-    """True iff a node bijection preserves kinds, labels, edges, and guards."""
-    if len(a.nodes) != len(b.nodes) or len(a.edges) != len(b.edges):
-        return False
+    """True iff a node bijection preserves kinds, labels, edges (parallel ones
+    by multiplicity), and guards, where a guard of ``None`` equals ``""``."""
 
-    def groups(g: ActivityGraph) -> dict[tuple, list[str]]:
-        out: dict[tuple, list[str]] = {}
-        for n in g.nodes:
-            key = (
-                n.kind,
-                n.label,
-                len(g.out_edges(n.id)),
-                len(g.in_edges(n.id)),
-                tuple(sorted(e.guard or "" for e in g.out_edges(n.id))),
-                tuple(sorted(e.guard or "" for e in g.in_edges(n.id))),
-            )
-            out.setdefault(key, []).append(n.id)
-        return out
+    def digraph(graph: ActivityGraph) -> tuple[dict, dict]:
+        edges: dict[tuple[str, str], list] = {}
+        for e in graph.edges:
+            edges.setdefault((e.source, e.target), []).append(e.guard or "")
+        return {n.id: (n.kind, n.label) for n in graph.nodes}, edges
 
-    ga, gb = groups(a), groups(b)
-    if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
-        return False
-
-    b_edges = {(e.source, e.target, e.guard or "") for e in b.edges}
-    order = sorted(ga, key=lambda k: len(ga[k]))
-    slots = [(key, aid) for key in order for aid in ga[key]]
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-
-    def consistent(aid: str, bid: str) -> bool:
-        for e in a.edges:
-            if e.source == aid and e.target in mapping:
-                if (bid, mapping[e.target], e.guard or "") not in b_edges:
-                    return False
-            if e.target == aid and e.source in mapping:
-                if (mapping[e.source], bid, e.guard or "") not in b_edges:
-                    return False
-        return True
-
-    def assign(i: int) -> bool:
-        if i == len(slots):
-            mapped = {(mapping[e.source], mapping[e.target], e.guard or "") for e in a.edges}
-            return mapped == b_edges
-        key, aid = slots[i]
-        for bid in gb[key]:
-            if bid in used or not consistent(aid, bid):
-                continue
-            mapping[aid] = bid
-            used.add(bid)
-            if assign(i + 1):
-                return True
-            used.discard(bid)
-            del mapping[aid]
-        return False
-
-    return assign(0)
+    return _digraph_isomorphic(digraph(a), digraph(b))

@@ -24,6 +24,7 @@ from tmkit import (
     find_stage,
     induced_region,
     model_isomorphic,
+    parse_or_raise,
 )
 from tmkit.model import natural_key
 
@@ -102,6 +103,37 @@ def test_build_normalizes_parent_links():
     root = Machine(id="A", name="A", submachines=(child,))
     model = StaticModel.build((root,))
     assert model.machines[0].submachines[0].parent == "A"
+
+
+def test_build_keeps_machines_whose_links_already_hold():
+    linked = Machine(id="A.B", name="B", parent="A")
+    stale = Machine(id="A.C", name="C", submachines=(Machine(id="A.C.D", name="D", parent="A.C"),))
+    root = Machine(id="A", name="A", submachines=(linked, stale))
+    model = StaticModel.build((root,))
+    new_root = model.machines[0]
+    assert new_root is not root
+    assert new_root.submachines[0] is linked
+    assert new_root.submachines[1] is not stale and new_root.submachines[1].parent == "A"
+    assert new_root.submachines[1].submachines[0] is stale.submachines[0]
+    assert StaticModel.build(model.machines).machines[0] is new_root
+
+
+def nested(depth: int) -> Machine:
+    """A chain of machines nested `depth` levels below a root, ending in a process."""
+    leaf_id = f"n{depth}"
+    machine = Machine(id=leaf_id, name="n", stages=(Stage(f"{leaf_id}.process", P, leaf_id),))
+    for level in range(depth - 1, -1, -1):
+        machine = Machine(id=f"n{level}", name="n", submachines=(machine,))
+    return machine
+
+
+def test_deep_nesting_builds_walks_and_compares_without_recursion():
+    model = StaticModel.build((nested(5000),))
+    machines = list(model.all_machines())
+    assert len(machines) == 5001
+    assert [m.id for m in machines[:3]] == ["n0", "n1", "n2"]
+    assert all(m.parent == f"n{i}" for i, m in enumerate(machines[1:]))
+    assert model_isomorphic(model, model)
 
 
 def _mutations(model: StaticModel):
@@ -343,14 +375,14 @@ def test_chain_length_is_distinguished():
 
 
 @settings(max_examples=60, deadline=None)
-@given(simplified_models(max_machines=3))
+@given(simplified_models(max_machines=4))
 def test_isomorphism_matches_brute_force_oracle(model):
     renamed = rename_everything(model)
     assert model_isomorphic(model, renamed) == brute_isomorphic(model, renamed) is True
 
 
 @settings(max_examples=40, deadline=None)
-@given(simplified_models(max_machines=3), simplified_models(max_machines=3))
+@given(simplified_models(max_machines=4), simplified_models(max_machines=4))
 def test_isomorphism_agrees_with_oracle_on_pairs(a, b):
     assert model_isomorphic(a, b) == brute_isomorphic(a, b)
 
@@ -366,3 +398,123 @@ def test_isomorphism_is_an_equivalence(a, b, c):
     assert model_isomorphic(a, b) == model_isomorphic(b, a)
     if model_isomorphic(a, b) and model_isomorphic(b, c):
         assert model_isomorphic(a, c)
+
+
+def process_machines(names, flows) -> StaticModel:
+    machines = [Machine(id=n, name=n, stages=(Stage(f"{n}.process", P, n),)) for n in names]
+    links = [Flow(f"f{i}", f"{s}.process", f"{t}.process") for i, (s, t) in enumerate(flows)]
+    return StaticModel.build(machines, links)
+
+
+def test_isomorphism_has_no_false_negative_on_crossed_flows():
+    a = process_machines(["M1", "M2", "M3", "M4"], [("M1", "M2"), ("M3", "M4")])
+    b = process_machines(["N1", "N2", "N3", "N4"], [("N1", "N4"), ("N2", "N3")])
+    assert brute_isomorphic(a, b)
+    assert model_isomorphic(a, b)
+
+
+def cycles(*lengths: int) -> StaticModel:
+    names, flows = [], []
+    for k, n in enumerate(lengths):
+        ring = [f"c{k}_{i}" for i in range(n)]
+        names += ring
+        flows += zip(ring, ring[1:] + ring[:1])
+    return process_machines(names, flows)
+
+
+def test_isomorphism_backtracks_when_colours_cannot_split_cycles():
+    # every machine has one flow in and one out, so the first pairing tried
+    # puts a 3-cycle machine onto the 6-cycle and must be undone
+    assert model_isomorphic(cycles(3, 6), cycles(6, 3))
+    assert not model_isomorphic(cycles(3, 6), cycles(9))
+    assert not model_isomorphic(cycles(3, 3), cycles(6))
+
+
+_BASE = """\
+machine A { create; process; }
+machine B constraint { process; machine S { create; } }
+flow A.create -> A.process;
+flow A.process -> B.process;
+trigger B.process => A.create if "go";
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("machine A { create; process; }", "machine A { create; process store; }"),
+        ("machine B constraint {", "machine B {"),
+        ('if "go"', 'if "stop"'),
+        ('if "go"', ""),
+        ("machine S { create; }", "machine S { process; }"),
+        ("process; machine S { create; } }", "process; }\nmachine S { create; }"),
+        ("flow A.process -> B.process;", "flow B.process -> A.process;"),
+    ],
+)
+def test_isomorphism_notices_each_compared_part(old, new):
+    base = parse_or_raise(_BASE).model
+    assert model_isomorphic(base, rename_everything(base))
+    variant = parse_or_raise(_BASE.replace(old, new)).model
+    assert not model_isomorphic(base, variant)
+    assert not brute_isomorphic(base, variant)
+
+
+def test_isomorphism_counts_parallel_links_and_equates_empty_guards():
+    doubled = _BASE + "flow f9: A.process -> B.process;\n"
+    other = _BASE + "flow f9: A.create -> A.process;\n"
+    assert not model_isomorphic(parse_or_raise(doubled).model, parse_or_raise(other).model)
+    unguarded = parse_or_raise(_BASE.replace('if "go"', "")).model
+    empty = parse_or_raise(_BASE.replace('if "go"', 'if ""')).model
+    assert model_isomorphic(unguarded, empty)
+
+
+def test_isomorphism_on_many_roots_and_long_chains_does_not_recurse():
+    names = [f"m{i}" for i in range(5000)]
+    roots = process_machines(names, [])
+    assert model_isomorphic(roots, rename_everything(roots))
+    chain = process_machines(names, list(zip(names, names[1:])))
+    renamed = rename_everything(chain)
+    backwards = StaticModel.build(renamed.machines[::-1], renamed.flows[::-1])
+    assert model_isomorphic(chain, backwards)
+    assert not model_isomorphic(chain, roots)
+
+
+def stage_multigraph(model: StaticModel):
+    """The model as a networkx multigraph over machines and stages, encoded
+    without the library's machine-level digraph."""
+    nx = pytest.importorskip("networkx")
+    g = nx.MultiDiGraph()
+    for m in model.all_machines():
+        g.add_node(m.id, label=("machine", m.is_constraint))
+        for sub in m.submachines:
+            g.add_edge(m.id, sub.id, label="sub")
+        for s in m.stages:
+            g.add_node(s.id, label=("stage", s.kind.value, s.has_storage))
+            g.add_edge(m.id, s.id, label="owns")
+    for f in model.flows:
+        g.add_edge(f.source, f.target, label="flow")
+    for t in model.triggers:
+        g.add_edge(t.source, t.target, label=("trigger", t.guard or ""))
+    return g
+
+
+def networkx_isomorphic(a, b) -> bool:
+    from networkx.algorithms import isomorphism as iso
+
+    return iso.MultiDiGraphMatcher(
+        a,
+        b,
+        node_match=iso.categorical_node_match("label", None),
+        edge_match=iso.categorical_multiedge_match("label", None),
+    ).is_isomorphic()
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplified_models(max_machines=4), simplified_models(max_machines=4), st.booleans())
+def test_isomorphism_agrees_with_networkx(a, b, renamed):
+    if renamed:
+        b = rename_everything(a)
+        b = StaticModel.build(b.machines[::-1], b.flows[::-1], b.triggers[::-1])
+    expected = networkx_isomorphic(stage_multigraph(a), stage_multigraph(b))
+    assert model_isomorphic(a, b) == expected
+    assert expected or not renamed

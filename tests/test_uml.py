@@ -192,3 +192,54 @@ def test_guards_survive_byte_identically(g):
 @given(activity_graphs())
 def test_import_is_deterministic(g):
     assert model_isomorphic(import_activity(g), import_activity(g))
+
+
+def test_activity_isomorphism_on_a_long_chain_does_not_recurse():
+    g = linear(*["step"] * 3000)
+    reordered = ActivityGraph.build(g.nodes[::-1], g.edges[::-1])
+    assert activity_isomorphic(g, reordered)
+    assert not activity_isomorphic(g, linear(*["step"] * 2999, "last"))
+
+
+def test_activity_isomorphism_counts_parallel_edges():
+    nodes = [ActivityNode("i", "Initial"), ActivityNode("a", "Action", "x"), ActivityNode("f", "Final")]
+    twice_in = ActivityGraph.build(
+        nodes, [ActivityEdge("i", "a"), ActivityEdge("i", "a"), ActivityEdge("a", "f")]
+    )
+    twice_out = ActivityGraph.build(
+        nodes, [ActivityEdge("i", "a"), ActivityEdge("a", "f"), ActivityEdge("a", "f")]
+    )
+    assert not activity_isomorphic(twice_in, twice_out)
+    assert activity_isomorphic(twice_in, ActivityGraph.build(nodes, twice_in.edges[::-1]))
+
+
+def activity_multigraph(graph: ActivityGraph):
+    nx = pytest.importorskip("networkx")
+    g = nx.MultiDiGraph()
+    for n in graph.nodes:
+        g.add_node(n.id, label=(n.kind, n.label))
+    for e in graph.edges:
+        g.add_edge(e.source, e.target, label=e.guard or "")
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(activity_graphs(max_actions=5), activity_graphs(max_actions=5))
+def test_activity_isomorphism_agrees_with_networkx(a, b):
+    from test_model import networkx_isomorphic
+
+    back = export_activity(import_activity(a))
+    assert activity_isomorphic(a, back) and networkx_isomorphic(
+        activity_multigraph(a), activity_multigraph(back)
+    )
+    # without labels and with one guard text, distinct graphs often share a shape
+    for x, y in ((a, b), (blank(a), blank(b))):
+        expected = networkx_isomorphic(activity_multigraph(x), activity_multigraph(y))
+        assert activity_isomorphic(x, y) == expected
+
+
+def blank(graph: ActivityGraph) -> ActivityGraph:
+    return ActivityGraph.build(
+        [ActivityNode(n.id, n.kind) for n in graph.nodes],
+        [ActivityEdge(e.source, e.target, None if e.guard is None else "g") for e in graph.edges],
+    )
