@@ -21,16 +21,28 @@ order.  The printer is deterministic (everything sorted by id) and always
 emits explicit edge ids, so parse/print round-trips preserve identity.
 
 The lexer is one master regular expression with a named group per token
-class, matched from the end of the previous token; line and column come from
-the offset of the current line start.  Only a string literal that holds a
-backslash or is never closed leaves the pattern for a character loop, which
-reports bad escapes and unterminated strings.  An escaped newline stays in
-the string's value and still starts a new source line.
+class, matched from the end of the previous token; a newline is a blank like
+any other.  An identifier followed without blanks by ``.identifier`` parts is
+one REF token (``A.B.process``); if a further '.' follows (``A.B.``), the run
+is split back into ID and DOT tokens, which is also what a reference written
+with blanks (``A . process``) lexes to, and the parser accepts any mix of the
+two.  Where a REF stands in place of a single name, a diagnostic reports its
+first name; a bad kind word is reported on the reference's last name.  Only a
+string literal that holds a backslash or is never closed leaves the pattern
+for a character loop, which reports bad escapes and unterminated strings.
+
+Each token carries its offset in the text, not a line and column.  Those are
+looked up, by bisection in an index of line starts built on first use, only
+for positions that are reported: diagnostics, the line of an earlier
+declaration of a duplicate id, and, when the text has comments, the lines
+that attach comments to elements.  An escaped newline stays in the string's
+value and still starts a new source line.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -122,15 +134,39 @@ class PrintError(TmError):
 # -- lexer --------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # ID STRING LBRACE RBRACE SEMI COLON DOT ARROW DARROW EOF
-    value: str
-    line: int
-    column: int
+class _Lines:
+    """Line and column of text offsets.  The index of line starts is built on
+    the first lookup, so a text whose positions are never reported never
+    pays for it."""
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(1, len(self.value)))
+    __slots__ = ("text", "starts")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: Optional[list[int]] = None
+
+    def position(self, offset: int) -> tuple[int, int]:
+        starts = self.starts
+        if starts is None:
+            starts = self.starts = [0]
+            starts += (m.end() for m in _NEWLINE.finditer(self.text))
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+
+    def span(self, offset: int, length: int) -> SourceSpan:
+        return SourceSpan(*self.position(offset), length)
+
+    def token_span(self, tok: "_Token") -> SourceSpan:
+        return self.span(tok.offset, max(1, len(tok.value)))
+
+
+_NEWLINE = re.compile("\n")
+
+
+class _Token(NamedTuple):
+    kind: str  # ID REF STRING LBRACE RBRACE SEMI COLON DOT ARROW DARROW EOF
+    value: str  # a REF's value is its dotted text, e.g. "A.B.process"
+    offset: int
 
 
 _PUNCT = {
@@ -147,32 +183,30 @@ _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
 # One alternative per token class, tried at the end of the previous match after
-# skipping blanks.  A string with no backslash that closes on its own line is
-# read whole here; any other '"' is read by _lex_string.
+# skipping blanks.  An identifier followed by unspaced ".identifier" parts
+# ends in the REF group.  A string with no backslash that closes on its own
+# line is read whole here; any other '"' is read by _lex_string.
 _MASTER = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?P<ID>[A-Za-z][A-Za-z0-9_]*)"
+    r"[ \t\r\n]*(?:"
+    r"(?P<ID>[A-Za-z][A-Za-z0-9_]*)(?P<REF>(?:\.[A-Za-z][A-Za-z0-9_]*)+)?"
     r"|(?P<PUNCT>->|=>|[{};:.])"
     r'|"(?P<STRING>[^"\\\n]*)"'
     r"|#(?P<COMMENT>[^\n]*)"
-    r"|(?P<NEWLINE>\n)"
     r'|(?P<QUOTE>")'
-    r"|(?P<OTHER>[^ \t\r])"  # not a blank, or trailing blanks would backtrack into it
+    r"|(?P<OTHER>[^ \t\r\n])"  # not a blank, or trailing blanks would backtrack into it
     r")"
 )
 
 
 def _lex_string(
-    text: str, start: int, line: int, line_start: int, diagnostics: list[ParseDiagnostic]
-) -> tuple[str, int, int, int]:
+    text: str, start: int, lines: _Lines, diagnostics: list[ParseDiagnostic]
+) -> tuple[str, int]:
     """Read the string literal whose opening quote is at offset ``start``.
 
     Reports unknown escapes and a missing closing quote.  Returns the value and
-    the offset, line and line-start offset just past the literal: an escaped
-    newline is kept in the value and still starts a new source line.
+    the offset just past the literal; an escaped newline is kept in the value.
     """
     n = len(text)
-    start_line, start_col = line, start - line_start + 1
     out = []
     closed = False
     i = start + 1
@@ -189,7 +223,7 @@ def _lex_string(
             if esc not in _ESCAPES:
                 diagnostics.append(
                     ParseDiagnostic(
-                        SourceSpan(line, i - line_start + 1, 2),
+                        lines.span(i, 2),
                         "syntax",
                         f"unknown escape \\{esc}"
                         if esc.isprintable()
@@ -197,8 +231,6 @@ def _lex_string(
                     )
                 )
                 out.append(esc)
-                if esc == "\n":
-                    line, line_start = line + 1, i + 2
             else:
                 out.append(_ESCAPES[esc])
             i = min(i + 2, n)
@@ -208,54 +240,63 @@ def _lex_string(
     if not closed:
         diagnostics.append(
             ParseDiagnostic(
-                SourceSpan(start_line, start_col, max(1, i - start)),
-                "syntax",
-                "unterminated string literal",
+                lines.span(start, max(1, i - start)), "syntax", "unterminated string literal"
             )
         )
-    return "".join(out), i, line, line_start
+    return "".join(out), i
 
 
-def _lex(text: str) -> tuple[list[_Token], list[tuple[int, str]], list[ParseDiagnostic]]:
+def _lex(
+    text: str, lines: Optional[_Lines] = None
+) -> tuple[list[_Token], list[tuple[int, str]], list[ParseDiagnostic]]:
+    """Tokens, comments as (offset of '#', text) and diagnostics of ``text``.
+
+    Positions are looked up in ``lines`` (one is made if none is given) only
+    for the diagnostics.  An unspaced dotted reference such as ``A.B.process``
+    is one REF token; one followed by a further '.' is split back into ID and
+    DOT tokens, as are references written with blanks."""
+    lines = lines or _Lines(text)
     tokens: list[_Token] = []
     comments: list[tuple[int, str]] = []
     diagnostics: list[ParseDiagnostic] = []
     append = tokens.append
     new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
     match = _MASTER.match
-    line, line_start, pos = 1, 0, 0
+    pos = 0
     while (m := match(text, pos)) is not None:
         group = m.lastgroup
         start, pos = m.span(group)
         if group == "ID":
-            append(new(_Token, ("ID", text[start:pos], line, start - line_start + 1)))
+            append(new(_Token, ("ID", text[start:pos], start)))
+        elif group == "REF":
+            first = start = m.start("ID")
+            if not text.startswith(".", pos):
+                append(new(_Token, ("REF", text[first:pos], first)))
+                continue
+            for seg in text[first:pos].split("."):  # "A.B." lexes as A . B .
+                if start > first:
+                    append(new(_Token, ("DOT", ".", start - 1)))
+                append(new(_Token, ("ID", seg, start)))
+                start += len(seg) + 1
         elif group == "PUNCT":
             value = text[start:pos]
-            append(new(_Token, (_PUNCT[value], value, line, start - line_start + 1)))
-        elif group == "NEWLINE":
-            line += 1
-            line_start = pos
+            append(new(_Token, (_PUNCT[value], value, start)))
         elif group == "STRING":
-            append(new(_Token, ("STRING", text[start:pos], line, start - line_start)))
+            append(new(_Token, ("STRING", text[start:pos], start - 1)))
             pos += 1
         elif group == "COMMENT":
             body = text[start:pos]
-            comments.append((line, body[1:] if body.startswith(" ") else body))
+            comments.append((start - 1, body[1:] if body.startswith(" ") else body))
         elif group == "QUOTE":
-            value, pos, end_line, end_start = _lex_string(
-                text, start, line, line_start, diagnostics
-            )
-            append(new(_Token, ("STRING", value, line, start - line_start + 1)))
-            line, line_start = end_line, end_start
+            value, pos = _lex_string(text, start, lines, diagnostics)
+            append(new(_Token, ("STRING", value, start)))
         else:
             diagnostics.append(
                 ParseDiagnostic(
-                    SourceSpan(line, start - line_start + 1, 1),
-                    "syntax",
-                    f"unexpected character {text[start]!r}",
+                    lines.span(start, 1), "syntax", f"unexpected character {text[start]!r}"
                 )
             )
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens, comments, diagnostics
 
 
@@ -281,9 +322,10 @@ class _RawMachine:
 
 @dataclass
 class _RawRef:
-    path: list[_Token]
+    path: str  # the machine id, e.g. "A.B"
     kind: ActionKind
-    span: SourceSpan
+    first: _Token  # the reference's first and last tokens, for its span
+    last: _Token
 
 
 @dataclass
@@ -315,8 +357,9 @@ class _RawBehaviorEdge:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], lines: _Lines):
         self.tokens = tokens
+        self.lines = lines
         self.pos = 0
         self.diagnostics: list[ParseDiagnostic] = []
         self.machines: list[_RawMachine] = []
@@ -339,23 +382,26 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[_Token] = None, code: str = "syntax") -> None:
         tok = tok or self.cur
-        self.diagnostics.append(ParseDiagnostic(tok.span, code, message))
+        self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
+
+    def unexpected(self, what: str, tok: _Token) -> None:
+        if tok.kind == "REF":  # a dotted name where one name belongs: report its first name
+            tok = tok._replace(kind="ID", value=tok.value[: tok.value.index(".")])
+        self.error(f"expected {what}, found {tok.value or tok.kind!r}", tok)
 
     def expect(self, kind: str, what: str) -> Optional[_Token]:
         tok = self.tokens[self.pos]
         if tok.kind == kind:  # callers never expect "EOF", so a next token exists
             self.pos += 1
             return tok
-        found = tok.value or tok.kind
-        self.error(f"expected {what}, found {found!r}", tok)
+        self.unexpected(what, tok)
         return None
 
     def expect_word(self, word: str) -> bool:
-        if self.cur.kind == "ID" and self.cur.value == word:
+        if self.at_word(word):
             self.advance()
             return True
-        found = self.cur.value or self.cur.kind
-        self.error(f"expected {word!r}, found {found!r}")
+        self.unexpected(repr(word), self.cur)
         return False
 
     def at_word(self, word: str) -> bool:
@@ -387,8 +433,7 @@ class _Parser:
             elif word == "behavior":
                 self.parse_behavior()
             else:
-                found = tok.value or tok.kind
-                self.error(f"expected a declaration, found {found!r}")
+                self.unexpected("a declaration", tok)
                 self.advance()
                 self.sync_statement()
 
@@ -402,6 +447,42 @@ class _Parser:
         return tok
 
     def parse_machine(self) -> Optional[_RawMachine]:
+        """Parse a machine and the machines nested in it.  The machines whose
+        closing brace is still to come are kept on an explicit stack, so the
+        nesting depth is not bounded by Python's recursion limit."""
+        tokens = self.tokens
+        open_machines: list[_RawMachine] = []
+        at_head = True  # at a 'machine' keyword
+        while True:
+            if at_head:
+                machine = self.parse_machine_head()
+                if machine is not None:
+                    open_machines.append(machine)
+                elif not open_machines:
+                    return None
+            tok = tokens[self.pos]
+            word = tok.value if tok.kind == "ID" else ""
+            at_head = word == "machine"
+            if at_head:
+                continue
+            inner = open_machines[-1]
+            if tok.kind in ("RBRACE", "EOF"):
+                self.expect("RBRACE", "'}'")
+                open_machines.pop()
+                if not open_machines:
+                    return inner
+                open_machines[-1].children.append(inner)
+            elif word in KIND_WORDS:
+                stage = self.parse_stage()
+                if stage:
+                    inner.stages.append(stage)
+            else:
+                self.unexpected("a stage or submachine", tok)
+                self.advance()
+                self.sync_statement()
+
+    def parse_machine_head(self) -> Optional[_RawMachine]:
+        """Parse ``machine ID constraint? (: STRING)? {``."""
         self.advance()  # 'machine'
         name_tok = self.parse_name("machine")
         if name_tok is None:
@@ -419,25 +500,7 @@ class _Parser:
         if self.expect("LBRACE", "'{'") is None:
             self.sync_statement()
             return None
-        machine = _RawMachine(name_tok, display, constraint, [], [])
-        tokens = self.tokens
-        while (tok := tokens[self.pos]).kind not in ("RBRACE", "EOF"):
-            word = tok.value if tok.kind == "ID" else ""
-            if word == "machine":
-                child = self.parse_machine()
-                if child:
-                    machine.children.append(child)
-            elif word in KIND_WORDS:
-                stage = self.parse_stage()
-                if stage:
-                    machine.stages.append(stage)
-            else:
-                found = tok.value or tok.kind
-                self.error(f"expected a stage or submachine, found {found!r}")
-                self.advance()
-                self.sync_statement()
-        self.expect("RBRACE", "'}'")
-        return machine
+        return _RawMachine(name_tok, display, constraint, [], [])
 
     def parse_stage(self) -> Optional[_RawStage]:
         tokens = self.tokens
@@ -460,27 +523,33 @@ class _Parser:
         return _RawStage(kind, store, label, tok)
 
     def parse_ref(self) -> Optional[_RawRef]:
-        first = self.expect("ID", "stage reference")
-        if first is None:
-            return None
+        """Parse ``machine.path.kind``: usually one REF token, but any mix of
+        ID and REF tokens joined by DOT tokens spells the same reference."""
         tokens = self.tokens
-        pos = self.pos
-        parts = [first]
+        first = tokens[self.pos]
+        if first.kind != "REF" and first.kind != "ID":
+            self.unexpected("stage reference", first)
+            return None
+        pos = self.pos + 1
+        last = first
+        dotted = first.value
         while tokens[pos].kind == "DOT":  # a DOT is never the final EOF
-            nxt = tokens[pos + 1]
-            if nxt.kind != "ID":
+            last = tokens[pos + 1]
+            if last.kind != "ID" and last.kind != "REF":
                 self.pos = pos + 1
-                self.expect("ID", "name or stage kind")
+                self.unexpected("name or stage kind", last)
                 return None
-            parts.append(nxt)
+            dotted += "." + last.value
             pos += 2
         self.pos = pos
-        last = parts[-1]
-        if len(parts) < 2 or last.value not in KIND_WORDS:
-            self.error("a stage reference ends in a stage kind (machine.kind)", last)
+        path, _, word = dotted.rpartition(".")
+        kind = KIND_WORDS.get(word) if path else None
+        if kind is None:  # reported on the word itself, the last name of the last token
+            offset = last.offset + len(last.value) - len(word)
+            self.error("a stage reference ends in a stage kind (machine.kind)",
+                       _Token("ID", word, offset))
             return None
-        span = SourceSpan(first.line, first.column, last.column + len(last.value) - first.column)
-        return _RawRef(parts[:-1], KIND_WORDS[last.value], span)
+        return _RawRef(path, kind, first, last)
 
     def parse_edge(self, dashed: bool) -> None:
         tokens = self.tokens
@@ -606,26 +675,27 @@ class _Parser:
 class _Resolver:
     def __init__(self, parser: _Parser, comments: list[tuple[int, str]]):
         self.p = parser
+        self.lines = parser.lines
         self.raw_comments = comments
         self.diagnostics = list(parser.diagnostics)
         self.ids: dict[str, _Token] = {}
-        self.line_keys: dict[int, str] = {}
+        # (offset of a declaration's first token, element id) in declaration
+        # order; only read, as line numbers, when comments are attached
+        self.keys: list[tuple[int, str]] = []
 
     def error(self, tok: _Token, code: str, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(tok.span, code, message))
+        self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
 
     def claim(self, id_: str, tok: _Token) -> bool:
         if id_ in self.ids:
-            other = self.ids[id_]
-            self.error(tok, "duplicate-id", f"{id_!r} already declared at line {other.line}")
+            line, _ = self.lines.position(self.ids[id_].offset)
+            self.error(tok, "duplicate-id", f"{id_!r} already declared at line {line}")
             return False
         self.ids[id_] = tok
         return True
 
     def resolve(self) -> ParseResult:
-        machines = tuple(
-            m for m in (self.build_machine(raw, None) for raw in self.p.machines) if m
-        )
+        machines = self.build_machines()
         model_for_refs = StaticModel(machines=machines)
 
         flows: list[Flow] = []
@@ -654,7 +724,7 @@ class _Resolver:
             if src == dst:
                 self.error(raw.tok, "invalid", "source and target stages are the same")
                 continue
-            self.line_keys[raw.tok.line] = edge_id
+            self.keys.append((raw.tok.offset, edge_id))
             if raw.dashed:
                 triggers.append(Trigger(edge_id, src, dst, raw.guard))
             else:
@@ -690,9 +760,9 @@ class _Resolver:
             seen_pairs.add(pair)
             if ok:
                 behavior_edges.append(BehaviorEdge(pair[0], pair[1], raw_edge.group))
-                self.line_keys[raw_edge.from_tok.line] = f"{pair[0]}->{pair[1]}"
+                self.keys.append((raw_edge.from_tok.offset, f"{pair[0]}->{pair[1]}"))
         for tok in self.p.behavior_toks:
-            self.line_keys[tok.line] = "behavior"
+            self.keys.append((tok.offset, "behavior"))
 
         errors = tuple(self.diagnostics)
         if errors:
@@ -702,55 +772,70 @@ class _Resolver:
         behavior = BehavioralModel.build(sorted(declared, key=natural_key), behavior_edges)
         return ParseResult(model, tuple(events), behavior, self.attach_comments(), ())
 
-    def build_machine(self, raw: _RawMachine, parent_id: Optional[str]) -> Optional[Machine]:
-        mid = raw.name_tok.value if parent_id is None else f"{parent_id}.{raw.name_tok.value}"
-        if not self.claim(mid, raw.name_tok):
-            return None
-        self.line_keys[raw.name_tok.line] = mid
-        stages = []
-        kinds_seen: set[ActionKind] = set()
-        for raw_stage in raw.stages:
-            if raw_stage.kind in kinds_seen:
-                self.error(
-                    raw_stage.tok,
-                    "duplicate-id",
-                    f"machine {mid!r} already has a {raw_stage.kind.value} stage",
-                )
+    def build_machines(self) -> tuple[Machine, ...]:
+        """Claim machine and stage ids in declaration preorder, then build the
+        machines children first; both passes use explicit stacks."""
+        # preorder entries: (raw machine, id, index of the parent entry, stages)
+        order: list[tuple[_RawMachine, str, Optional[int], tuple[Stage, ...]]] = []
+        todo: list[tuple[_RawMachine, Optional[int]]] = [
+            (raw, None) for raw in reversed(self.p.machines)
+        ]
+        while todo:
+            raw, parent = todo.pop()
+            name = raw.name_tok.value
+            mid = name if parent is None else f"{order[parent][1]}.{name}"
+            if not self.claim(mid, raw.name_tok):
                 continue
-            kinds_seen.add(raw_stage.kind)
-            sid = f"{mid}.{raw_stage.kind.value}"
-            self.ids[sid] = raw_stage.tok
-            self.line_keys[raw_stage.tok.line] = sid
-            stages.append(
-                Stage(sid, raw_stage.kind, mid, raw_stage.store, raw_stage.label)
+            self.keys.append((raw.name_tok.offset, mid))
+            stages = []
+            kinds_seen: set[ActionKind] = set()
+            for raw_stage in raw.stages:
+                if raw_stage.kind in kinds_seen:
+                    self.error(
+                        raw_stage.tok,
+                        "duplicate-id",
+                        f"machine {mid!r} already has a {raw_stage.kind.value} stage",
+                    )
+                    continue
+                kinds_seen.add(raw_stage.kind)
+                sid = f"{mid}.{raw_stage.kind.value}"
+                self.ids[sid] = raw_stage.tok
+                self.keys.append((raw_stage.tok.offset, sid))
+                stages.append(Stage(sid, raw_stage.kind, mid, raw_stage.store, raw_stage.label))
+            if raw.constraint and ActionKind.PROCESS not in kinds_seen:
+                self.error(raw.name_tok, "invalid", f"constraint machine {mid!r} needs a process stage")
+            order.append((raw, mid, parent, tuple(stages)))
+            todo += [(child, len(order) - 1) for child in reversed(raw.children)]
+        # a parent precedes its children in preorder, so build back to front;
+        # each parent's children are then collected last one first
+        children: list[list[Machine]] = [[] for _ in order]
+        roots: list[Machine] = []
+        for index in range(len(order) - 1, -1, -1):
+            raw, mid, parent, stages = order[index]
+            machine = Machine(
+                id=mid,
+                name=raw.display if raw.display is not None else raw.name_tok.value,
+                is_constraint=raw.constraint,
+                stages=stages,
+                submachines=tuple(reversed(children[index])),
+                parent=None if parent is None else order[parent][1],
             )
-        if raw.constraint and ActionKind.PROCESS not in kinds_seen:
-            self.error(raw.name_tok, "invalid", f"constraint machine {mid!r} needs a process stage")
-        children = tuple(
-            c for c in (self.build_machine(child, mid) for child in raw.children) if c
-        )
-        return Machine(
-            id=mid,
-            name=raw.display if raw.display is not None else raw.name_tok.value,
-            is_constraint=raw.constraint,
-            stages=tuple(stages),
-            submachines=children,
-            parent=parent_id,
-        )
+            (roots if parent is None else children[parent]).append(machine)
+        return tuple(reversed(roots))
 
     def resolve_ref(self, model: StaticModel, ref: _RawRef) -> Optional[str]:
-        mid = ".".join(tok.value for tok in ref.path)
+        mid = ref.path
         machine = model.machines_by_id.get(mid)
         if machine is None:
             self.diagnostics.append(
-                ParseDiagnostic(ref.span, "unresolved-ref", f"unknown machine {mid!r}")
+                ParseDiagnostic(self.ref_span(ref), "unresolved-ref", f"unknown machine {mid!r}")
             )
             return None
         stage = machine.stage_of(ref.kind)
         if stage is None:
             self.diagnostics.append(
                 ParseDiagnostic(
-                    ref.span,
+                    self.ref_span(ref),
                     "unresolved-ref",
                     f"machine {mid!r} has no {ref.kind.value} stage",
                 )
@@ -758,10 +843,17 @@ class _Resolver:
             return None
         return stage.id
 
+    def ref_span(self, ref: _RawRef) -> SourceSpan:
+        """From the reference's first character to its last, the length
+        counted in columns as if it sat on one line."""
+        line, column = self.lines.position(ref.first.offset)
+        _, end = self.lines.position(ref.last.offset + len(ref.last.value))
+        return SourceSpan(line, column, end - column)
+
     def build_event(self, model: StaticModel, raw: _RawEvent) -> Optional[Event]:
         if not self.claim(raw.id_tok.value, raw.id_tok):
             return None
-        self.line_keys[raw.id_tok.line] = raw.id_tok.value
+        self.keys.append((raw.id_tok.offset, raw.id_tok.value))
         stage_ids = set()
         for ref in raw.stage_refs:
             sid = self.resolve_ref(model, ref)
@@ -788,18 +880,23 @@ class _Resolver:
         )
 
     def attach_comments(self) -> CommentMap:
+        """Attach each block of comments on consecutive lines to the element
+        declared on the line right after it; the rest form the header."""
         if not self.raw_comments:
             return CommentMap()
+        position = self.lines.position
         blocks: list[tuple[int, list[str]]] = []
-        for line, text in self.raw_comments:
+        for offset, text in self.raw_comments:
+            line, _ = position(offset)
             if blocks and blocks[-1][0] + len(blocks[-1][1]) == line:
                 blocks[-1][1].append(text)
             else:
                 blocks.append((line, [text]))
+        line_keys = {position(offset)[0]: key for offset, key in self.keys}
         header: list[str] = []
         items: dict[str, tuple[str, ...]] = {}
         for start, lines in blocks:
-            key = self.line_keys.get(start + len(lines))
+            key = line_keys.get(start + len(lines))
             if key is None:
                 header.extend(lines)
             else:
@@ -809,8 +906,9 @@ class _Resolver:
 
 def parse(text: str) -> ParseResult:
     """Parse a model document.  Diagnostics non-empty means failure."""
-    tokens, comments, lex_diags = _lex(text)
-    parser = _Parser(tokens)
+    lines = _Lines(text)
+    tokens, comments, lex_diags = _lex(text, lines)
+    parser = _Parser(tokens, lines)
     parser.diagnostics.extend(lex_diags)
     parser.parse_model()
     return _Resolver(parser, comments).resolve()
@@ -844,23 +942,21 @@ class _RefTable:
     def __init__(self, model: StaticModel):
         self.refs: dict[str, str] = {}
         self.tokens: dict[str, str] = {}
-        for root in model.machines:
-            self._enter(root, None)
-
-    def _enter(self, machine: Machine, prefix: Optional[str]) -> None:
-        token = _check_ident(machine.id.split(".")[-1], "machine id segment")
-        path = token if prefix is None else f"{prefix}.{token}"
-        self.tokens[machine.id] = token
-        seen = set()
-        for sub in machine.submachines:
-            seg = sub.id.split(".")[-1]
-            if seg in seen:
-                raise PrintError(f"machines under {machine.id!r} share the segment {seg!r}")
-            seen.add(seg)
-        for stage in machine.stages:
-            self.refs[stage.id] = f"{path}.{stage.kind.value}"
-        for sub in machine.submachines:
-            self._enter(sub, path)
+        todo: list[tuple[Machine, Optional[str]]] = [(m, None) for m in reversed(model.machines)]
+        while todo:  # preorder from an explicit stack
+            machine, prefix = todo.pop()
+            token = _check_ident(machine.id.split(".")[-1], "machine id segment")
+            path = token if prefix is None else f"{prefix}.{token}"
+            self.tokens[machine.id] = token
+            seen = set()
+            for sub in machine.submachines:
+                seg = sub.id.split(".")[-1]
+                if seg in seen:
+                    raise PrintError(f"machines under {machine.id!r} share the segment {seg!r}")
+                seen.add(seg)
+            for stage in machine.stages:
+                self.refs[stage.id] = f"{path}.{stage.kind.value}"
+            todo += [(sub, path) for sub in reversed(machine.submachines)]
 
     def ref(self, stage_id: str) -> str:
         return self.refs[stage_id]
@@ -885,33 +981,45 @@ def print_model(
         lines = [f"{indent}# {c}".rstrip() for c in comments.items.get(key, ())]
         return lines + body
 
-    def emit_machine(machine: Machine, indent: str) -> list[str]:
-        token = table.tokens[machine.id]
-        head = f"{indent}machine {token}"
-        if machine.is_constraint:
-            head += " constraint"
-        if machine.name != token:
-            head += f" : {_escape(machine.name)}"
-        head += " {"
-        lines = annotate(machine.id, [head], indent)
-        inner = indent + "  "
-        for kind in KIND_ORDER:
-            stage = machine.stage_of(kind)
-            if stage is None:
+    def by_token(machines: Sequence[Machine]) -> list[Machine]:
+        return sorted(machines, key=lambda m: natural_key(table.tokens[m.id]))
+
+    def emit_machine(root: Machine) -> list[str]:
+        lines: list[str] = []
+        # explicit stack of machines to open, and of None for a closing brace
+        todo: list[tuple[Optional[Machine], str]] = [(root, "")]
+        while todo:
+            machine, indent = todo.pop()
+            if machine is None:
+                lines.append(indent + "}")
                 continue
-            decl = f"{inner}{kind.value}"
-            if stage.has_storage:
-                decl += " store"
-            if stage.label is not None:
-                decl += f" : {_escape(stage.label)}"
-            lines.extend(annotate(stage.id, [decl + ";"], inner))
-        for sub in sorted(machine.submachines, key=lambda m: natural_key(table.tokens[m.id])):
-            lines.extend(emit_machine(sub, inner))
-        lines.append(indent + "}")
+            token = table.tokens[machine.id]
+            head = f"{indent}machine {token}"
+            if machine.is_constraint:
+                head += " constraint"
+            if machine.name != token:
+                head += f" : {_escape(machine.name)}"
+            lines.extend(annotate(machine.id, [head + " {"], indent))
+            inner = indent + "  "
+            for kind in KIND_ORDER:
+                stage = machine.stage_of(kind)
+                if stage is None:
+                    continue
+                decl = f"{inner}{kind.value}"
+                if stage.has_storage:
+                    decl += " store"
+                if stage.label is not None:
+                    decl += f" : {_escape(stage.label)}"
+                lines.extend(annotate(stage.id, [decl + ";"], inner))
+            if machine.submachines:
+                todo.append((None, indent))
+                todo += [(sub, inner) for sub in reversed(by_token(machine.submachines))]
+            else:
+                lines.append(indent + "}")
         return lines
 
-    for root in sorted(model.machines, key=lambda m: natural_key(table.tokens[m.id])):
-        chunks.append("\n".join(emit_machine(root, "")))
+    for root in by_token(model.machines):
+        chunks.append("\n".join(emit_machine(root)))
 
     for flow in sorted(model.flows, key=lambda f: natural_key(f.id)):
         _check_ident(flow.id, "flow id")
@@ -953,7 +1061,8 @@ def print_model(
 
     if not chunks:
         return ""
-    return "\n\n".join(chunks) + "\n"
+    chunks[-1] += "\n"  # the final line break, before the join copies every chunk once
+    return "\n\n".join(chunks)
 
 
 def format_text(text: str) -> str:

@@ -23,6 +23,7 @@ from .model import (
     StaticModel,
     TmError,
     Trigger,
+    build_trees,
     natural_key,
 )
 
@@ -38,47 +39,49 @@ def _canonical_json(value) -> str:
     to its pure-Python encoder; this writer hands each string to the C escaper
     that ``dumps`` itself uses."""
     out: list[str] = []
-    append = out.append
-
-    def write(value, indent: str) -> None:
-        if isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = indent + "  "
-            sep = "{" + inner
-            for key in sorted(value):
-                append(sep)
-                append(encode_basestring_ascii(key))  # TypeError unless a str
-                append(": ")
-                write(value[key], inner)
-                sep = "," + inner
-            append(indent + "}")
-        elif isinstance(value, list):
-            if not value:
-                append("[]")
-                return
-            inner = indent + "  "
-            sep = "[" + inner
-            for item in value:
-                append(sep)
-                write(item, inner)
-                sep = "," + inner
-            append(indent + "]")
-        else:
-            raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
-
-    write(value, "\n")
-    append("\n")
+    _write_json(value, "\n", out.append)
+    out.append("\n")
     return "".join(out)
+
+
+def _write_json(value, indent: str, append) -> None:
+    # a module-level function, not a closure over ``out``: a recursive closure
+    # is a reference cycle that keeps every output piece alive until the
+    # cyclic garbage collector runs
+    if isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif value is None:
+        append("null")
+    elif value is True:
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            append(sep)
+            append(encode_basestring_ascii(key))  # TypeError unless a str
+            append(": ")
+            _write_json(value[key], inner, append)
+            sep = "," + inner
+        append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            append(sep)
+            _write_json(item, inner, append)
+            sep = "," + inner
+        append(indent + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
 
 
 def _machine_dict(machine: Machine) -> dict:
@@ -155,9 +158,33 @@ def _opt_str(value, what: str) -> Optional[str]:
     return value
 
 
-def _machine_from(raw: dict) -> Machine:
+_JSON_NAMES = {dict: "an object", list: "an array"}
+
+
+def _shaped(value, shape: type, what: str, entries: Optional[type] = None,
+            error: type[TmError] = JsonFormatError):
+    """Return the decoded JSON ``value`` if it is a ``shape`` (``dict`` or
+    ``list``) and, when ``entries`` is given, every entry of it is one too;
+    raise ``error`` otherwise."""
+    if not isinstance(value, shape):
+        raise error(f"{what} must be {_JSON_NAMES[shape]}, got {type(value).__name__}")
+    if entries is not None:
+        for entry in value:
+            if not isinstance(entry, entries):
+                raise error(
+                    f"each entry of {what} must be {_JSON_NAMES[entries]}, "
+                    f"got {type(entry).__name__}"
+                )
+    return value
+
+
+def _submachine_entries(raw: dict) -> list:
+    return _shaped(raw.get("submachines", []), list, "submachines", dict)
+
+
+def _machine_from(raw: dict, _parent: Optional[dict], submachines: tuple[Machine, ...]) -> Machine:
     try:
-        stages = tuple(
+        stages = tuple([
             Stage(
                 id=str(s["id"]),
                 kind=ActionKind(str(s["kind"])),
@@ -165,15 +192,14 @@ def _machine_from(raw: dict) -> Machine:
                 has_storage=bool(s.get("has_storage", False)),
                 label=_opt_str(s.get("label"), "stage label"),
             )
-            for s in raw.get("stages", ())
-        )
-        subs = tuple(_machine_from(sub) for sub in raw.get("submachines", ()))
+            for s in _shaped(raw.get("stages", []), list, "stages", dict)
+        ])
         return Machine(
             id=str(raw["id"]),
             name=str(raw.get("name", raw["id"])),
             is_constraint=bool(raw.get("is_constraint", False)),
             stages=stages,
-            submachines=subs,
+            submachines=submachines,
             parent=_opt_str(raw.get("parent"), "parent"),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -185,48 +211,54 @@ def document_from_json(
 ) -> tuple[StaticModel, tuple[Event, ...], BehavioralModel]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise JsonFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise JsonFormatError("expected a JSON object")
     try:
-        machines = tuple(_machine_from(m) for m in doc.get("machines", ()))
-        flows = tuple(
-            Flow(str(f["id"]), str(f["source"]), str(f["target"]))
-            for f in doc.get("flows", ())
+        machines = build_trees(
+            _shaped(doc.get("machines", []), list, "machines", dict),
+            _submachine_entries,
+            _machine_from,
         )
-        triggers = tuple(
+        flows = [
+            Flow(str(f["id"]), str(f["source"]), str(f["target"]))
+            for f in _shaped(doc.get("flows", []), list, "flows", dict)
+        ]
+        triggers = [
             Trigger(
                 str(t["id"]),
                 str(t["source"]),
                 str(t["target"]),
                 _opt_str(t.get("guard"), "guard"),
             )
-            for t in doc.get("triggers", ())
-        )
-        events = tuple(
-            Event(
-                id=str(e["id"]),
-                name=str(e.get("name", e["id"])),
-                time=str(e["time"]),
-                region=Region(
-                    frozenset(str(s) for s in e["region"]["stage_ids"]),
-                    frozenset(str(x) for x in e["region"].get("edge_ids", ())),
-                ),
-                intensity=_opt_str(e.get("intensity"), "intensity"),
+            for t in _shaped(doc.get("triggers", []), list, "triggers", dict)
+        ]
+        events = []
+        for e in _shaped(doc.get("events", []), list, "events", dict):
+            region = _shaped(e["region"], dict, "an event region")
+            events.append(
+                Event(
+                    id=str(e["id"]),
+                    name=str(e.get("name", e["id"])),
+                    time=str(e["time"]),
+                    region=Region(
+                        frozenset(map(str, _shaped(region["stage_ids"], list, "stage_ids"))),
+                        frozenset(map(str, _shaped(region.get("edge_ids", []), list, "edge_ids"))),
+                    ),
+                    intensity=_opt_str(e.get("intensity"), "intensity"),
+                )
             )
-            for e in doc.get("events", ())
-        )
-        raw_behavior = doc.get("behavior", {})
+        raw_behavior = _shaped(doc.get("behavior", {}), dict, "behavior")
         behavior = BehavioralModel.build(
-            [str(x) for x in raw_behavior.get("event_ids", ())],
+            [str(x) for x in _shaped(raw_behavior.get("event_ids", []), list, "event_ids")],
             [
                 BehaviorEdge(
                     str(e["from"]),
                     str(e["to"]),
                     _opt_str(e.get("exclusive_group"), "exclusive_group"),
                 )
-                for e in raw_behavior.get("edges", ())
+                for e in _shaped(raw_behavior.get("edges", []), list, "behavior edges", dict)
             ],
         )
     except (KeyError, TypeError) as exc:

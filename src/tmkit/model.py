@@ -13,7 +13,12 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
-from typing import Iterator, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
+
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class TmError(Exception):
@@ -68,11 +73,14 @@ _NAT_SPLIT = re.compile(r"(\d+)")
 
 def natural_key(text: str) -> tuple:
     """Sort key that orders embedded integers numerically (f2 before f10)."""
-    return tuple(
-        (1, int(part)) if part.isdigit() else (0, part)
+    # tuple() of a list, not of a generator, which would allocate a tuple of
+    # a guessed size and shrink it; isdecimal, not isdigit: a digit such as
+    # "²" is not in \d and int() rejects it
+    return tuple([
+        (1, int(part)) if part.isdecimal() else (0, part)
         for part in _NAT_SPLIT.split(text)
         if part
-    )
+    ])
 
 
 @dataclass(frozen=True)
@@ -137,7 +145,7 @@ class StaticModel:
         triggers: Sequence[Trigger] = (),
     ) -> "StaticModel":
         """Normalize parent links and reject any invariant violation."""
-        normalized = _with_parents(machines)
+        normalized = build_trees(machines, submachines_of, _relink)
         model = cls(machines=normalized, flows=tuple(flows), triggers=tuple(triggers))
         problems = check_model(model)
         if problems:
@@ -194,25 +202,42 @@ def _group(items, key) -> dict:
     return {k: tuple(v) for k, v in out.items()}
 
 
-def _with_parents(roots: Sequence[Machine]) -> tuple[Machine, ...]:
-    """Set every parent link, rebuilding children before their parent from an
-    explicit stack; a machine whose links already hold stays the same object."""
-    todo = [(root, None, False) for root in reversed(roots)]
-    done: list[Machine] = []
+def build_trees(
+    roots: Sequence[T],
+    children: Callable[[T], Sequence[T]],
+    build: Callable[[T, Optional[T], tuple], R],
+) -> tuple[R, ...]:
+    """Build trees children first from an explicit stack, so their depth is
+    not bounded by Python's recursion limit.  ``build`` gets each node, its
+    parent node (None for a root) and what it returned for the children."""
+    todo: list = [(root, None, None) for root in reversed(roots)]
+    done: list[R] = []
     while todo:
-        machine, parent_id, children_done = todo.pop()
-        subs = machine.submachines
-        if subs and not children_done:
-            todo.append((machine, parent_id, True))
-            todo += [(sub, machine.id, False) for sub in reversed(subs)]
-            continue
+        node, parent, subs = todo.pop()
+        if subs is None:
+            subs = children(node)
+            if subs:  # come back to the node once its children are built
+                todo.append((node, parent, subs))
+                todo += [(sub, node, None) for sub in reversed(subs)]
+                continue
         cut = len(done) - len(subs)
         kids = tuple(done[cut:])
         del done[cut:]
-        if machine.parent != parent_id or subs and any(n is not o for n, o in zip(kids, subs)):
-            machine = replace(machine, parent=parent_id, submachines=kids)
-        done.append(machine)
+        done.append(build(node, parent, kids))
     return tuple(done)
+
+
+submachines_of = attrgetter("submachines")
+
+
+def _relink(machine: Machine, parent: Optional[Machine], kids: tuple[Machine, ...]) -> Machine:
+    """Set the parent link and the rebuilt children; a machine whose links
+    already hold stays the same object."""
+    parent_id = None if parent is None else parent.id
+    subs = machine.submachines
+    if machine.parent != parent_id or subs and any(n is not o for n, o in zip(kids, subs)):
+        return replace(machine, parent=parent_id, submachines=kids)
+    return machine
 
 
 def check_model(model: StaticModel) -> list[str]:
@@ -342,15 +367,23 @@ def find_stage(
 
 
 def induced_region(model: StaticModel, stage_ids: Sequence[str] | frozenset[str]) -> Region:
-    """Close a stage set over every flow/trigger lying entirely inside it."""
+    """Close a stage set over every flow/trigger lying entirely inside it.
+
+    Only the edges leaving the region's stages are visited, so the cost
+    follows the region, not the model."""
     ids = frozenset(stage_ids)
     if not ids:
         raise EmptyRegion("a region needs at least one stage")
-    for sid in sorted(ids, key=natural_key):
-        if sid not in model.stages_by_id:
-            raise UnknownStage(f"unknown stage {sid!r}")
+    stages = model.stages_by_id
+    if not ids <= stages.keys():
+        first = min((sid for sid in ids if sid not in stages), key=natural_key)
+        raise UnknownStage(f"unknown stage {first!r}")
+    flows_from, triggers_from = model.flows_from, model.triggers_from
     edges = frozenset(
-        e.id for e in (*model.flows, *model.triggers) if e.source in ids and e.target in ids
+        e.id
+        for sid in ids
+        for e in (*flows_from.get(sid, ()), *triggers_from.get(sid, ()))
+        if e.target in ids
     )
     return Region(stage_ids=ids, edge_ids=edges)
 

@@ -46,6 +46,8 @@ from .model import (
     TmError,
     Trigger,
     natural_key,
+    build_trees,
+    submachines_of,
 )
 
 C, P, R, T, V = (
@@ -258,18 +260,17 @@ def _rebuild_machines(
 ) -> tuple[Machine, ...]:
     """Drop gate stages; flip has_storage on for stages marked in the map."""
 
-    def rebuild(machine: Machine) -> Machine:
-        stages = tuple(
+    def rebuild(machine: Machine, _parent: Optional[Machine], subs: tuple[Machine, ...]) -> Machine:
+        stages = tuple([
             replace(s, has_storage=True)
             if keep_storage_for.get(s.id) and not s.has_storage
             else s
             for s in machine.stages
             if s.kind in CORE_KINDS
-        )
-        subs = tuple(rebuild(sub) for sub in machine.submachines)
+        ])
         return replace(machine, stages=stages, submachines=subs)
 
-    return tuple(rebuild(root) for root in model.machines)
+    return build_trees(model.machines, submachines_of, rebuild)
 
 
 def simplify(model: StaticModel) -> StaticModel:
@@ -353,18 +354,22 @@ def expand(model: StaticModel) -> StaticModel:
         needed.setdefault(src.owner, set()).update({R, T})
         needed.setdefault(dst.owner, set()).update({T, V})
 
-    def rebuild(machine: Machine) -> Machine:
+    gates: dict[str, tuple[Stage, ...]] = {}
+    for machine in model.all_machines():
+        kinds = needed.get(machine.id, ())
         extra = []
         for kind in (R, T, V):
-            if kind in needed.get(machine.id, ()):
+            if kind in kinds:
                 sid = f"{machine.id}.{kind.value}"
                 if sid in model.stages_by_id:
                     raise TmError(f"stage id {sid!r} already taken; cannot expand")
                 extra.append(Stage(sid, kind, machine.id))
-        subs = tuple(rebuild(sub) for sub in machine.submachines)
-        return replace(machine, stages=machine.stages + tuple(extra), submachines=subs)
+        gates[machine.id] = tuple(extra)
 
-    machines = tuple(rebuild(root) for root in model.machines)
+    def rebuild(machine: Machine, _parent: Optional[Machine], subs: tuple[Machine, ...]) -> Machine:
+        return replace(machine, stages=machine.stages + gates[machine.id], submachines=subs)
+
+    machines = build_trees(model.machines, submachines_of, rebuild)
 
     used_ids = {f.id for f in model.flows} | {t.id for t in model.triggers}
     fresh = _fresh_edge_ids(used_ids, "f")

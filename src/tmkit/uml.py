@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -36,7 +37,7 @@ from .model import (
     natural_key,
 )
 from .dsl import RESERVED
-from .jsonio import _canonical_json
+from .jsonio import _canonical_json, _shaped
 from .transform import NotSimplified
 
 NODE_KINDS = ("Initial", "Final", "Action", "Decision", "Merge")
@@ -117,17 +118,32 @@ class ActivityGraph:
                 raise ActivityError(f"merge {node.id!r} needs at least two incoming edges")
         return cls(nodes=tuple(nodes), edges=tuple(edges))
 
+    # lookups indexed once per graph (the graph is immutable, so caching is safe)
+
+    @cached_property
+    def _nodes_by_id(self) -> dict[str, ActivityNode]:
+        return {n.id: n for n in reversed(self.nodes)}  # the first of a repeated id wins
+
+    @cached_property
+    def _edges_by_end(self) -> tuple[dict[str, list[ActivityEdge]], dict[str, list[ActivityEdge]]]:
+        outs: dict[str, list[ActivityEdge]] = {}
+        ins: dict[str, list[ActivityEdge]] = {}
+        for e in self.edges:
+            outs.setdefault(e.source, []).append(e)
+            ins.setdefault(e.target, []).append(e)
+        return outs, ins
+
     def node(self, node_id: str) -> ActivityNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise ActivityError(f"no node {node_id!r}")
+        node = self._nodes_by_id.get(node_id)
+        if node is None:
+            raise ActivityError(f"no node {node_id!r}")
+        return node
 
     def out_edges(self, node_id: str) -> list[ActivityEdge]:
-        return [e for e in self.edges if e.source == node_id]
+        return list(self._edges_by_end[0].get(node_id, ()))
 
     def in_edges(self, node_id: str) -> list[ActivityEdge]:
-        return [e for e in self.edges if e.target == node_id]
+        return list(self._edges_by_end[1].get(node_id, ()))
 
 
 # -- JSON interchange (.act.json) ----------------------------------------------
@@ -152,18 +168,18 @@ def activity_to_json(graph: ActivityGraph) -> str:
 def activity_from_json(text: str) -> ActivityGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
         raise ActivityError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ActivityError("expected an object with 'nodes' and 'edges'")
     nodes = []
-    for raw in doc["nodes"]:
+    for raw in _shaped(doc["nodes"], list, "nodes", dict, ActivityError):
         try:
             nodes.append(ActivityNode(str(raw["id"]), str(raw["kind"]), str(raw.get("label", ""))))
         except (TypeError, KeyError) as exc:
             raise ActivityError(f"bad node entry {raw!r}") from exc
     edges = []
-    for raw in doc["edges"]:
+    for raw in _shaped(doc["edges"], list, "edges", dict, ActivityError):
         try:
             guard = raw.get("guard")
             edges.append(
@@ -179,7 +195,11 @@ def activity_from_json(text: str) -> ActivityGraph:
 _CAMEL_STRIP = re.compile(r"[^A-Za-z0-9]+")
 
 
-def _machine_token(label: str, taken: set[str]) -> str:
+def _machine_token(label: str, taken: set[str], next_suffix: dict[str, int]) -> str:
+    """A fresh identifier from the label: the label's words in camel case,
+    numbered from 2 on when taken.  ``next_suffix`` remembers per base where
+    the numbering search stopped; since ``taken`` only grows, every number
+    below that is still taken."""
     words = [w for w in _CAMEL_STRIP.split(label) if w]
     base = "".join(w[:1].upper() + w[1:] for w in words) or "Step"
     if not base[0].isalpha():
@@ -187,10 +207,11 @@ def _machine_token(label: str, taken: set[str]) -> str:
     if base in RESERVED:
         base += "Machine"
     token = base
-    suffix = 2
-    while token in taken:
-        token = f"{base}{suffix}"
-        suffix += 1
+    suffix = next_suffix.get(base, 2)
+    if token in taken:
+        while (token := f"{base}{suffix}") in taken:
+            suffix += 1
+        next_suffix[base] = suffix + 1
     taken.add(token)
     return token
 
@@ -205,22 +226,25 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
     # merges vanish: route their in-edges straight to the merge's successor
     resolved: dict[str, str] = {}
 
-    def resolve(node_id: str, trail: tuple[str, ...] = ()) -> str:
-        node = graph.node(node_id)
-        if node.kind != "Merge":
-            return node_id
-        if node_id in trail:
-            raise UnsupportedConstruct(f"merge {node_id!r} feeds itself")
-        if node_id not in resolved:
+    def resolve(node_id: str) -> str:
+        """The first node that is not a merge on the way on from ``node_id``."""
+        trail: dict[str, None] = {}  # the merges passed, in order
+        while node_id not in resolved and graph.node(node_id).kind == "Merge":
+            if node_id in trail:
+                raise UnsupportedConstruct(f"merge {node_id!r} feeds itself")
             outs = graph.out_edges(node_id)
             if len(outs) != 1:
                 raise UnsupportedConstruct(f"merge {node_id!r} needs exactly one successor")
-            resolved[node_id] = resolve(outs[0].target, trail + (node_id,))
-        return resolved[node_id]
+            trail[node_id] = None
+            node_id = outs[0].target
+        node_id = resolved.get(node_id, node_id)
+        resolved.update(dict.fromkeys(trail, node_id))
+        return node_id
 
     actions = [n for n in graph.nodes if n.kind == "Action"]
     taken: set[str] = set()
-    tokens = {n.id: _machine_token(n.label, taken) for n in actions}
+    next_suffix: dict[str, int] = {}
+    tokens = {n.id: _machine_token(n.label, taken, next_suffix) for n in actions}
 
     initial = next(n for n in graph.nodes if n.kind == "Initial")
     initial_outs = graph.out_edges(initial.id)
@@ -244,10 +268,13 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
     flow_n = 0
     trig_n = 0
 
+    emitted: set[tuple[str, str]] = set()
+
     def add_flow(src: str, dst: str) -> None:
         nonlocal flow_n
-        if any(f.source == src and f.target == dst for f in flows):
+        if (src, dst) in emitted:
             return
+        emitted.add((src, dst))
         flow_n += 1
         flows.append(Flow(f"f{flow_n}", src, dst))
 

@@ -287,10 +287,11 @@ def test_escaped_newline_in_a_string_starts_a_new_line():
         "2:15: syntax: unknown escape \\ followed by '\\n'",
         "6:1: syntax: unexpected character '$'",
     ]
+    position = dsl._Lines(text).position
     semi = next(t for t in tokens if t.kind == "SEMI")
-    assert (semi.line, semi.column) == (3, 4)
+    assert position(semi.offset) == (3, 4)
     process = next(t for t in tokens if t.value == "process")
-    assert (process.line, process.column) == (4, 3)
+    assert position(process.offset) == (4, 3)
     assert next(t for t in tokens if t.kind == "STRING").value == "ab\ncd"
 
 
@@ -302,7 +303,7 @@ def test_backslash_at_end_of_text_stays_inside_the_text():
         "1:22: syntax: unterminated string literal",
     ]
     assert diagnostics[1].span.length == 4  # '"ab\' and no further
-    assert (tokens[-1].line, tokens[-1].column) == (1, 26)
+    assert dsl._Lines(text).position(tokens[-1].offset) == (1, 26)
 
 
 _OLD_PUNCT = {"->": "ARROW", "=>": "DARROW", "{": "LBRACE", "}": "RBRACE", ";": "SEMI",
@@ -399,6 +400,9 @@ def char_lex(text):
 def lex_as_char_lex_did(text):
     """Run `dsl._lex` and restate its output the way `char_lex` reported it.
 
+    `_lex` gives each token its offset, where `char_lex` gave a line and
+    column, and makes one REF token of an unspaced dotted reference, where
+    `char_lex` made ID and DOT tokens; both are restated here.
     The character lexer had three position faults.  It counted an escaped
     newline inside a string as two columns instead of a line break; it moved
     the EOF token two columns on from a final one-character punctuation mark,
@@ -419,13 +423,22 @@ def lex_as_char_lex_did(text):
     )
     plain_starts = [s for s in line_starts if s - 1 not in escaped]
 
-    def old_pos(line, column):
-        offset = line_starts[line - 1] + column - 1
+    def old_pos(offset):
         start = plain_starts[bisect.bisect_right(plain_starts, offset) - 1]
         return bisect.bisect_right(plain_starts, offset), offset - start + 1
 
-    old_tokens = [(t.kind, t.value, *old_pos(t.line, t.column)) for t in tokens]
-    old_comments = [(old_pos(line, 1)[0], body) for line, body in comments]
+    old_tokens = []
+    for t in tokens:
+        if t.kind == "REF":
+            offset = t.offset
+            for i, name in enumerate(t.value.split(".")):
+                if i:
+                    old_tokens.append(("DOT", ".", *old_pos(offset - 1)))
+                old_tokens.append(("ID", name, *old_pos(offset)))
+                offset += len(name) + 1
+        else:
+            old_tokens.append((t.kind, t.value, *old_pos(t.offset)))
+    old_comments = [(old_pos(offset)[0], body) for offset, body in comments]
     quoted = "unknown escape \\ followed by "
 
     def old_message(message):
@@ -434,14 +447,14 @@ def lex_as_char_lex_did(text):
         return message
 
     old_diags = [
-        (*old_pos(d.span.line, d.span.column), d.span.length, d.code, old_message(d.message))
+        (*old_pos(line_starts[d.span.line - 1] + d.span.column - 1), d.span.length, d.code,
+         old_message(d.message))
         for d in diagnostics
     ]
     overshoot = 0
     if len(tokens) > 1:
         last = tokens[-2]
-        end = line_starts[last.line - 1] + last.column - 1
-        if last.kind in ("LBRACE", "RBRACE", "SEMI", "COLON", "DOT") and end == len(text) - 1:
+        if last.kind in ("LBRACE", "RBRACE", "SEMI", "COLON", "DOT") and last.offset == len(text) - 1:
             overshoot = 1
     if any(d.message == "unknown escape \\" for d in diagnostics):
         overshoot = 1
@@ -501,3 +514,85 @@ def test_lexers_agree_on_the_corpus_and_a_large_document():
 
     for text in (mentcare_path().read_text(encoding="utf-8"), _large_document(400)):
         assert lex_as_char_lex_did(text) == char_lex(text)
+
+
+# -- references as one token, positions as offsets --------------------------------
+
+
+_STRING_OR_REF = re.compile(r'"(?:[^"\\]|\\.)*"|([A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)+)')
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents(), st.randoms(use_true_random=False))
+def test_references_with_blanks_parse_like_unspaced_ones(doc, rng):
+    model, events, behavior = doc
+    text = print_model(model, events, behavior)
+
+    def respace(m):
+        if m.group(1) is None:  # a string literal stays as it is
+            return m.group(0)
+        names = m.group(1).split(".")
+        out = names[0]
+        for name in names[1:]:
+            out += rng.choice([" . ", " .", ". ", "\n.\n", "."]) + name
+        return out
+
+    spaced = _STRING_OR_REF.sub(respace, text)
+    assert parse_or_raise(spaced) == parse_or_raise(text)
+    assert dsl.format_text(spaced) == text
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("A.b", [("REF", "A.b")]),
+        ("A.B.process;", [("REF", "A.B.process"), ("SEMI", ";")]),
+        ("A . b", [("ID", "A"), ("DOT", "."), ("ID", "b")]),
+        ("A.b.", [("ID", "A"), ("DOT", "."), ("ID", "b"), ("DOT", ".")]),
+        ("A.9", [("ID", "A"), ("DOT", ".")]),  # and '9' is an unexpected character
+        ("A.b->C.d", [("REF", "A.b"), ("ARROW", "->"), ("REF", "C.d")]),
+    ],
+)
+def test_an_unspaced_dotted_name_is_one_token(text, tokens):
+    lexed, _, _ = dsl._lex(text)
+    assert [(t.kind, t.value) for t in lexed[:-1]] == tokens
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a dotted name where one name belongs is reported by its first name
+        ("machine A.b { }", "1:9: syntax: expected machine name, found 'A'"),
+        ("flow A.create B.process;", "1:15: syntax: expected '->', found 'B'"),
+        # a bad kind word is reported on itself, the reference's last name
+        ("machine A { create; }\nflow A.create -> A.B.bogus;", "2:22: syntax: a stage reference "
+         "ends in a stage kind (machine.kind)"),
+        ("machine A { create; }\nflow A.create -> A .\nbogus;", "3:1: syntax: a stage reference "
+         "ends in a stage kind (machine.kind)"),
+        ("machine A { create; }\nflow create -> A.create;", "2:6: syntax: a stage reference "
+         "ends in a stage kind (machine.kind)"),
+    ],
+)
+def test_diagnostics_at_reference_tokens(text, message):
+    assert str(parse(text).diagnostics[0]) == message
+
+
+def test_an_unresolved_reference_spans_its_text():
+    result = parse("machine A { create; }\nflow A.create -> B.C . process;")
+    [diag] = result.diagnostics
+    assert str(diag) == "2:18: unresolved-ref: unknown machine 'B.C'"
+    assert diag.span.length == len("B.C . process")
+
+
+def test_position_lookups_do_not_scan_the_text_per_diagnostic():
+    # 100,000 diagnostics on one line: a scan back to the line start for each
+    # one would not finish
+    diagnostics = parse("$" * 100_000).diagnostics
+    assert len(diagnostics) == 100_000
+    assert str(diagnostics[-1]) == "1:100000: syntax: unexpected character '$'"
+
+
+def test_a_comment_goes_to_the_last_element_declared_on_the_next_line():
+    # machines are declared before flows, and a machine before its stages
+    text = "# about A\nmachine A { create; }\n# about f\nflow A.create -> B.process; machine B { process; }\n"
+    assert parse(text).comments.items == {"A.create": ("about A",), "f1": ("about f",)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -11,14 +13,18 @@ from hypothesis import strategies as st
 from strategies import documents
 from tmkit import (
     JsonFormatError,
+    TmError,
+    activity_from_json,
     document_from_json,
     document_to_json,
+    import_activity,
     model_isomorphic,
     parse_or_raise,
 )
 from tmkit.cli import run
 from tmkit.corpus import corpus_dir, mentcare_path
 from tmkit.jsonio import _canonical_json
+from tmkit.uml import ActivityError
 
 
 def dumps_canonical(value) -> str:
@@ -140,3 +146,137 @@ def test_cli_json_output_is_the_json_dumps_bytes(argv, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert out == dumps_canonical(json.loads(out))
+
+
+# -- totality over decoded JSON of any shape ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"machines": [1]}',
+        '{"machines": "ab"}',
+        '{"machines": {"id": "A"}}',
+        '{"machines": [{"id": "A", "stages": "ab"}]}',
+        '{"machines": [{"id": "A", "stages": [null]}]}',
+        '{"machines": [{"id": "A", "submachines": [2]}]}',
+        '{"flows": {"id": "f1"}}',
+        '{"triggers": [[]]}',
+        '{"events": [{"id": "E", "time": "t", "region": {"stage_ids": "ab"}}]}',
+        '{"events": [{"id": "E", "time": "t", "region": {"stage_ids": [], "edge_ids": "f"}}]}',
+        '{"events": [{"id": "E", "time": "t", "region": []}]}',
+        '{"events": "E"}',
+        '{"behavior": []}',
+        '{"behavior": {"event_ids": "E1"}}',
+        '{"behavior": {"edges": [[]]}}',
+        pytest.param('{"machines": ' + "[" * 3000 + "]" * 3000 + "}", id="nested-past-the-decoder"),
+        pytest.param("1" * 5000, id="more-digits-than-int-converts"),
+    ],
+)
+def test_malformed_shapes_are_format_errors(text, tmp_path, capsys):
+    with pytest.raises(JsonFormatError):
+        document_from_json(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"nodes": [], "edges": "x"}',
+        '{"nodes": [], "edges": [null]}',
+        '{"nodes": "ab", "edges": []}',
+        '{"nodes": [1], "edges": []}',
+        '{"nodes": {}, "edges": []}',
+        pytest.param('{"nodes": ' + "[" * 3000 + "]" * 3000 + ', "edges": []}',
+                     id="nested-past-the-decoder"),
+    ],
+)
+def test_malformed_activity_shapes_are_activity_errors(text, tmp_path, capsys):
+    with pytest.raises(ActivityError):
+        activity_from_json(text)
+    path = tmp_path / "graph.act.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["import-uml", str(path)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stage_ids_must_be_an_array_not_a_string():
+    # a string used to be read as the set of its characters
+    text = (
+        '{"machines": [{"id": "a", "stages": [{"id": "a.create", "kind": "create", "owner": "a"}]}],'
+        ' "events": [{"id": "E", "time": "t", "region": {"stage_ids": "a"}}]}'
+    )
+    with pytest.raises(JsonFormatError, match="stage_ids must be an array"):
+        document_from_json(text)
+    model, events, _ = document_from_json(text.replace('"stage_ids": "a"', '"stage_ids": ["a.create"]'))
+    assert events[0].region.stage_ids == {"a.create"}
+
+
+_ids = st.sampled_from(["A", "B", "A.create", "A.process", "B.process", "E1", "E2", "f1", "²", ""])
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4) | _ids,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _shaped(fields: dict) -> st.SearchStrategy:
+    """Objects carrying any subset of ``fields``, each value either well-typed
+    or any JSON value, so decoding gets past the first check often."""
+    return st.fixed_dictionaries({}, optional={k: v | _any_json for k, v in fields.items()})
+
+
+_stage = _shaped({
+    "id": _ids, "owner": _ids, "kind": st.sampled_from(["create", "process", "release", "bogus"]),
+    "has_storage": st.booleans(), "label": st.none() | st.text(max_size=3),
+})
+_machine = st.recursive(
+    _shaped({"id": _ids, "name": _ids, "stages": st.lists(_stage, max_size=2), "parent": _ids}),
+    lambda inner: _shaped({"id": _ids, "stages": st.lists(_stage, max_size=2),
+                           "submachines": st.lists(inner, max_size=2)}),
+    max_leaves=4,
+)
+_edge = _shaped({"id": _ids, "source": _ids, "target": _ids, "guard": st.none() | _ids})
+_document = _shaped({
+    "machines": st.lists(_machine, max_size=3),
+    "flows": st.lists(_edge, max_size=2),
+    "triggers": st.lists(_edge, max_size=2),
+    "events": st.lists(_shaped({
+        "id": _ids, "name": _ids, "time": _ids, "intensity": st.none() | _ids,
+        "region": _shaped({"stage_ids": st.lists(_ids, max_size=2),
+                           "edge_ids": st.lists(_ids, max_size=2)}),
+    }), max_size=2),
+    "behavior": _shaped({
+        "event_ids": st.lists(_ids, max_size=3),
+        "edges": st.lists(_shaped({"from": _ids, "to": _ids, "exclusive_group": st.none() | _ids}),
+                          max_size=2),
+    }),
+})
+_node_ids = st.sampled_from(["i", "a", "b", "d", "m", "f"])
+_graph = _shaped({
+    "nodes": st.lists(_shaped({
+        "id": _node_ids, "label": st.text(max_size=3),
+        "kind": st.sampled_from(["Initial", "Final", "Action", "Decision", "Merge", "Fork"]),
+    }), max_size=6),
+    "edges": st.lists(_shaped({"from": _node_ids, "to": _node_ids, "guard": st.none() | _ids}),
+                      max_size=6),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_document | _graph | _any_json)
+def test_any_json_value_is_read_or_rejected_with_a_toolkit_error(tmp_path_factory, value):
+    text = json.dumps(value)
+    for read in (document_from_json, lambda t: import_activity(activity_from_json(t))):
+        try:
+            read(text)
+        except TmError:
+            pass
+    path = tmp_path_factory.getbasetemp() / "any.json"
+    path.write_text(text, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for command in ("check", "import-uml"):
+            assert run([command, str(path)]) in (0, 1, 2)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strategies import canonical_models, simplified_models
@@ -26,7 +26,7 @@ from tmkit import (
     model_isomorphic,
     parse_or_raise,
 )
-from tmkit.model import natural_key
+from tmkit.model import Region, natural_key
 
 C, P, R, T, V = ActionKind
 
@@ -236,6 +236,25 @@ def test_induced_region_unknown_stage():
 def test_induced_region_empty_input():
     with pytest.raises(EmptyRegion):
         induced_region(two_machine_chain(), set())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_induced_region_matches_the_full_edge_scan(data):
+    model = data.draw(st.one_of(simplified_models(5), canonical_models(5)))
+    stage_ids = sorted(s.id for s in model.all_stages())
+    assume(stage_ids)
+    chosen = set(data.draw(st.lists(st.sampled_from(stage_ids), min_size=1, unique=True)))
+    ghosts = data.draw(st.lists(st.sampled_from(["ghost", "f10", "f9", "~"]), unique=True))
+    if ghosts:
+        first = sorted(ghosts, key=natural_key)[0]
+        with pytest.raises(UnknownStage, match=f"unknown stage {first!r}"):
+            induced_region(model, chosen | set(ghosts))
+        return
+    inside = frozenset(
+        e.id for e in (*model.flows, *model.triggers) if e.source in chosen and e.target in chosen
+    )
+    assert induced_region(model, chosen) == Region(frozenset(chosen), inside)
 
 
 @settings(max_examples=50, deadline=None)

@@ -17,6 +17,7 @@ from tmkit import (
     Stage,
     StaticModel,
     expand,
+    format_text,
     model_isomorphic,
     parse_or_raise,
     simplify,
@@ -484,3 +485,30 @@ def test_expanded_models_pass_the_full_validator(model):
     from tmkit import has_errors, validate_static
 
     assert not has_errors(validate_static(model))
+
+
+def test_a_5000_deep_nest_parses_formats_simplifies_and_expands():
+    depth = 5000  # machines nested in one another, far past Python's recursion limit
+    leaf = ".".join(["a"] * depth)
+    text = (
+        "machine a {\n  process;\n  transfer;\n  receive;\n"
+        + "machine a {\n" * (depth - 1)
+        + "create;\nrelease;\ntransfer;\n"
+        + "}\n" * depth
+        + f"flow f1: {leaf}.create -> {leaf}.release;\n"
+        + f"flow f2: {leaf}.release -> {leaf}.transfer;\n"
+        + f"flow f3: {leaf}.transfer -> a.transfer;\n"
+        + "flow f4: a.transfer -> a.receive;\n"
+        + "flow f5: a.receive -> a.process;\n"
+    )
+    model = parse_or_raise(text).model
+    assert len(list(model.all_machines())) == depth
+    assert model.stages_by_id[f"{leaf}.create"].owner == leaf
+    formatted = format_text(text)
+    del text
+    assert format_text(formatted) == formatted
+    del formatted
+    simple = simplify(model)
+    assert [(f.source, f.target) for f in simple.flows] == [(f"{leaf}.create", "a.process")]
+    assert len(list(simple.all_machines())) == depth
+    assert model_isomorphic(expand(simple), model)

@@ -243,3 +243,19 @@ def blank(graph: ActivityGraph) -> ActivityGraph:
         [ActivityNode(n.id, n.kind) for n in graph.nodes],
         [ActivityEdge(e.source, e.target, None if e.guard is None else "g") for e in graph.edges],
     )
+
+
+def test_a_20000_action_chain_round_trips():
+    # indexed lookups and numbering keep import linear; a scan per lookup, and
+    # a search from "Step2" on for every repeat of a label, made it quadratic
+    graph = linear(*["step"] * 20000)
+    model = import_activity(graph)
+    assert len(model.flows) == 20000
+    assert activity_isomorphic(export_activity(model), graph)
+
+
+def test_repeated_labels_number_their_machines_in_order():
+    model = import_activity(linear("Check", "Check", "Check2", "Check"))
+    assert sorted((m.id, m.name) for m in model.all_machines()) == [
+        ("Check", "Check"), ("Check2", "Check"), ("Check22", "Check2"), ("Check3", "Check")
+    ]
