@@ -13,12 +13,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl, validate
-from .model import ActionKind
+from .model import ActionKind, TmError
 
 
 def corpus_dir() -> Path:
-    """Fixture directory at the repository root."""
-    return Path(__file__).resolve().parents[2] / "corpus"
+    """Fixture directory at the repository root.  The corpus ships with the
+    source tree, not with an installed package; raises TmError when the
+    directory is not there."""
+    path = Path(__file__).resolve().parents[2] / "corpus"
+    if not path.is_dir():
+        raise TmError(f"corpus directory {path} not found; it ships with the tmkit source tree")
+    return path
 
 
 def mentcare_path() -> Path:

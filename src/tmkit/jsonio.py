@@ -37,54 +37,54 @@ def _canonical_json(value) -> str:
     for values built from dicts with string keys, lists, strings, booleans and
     None; anything else raises TypeError.  ``dumps`` with an indent falls back
     to its pure-Python encoder; this writer hands each string to the C escaper
-    that ``dumps`` itself uses."""
+    that ``dumps`` itself uses, and keeps its own stack, so nesting depth is
+    not bounded by Python's recursion limit."""
     out: list[str] = []
-    _write_json(value, "\n", out.append)
-    out.append("\n")
+    # open containers, innermost last: (iterator over (text before, value)
+    # pairs, the pairs' indent, text after the last pair); the outermost holds
+    # only the value itself
+    frames: list = [(iter([("", value)]), "\n", "\n")]
+    while frames:
+        pairs, indent, closing = frames[-1]
+        for text, value in pairs:
+            out.append(text)
+            if isinstance(value, str):
+                out.append(encode_basestring_ascii(value))
+            elif value is None:
+                out.append("null")
+            elif value is True:
+                out.append("true")
+            elif value is False:
+                out.append("false")
+            elif isinstance(value, dict):
+                if not value:
+                    out.append("{}")
+                    continue
+                inner = indent + "  "
+                sep = "," + inner  # encode_basestring_ascii raises TypeError unless a str
+                items = [(sep + encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value)]
+                items[0] = ("{" + items[0][0][1:], items[0][1])  # opens, not after a comma
+                frames.append((iter(items), inner, indent + "}"))
+                break
+            elif isinstance(value, list):
+                if not value:
+                    out.append("[]")
+                    continue
+                inner = indent + "  "
+                sep = "," + inner
+                items = [(sep, item) for item in value]
+                items[0] = ("[" + inner, value[0])  # opens, not after a comma
+                frames.append((iter(items), inner, indent + "]"))
+                break
+            else:
+                raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
+        else:
+            frames.pop()
+            out.append(closing)
     return "".join(out)
 
 
-def _write_json(value, indent: str, append) -> None:
-    # a module-level function, not a closure over ``out``: a recursive closure
-    # is a reference cycle that keeps every output piece alive until the
-    # cyclic garbage collector runs
-    if isinstance(value, str):
-        append(encode_basestring_ascii(value))
-    elif value is None:
-        append("null")
-    elif value is True:
-        append("true")
-    elif value is False:
-        append("false")
-    elif isinstance(value, dict):
-        if not value:
-            append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key in sorted(value):
-            append(sep)
-            append(encode_basestring_ascii(key))  # TypeError unless a str
-            append(": ")
-            _write_json(value[key], inner, append)
-            sep = "," + inner
-        append(indent + "}")
-    elif isinstance(value, list):
-        if not value:
-            append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            append(sep)
-            _write_json(item, inner, append)
-            sep = "," + inner
-        append(indent + "]")
-    else:
-        raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
-
-
-def _machine_dict(machine: Machine) -> dict:
+def _machine_dict(machine: Machine, _parent: Optional[Machine], submachines: tuple) -> dict:
     return {
         "id": machine.id,
         "name": machine.name,
@@ -100,11 +100,12 @@ def _machine_dict(machine: Machine) -> dict:
             }
             for s in sorted(machine.stages, key=lambda s: natural_key(s.id))
         ],
-        "submachines": [
-            _machine_dict(sub)
-            for sub in sorted(machine.submachines, key=lambda m: natural_key(m.id))
-        ],
+        "submachines": list(submachines),
     }
+
+
+def _sorted_submachines(machine: Machine) -> list[Machine]:
+    return sorted(machine.submachines, key=lambda m: natural_key(m.id))
 
 
 def document_to_json(
@@ -115,9 +116,11 @@ def document_to_json(
     model = model or StaticModel()
     behavior = behavior or BehavioralModel()
     doc = {
-        "machines": [
-            _machine_dict(m) for m in sorted(model.machines, key=lambda m: natural_key(m.id))
-        ],
+        "machines": list(build_trees(
+            sorted(model.machines, key=lambda m: natural_key(m.id)),
+            _sorted_submachines,
+            _machine_dict,
+        )),
         "flows": [
             {"id": f.id, "source": f.source, "target": f.target}
             for f in sorted(model.flows, key=lambda f: natural_key(f.id))

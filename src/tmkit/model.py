@@ -9,6 +9,7 @@ are pure functions.
 from __future__ import annotations
 
 import re
+import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -72,15 +73,24 @@ _NAT_SPLIT = re.compile(r"(\d+)")
 
 
 def natural_key(text: str) -> tuple:
-    """Sort key that orders embedded integers numerically (f2 before f10)."""
+    """Sort key that orders embedded integers numerically (f2 before f10).
+    A digit run keys as (1, length, digits) without its leading zeros, which
+    orders as int() does, with no limit on the number of digits."""
     # tuple() of a list, not of a generator, which would allocate a tuple of
     # a guessed size and shrink it; isdecimal, not isdigit: a digit such as
-    # "²" is not in \d and int() rejects it
+    # "²" is not in \d
     return tuple([
-        (1, int(part)) if part.isdecimal() else (0, part)
+        (1, len(digits := (part if part.isascii() else _ascii_digits(part)).lstrip("0")), digits)
+        if part.isdecimal() else (0, part)
         for part in _NAT_SPLIT.split(text)
         if part
     ])
+
+
+def _ascii_digits(digits: str) -> str:
+    """The ASCII spelling of a run of decimal digits from any script, all of
+    which the pattern's \\d matches."""
+    return "".join([str(unicodedata.decimal(c)) for c in digits])
 
 
 @dataclass(frozen=True)
@@ -147,9 +157,7 @@ class StaticModel:
         """Normalize parent links and reject any invariant violation."""
         normalized = build_trees(machines, submachines_of, _relink)
         model = cls(machines=normalized, flows=tuple(flows), triggers=tuple(triggers))
-        problems = check_model(model)
-        if problems:
-            raise ModelError("; ".join(problems))
+        _raise_problems(check_model(model))
         return model
 
     # -- derived lookups (model is immutable, so caching is safe) --
@@ -240,14 +248,28 @@ def _relink(machine: Machine, parent: Optional[Machine], kids: tuple[Machine, ..
     return machine
 
 
-def check_model(model: StaticModel) -> list[str]:
-    """Return human-readable invariant violations; empty means well-formed."""
-    problems: list[str] = []
+@dataclass(frozen=True)
+class Problem:
+    """One broken model invariant: ``rule`` is the validator's public rule
+    code, ``subject`` the id the problem is reported on."""
+
+    rule: str
+    subject: str
+    message: str
+
+
+def check_model(model: StaticModel) -> list[Problem]:
+    """Return the model's invariant violations; empty means well-formed.
+    `StaticModel.build` raises from this list and `validate_static` reports it."""
+    problems: list[Problem] = []
     seen: dict[str, str] = {}
+
+    def report(rule: str, subject: str, message: str) -> None:
+        problems.append(Problem(rule, subject, message))
 
     def claim(id_: str, what: str) -> None:
         if id_ in seen:
-            problems.append(f"duplicate id {id_!r} ({seen[id_]} vs {what})")
+            report("V1", id_, f"duplicate id {id_!r} ({seen[id_]} vs {what})")
         else:
             seen[id_] = what
 
@@ -259,29 +281,30 @@ def check_model(model: StaticModel) -> list[str]:
         for stage in machine.stages:
             claim(stage.id, "stage")
             if stage.owner != machine.id:
-                problems.append(f"stage {stage.id!r} owner {stage.owner!r} is not {machine.id!r}")
+                report("V5", stage.id,
+                       f"stage {stage.id!r} owner {stage.owner!r} is not {machine.id!r}")
             if stage.kind in kinds_seen:
-                problems.append(f"machine {machine.id!r} has more than one {stage.kind.value} stage")
+                report("V5", machine.id,
+                       f"machine {machine.id!r} has more than one {stage.kind.value} stage")
             kinds_seen.add(stage.kind)
-        for sub in machine.submachines:
-            if sub.parent != machine.id:
-                problems.append(f"machine {sub.id!r} parent {sub.parent!r} is not {machine.id!r}")
         if machine.is_constraint and machine.stage_of(ActionKind.PROCESS) is None:
-            problems.append(f"constraint machine {machine.id!r} has no process stage")
-    for root in model.machines:
-        if root.parent is not None:
-            problems.append(f"root machine {root.id!r} has parent {root.parent!r}")
+            report("V7", machine.id, f"constraint machine {machine.id!r} has no process stage")
 
     stage_ids = {s.id for s in model.all_stages()}
     for edge in (*model.flows, *model.triggers):
-        what = "flow" if isinstance(edge, Flow) else "trigger"
+        what, loop_rule = ("flow", "V2") if isinstance(edge, Flow) else ("trigger", "V4")
         claim(edge.id, what)
         for end in (edge.source, edge.target):
             if end not in stage_ids:
-                problems.append(f"{what} {edge.id!r} references unknown stage {end!r}")
+                report("V1", edge.id, f"{what} {edge.id!r} references unknown stage {end!r}")
         if edge.source == edge.target:
-            problems.append(f"{what} {edge.id!r} is a self-loop on {edge.source!r}")
+            report(loop_rule, edge.id, f"{what} {edge.id!r} is a self-loop on {edge.source!r}")
     return problems
+
+
+def _raise_problems(problems: list[Problem]) -> None:
+    if problems:
+        raise ModelError("; ".join(p.message for p in problems))
 
 
 @dataclass(frozen=True)
@@ -319,25 +342,31 @@ class BehavioralModel:
         ordered = tuple(
             sorted(edges, key=lambda e: (natural_key(e.source), natural_key(e.target)))
         )
-        problems = []
-        pairs = set()
-        for edge in ordered:
-            if edge.source == edge.target:
-                problems.append(f"self-edge on event {edge.source!r}")
-            for end in (edge.source, edge.target):
-                if end not in ids:
-                    problems.append(f"edge references undeclared event {end!r}")
-            if (edge.source, edge.target) in pairs:
-                problems.append(f"duplicate edge {edge.source!r} -> {edge.target!r}")
-            pairs.add((edge.source, edge.target))
-        if problems:
-            raise ModelError("; ".join(problems))
+        _raise_problems(check_behavior(ids, ordered))
         return cls(event_ids=ids, edges=ordered)
 
     def sources(self) -> frozenset[str]:
         """Events with no incoming edge."""
         targets = {e.target for e in self.edges}
         return frozenset(self.event_ids - targets)
+
+
+def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> list[Problem]:
+    """Return the behavior graph's invariant violations, all rule V9: each
+    edge joins two distinct declared events, and no edge repeats."""
+    problems: list[Problem] = []
+    pairs = set()
+    for edge in edges:
+        if edge.source == edge.target:
+            problems.append(Problem("V9", edge.source, f"self-edge on event {edge.source!r}"))
+        for end in (edge.source, edge.target):
+            if end not in event_ids:
+                problems.append(Problem("V9", end, f"edge references undeclared event {end!r}"))
+        if (edge.source, edge.target) in pairs:
+            message = f"duplicate edge {edge.source!r} -> {edge.target!r}"
+            problems.append(Problem("V9", edge.source, message))
+        pairs.add((edge.source, edge.target))
+    return problems
 
 
 def find_stage(

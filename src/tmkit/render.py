@@ -14,7 +14,6 @@ from typing import Optional, Sequence
 from .model import (
     BehavioralModel,
     Event,
-    Machine,
     Region,
     StaticModel,
     UnknownStage,
@@ -33,6 +32,10 @@ _GROUP_COLORS = (
 
 def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
+
+
+def _by_id(items) -> list:
+    return sorted(items, key=lambda item: natural_key(item.id))
 
 
 def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str:
@@ -56,13 +59,21 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
         '  edge [fontname="Helvetica", fontsize=9];',
     ]
 
-    def emit_machine(machine: Machine, indent: str) -> None:
+    # clusters in preorder from an explicit stack, so nesting depth is not
+    # bounded by Python's recursion limit; a str entry is a closing line
+    todo: list = [(root, "  ") for root in _by_id(model.machines)[::-1]]
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, str):
+            lines.append(entry)
+            continue
+        machine, indent = entry
         lines.append(f"{indent}subgraph {_quote('cluster_' + machine.id)} {{")
         title = machine.name + (" «constraint»" if machine.is_constraint else "")
         lines.append(f"{indent}  label={_quote(title)};")
         if machine.is_constraint:
             lines.append(f"{indent}  style=dashed;")
-        for stage in sorted(machine.stages, key=lambda s: natural_key(s.id)):
+        for stage in _by_id(machine.stages):
             label = stage.kind.value
             if stage.label is not None:
                 label += "\n" + stage.label
@@ -73,14 +84,10 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
                 attrs.append("style=filled")
                 attrs.append('fillcolor="#ffe873"')
             lines.append(f"{indent}  {_quote(stage.id)} [{', '.join(attrs)}];")
-        for sub in sorted(machine.submachines, key=lambda m: natural_key(m.id)):
-            emit_machine(sub, indent + "  ")
-        lines.append(f"{indent}}}")
+        todo.append(f"{indent}}}")
+        todo += [(sub, indent + "  ") for sub in _by_id(machine.submachines)[::-1]]
 
-    for root in sorted(model.machines, key=lambda m: natural_key(m.id)):
-        emit_machine(root, "  ")
-
-    for flow in sorted(model.flows, key=lambda f: natural_key(f.id)):
+    for flow in _by_id(model.flows):
         attrs = []
         if flow.id in hi_edges:
             attrs.append("penwidth=2.5")
@@ -88,7 +95,7 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_quote(flow.source)} -> {_quote(flow.target)}{suffix};")
 
-    for trig in sorted(model.triggers, key=lambda t: natural_key(t.id)):
+    for trig in _by_id(model.triggers):
         attrs = ["style=dashed"]
         if trig.guard is not None:
             attrs.append(f"label={_quote(trig.guard)}")

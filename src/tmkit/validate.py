@@ -2,19 +2,19 @@
 
 Rule codes are stable public identifiers:
 
-    V1  global id uniqueness
+    V1  global id uniqueness; flow and trigger ends resolve
     V2  intra-machine flow steps restricted to the legal adjacency table
     V3  inter-machine flows connect transfer stages only
-    V4  trigger sources are create, process, or receive stages
-    V5  at most one stage of each kind per machine
+    V4  trigger sources are create, process, or receive stages; no self-loops
+    V5  each machine owns its stages, at most one of each kind
     V6  orphan stage (warning): no incident edge and no storage
     V7  constraint machines carry a process stage and a guarded out-trigger
     V8  event regions resolve and stay closed
     V9  behavior graphs reference declared events; cycles and unreachable
         events are warnings
 
-V1 and V5 restate guarantees the constructors already enforce; they fire only
-on models assembled without `StaticModel.build` (defense in depth).
+The model invariants (V1, V5, self-loops, V7's process stage, V9's edges)
+come from `check_model` and `check_behavior`, which the constructors raise from.
 
 The intra-machine adjacency table is a reading of the five-stage diagram, not
 a set the source material enumerates, so `validate_static` accepts a custom
@@ -33,7 +33,10 @@ from .model import (
     BehavioralModel,
     CORE_KINDS,
     Event,
+    Problem,
     StaticModel,
+    check_behavior,
+    check_model,
     natural_key,
 )
 
@@ -84,6 +87,10 @@ def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: (natural_key(d.subject), d.rule, d.message))
 
 
+def _errors(problems: list[Problem]) -> list[Diagnostic]:
+    return [Diagnostic(Severity.ERROR, p.rule, p.subject, p.message) for p in problems]
+
+
 def has_errors(diags: Sequence[Diagnostic]) -> bool:
     return any(d.severity is Severity.ERROR for d in diags)
 
@@ -98,76 +105,38 @@ def validate_static(
     if mode not in ("full", "simplified"):
         raise ValueError(f"unknown mode {mode!r}")
     steps = LEGAL_INTRA_STEPS if intra_steps is None else intra_steps
-    diags: list[Diagnostic] = []
+    problems = check_model(model)
+    diags = _errors(problems)
+    reported = {problem.subject for problem in problems}  # V2-V4 skip these edges
+    stages = model.stages_by_id
 
     def err(rule: str, subject: str, message: str) -> None:
         diags.append(Diagnostic(Severity.ERROR, rule, subject, message))
 
-    def warn(rule: str, subject: str, message: str) -> None:
-        diags.append(Diagnostic(Severity.WARNING, rule, subject, message))
-
-    # V1 / V5
-    seen: set[str] = set()
-    for machine in model.all_machines():
-        if machine.id in seen:
-            err("V1", machine.id, "id declared more than once")
-        seen.add(machine.id)
-        per_kind: dict[ActionKind, int] = {}
-        for stage in machine.stages:
-            if stage.id in seen:
-                err("V1", stage.id, "id declared more than once")
-            seen.add(stage.id)
-            per_kind[stage.kind] = per_kind.get(stage.kind, 0) + 1
-        for kind, count in sorted(per_kind.items(), key=lambda kv: kv[0].value):
-            if count > 1:
-                err("V5", machine.id, f"{count} {kind.value} stages; at most one allowed")
-    for edge in (*model.flows, *model.triggers):
-        if edge.id in seen:
-            err("V1", edge.id, "id declared more than once")
-        seen.add(edge.id)
-
-    stages = model.stages_by_id
-
     # V2 / V3
     for flow in model.flows:
-        src = stages.get(flow.source)
-        dst = stages.get(flow.target)
-        if src is None or dst is None:
-            err("V1", flow.id, "flow endpoint does not resolve")
+        if flow.id in reported:
             continue
-        intra = src.owner == dst.owner
+        src, dst = stages[flow.source].kind, stages[flow.target].kind
+        intra = stages[flow.source].owner == stages[flow.target].owner
         if mode == "simplified":
-            if src.kind not in CORE_KINDS or dst.kind not in CORE_KINDS:
-                rule = "V2" if intra else "V3"
-                err(
-                    rule,
-                    flow.id,
-                    f"{src.kind.value} -> {dst.kind.value} is not between create/process stages",
-                )
-            continue
-        if intra:
-            if (src.kind, dst.kind) not in steps:
-                err(
-                    "V2",
-                    flow.id,
-                    f"illegal intra-machine step {src.kind.value} -> {dst.kind.value}",
-                )
-        elif not (src.kind is T and dst.kind is T):
-            err(
-                "V3",
-                flow.id,
-                f"inter-machine flow must be transfer -> transfer, got "
-                f"{src.kind.value} -> {dst.kind.value}",
-            )
+            if src not in CORE_KINDS or dst not in CORE_KINDS:
+                err("V2" if intra else "V3", flow.id,
+                    f"{src.value} -> {dst.value} is not between create/process stages")
+        elif intra:
+            if (src, dst) not in steps:
+                err("V2", flow.id, f"illegal intra-machine step {src.value} -> {dst.value}")
+        elif not (src is T and dst is T):
+            err("V3", flow.id,
+                f"inter-machine flow must be transfer -> transfer, got {src.value} -> {dst.value}")
 
     # V4
     for trig in model.triggers:
-        src = stages.get(trig.source)
-        if src is None:
-            err("V1", trig.id, "trigger endpoint does not resolve")
+        if trig.id in reported:
             continue
-        if src.kind not in TRIGGER_SOURCES:
-            err("V4", trig.id, f"trigger cannot originate at a {src.kind.value} stage")
+        kind = stages[trig.source].kind
+        if kind not in TRIGGER_SOURCES:
+            err("V4", trig.id, f"trigger cannot originate at a {kind.value} stage")
 
     # V6
     touched = set()
@@ -176,20 +145,14 @@ def validate_static(
         touched.add(edge.target)
     for stage in model.all_stages():
         if stage.id not in touched and not stage.has_storage:
-            warn("V6", stage.id, "stage has no incident flow, trigger, or storage")
+            message = "stage has no incident flow, trigger, or storage"
+            diags.append(Diagnostic(Severity.WARNING, "V6", stage.id, message))
 
-    # V7
+    # V7 (a missing process stage is a model problem, reported above)
     for machine in model.all_machines():
-        if not machine.is_constraint:
-            continue
-        process = machine.stage_of(P)
-        if process is None:
-            err("V7", machine.id, "constraint machine has no process stage")
-        own = {s.id for s in machine.stages}
-        guarded = [
-            t for t in model.triggers if t.source in own and t.guard is not None
-        ]
-        if not guarded:
+        if machine.is_constraint and not any(
+            t.guard is not None for s in machine.stages for t in model.triggers_from.get(s.id, ())
+        ):
             err("V7", machine.id, "constraint machine has no outgoing guarded trigger")
 
     return _sorted(diags)
@@ -225,9 +188,10 @@ def validate_events(model: StaticModel, events: Sequence[Event]) -> list[Diagnos
 def validate_behavior(
     model: StaticModel, events: Sequence[Event], behavior: BehavioralModel
 ) -> list[Diagnostic]:
-    """Check V9: edges reference declared events; warn on cycles and on
-    events unreachable from every source."""
-    diags: list[Diagnostic] = []
+    """Check V9: `check_behavior`'s edge rules, and every event the behavior
+    names is declared; warn on cycles and on events unreachable from every
+    source."""
+    diags = _errors(check_behavior(behavior.event_ids, behavior.edges))
     declared = {e.id for e in events}
 
     for eid in sorted(behavior.event_ids, key=natural_key):
@@ -238,20 +202,6 @@ def validate_behavior(
     adjacency: dict[str, list[str]] = {}
     for edge in behavior.edges:
         adjacency.setdefault(edge.source, []).append(edge.target)
-        for end in (edge.source, edge.target):
-            if end not in behavior.event_ids:
-                diags.append(
-                    Diagnostic(
-                        Severity.ERROR,
-                        "V9",
-                        end,
-                        f"edge {edge.source} -> {edge.target} references an undeclared event",
-                    )
-                )
-        if edge.source == edge.target:
-            diags.append(
-                Diagnostic(Severity.ERROR, "V9", edge.source, "behavior edge loops on one event")
-            )
 
     # cycle detection (iterative DFS, deterministic order)
     color: dict[str, int] = {}

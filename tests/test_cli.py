@@ -5,10 +5,37 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
+from tmkit import (
+    ActionKind,
+    StaticModel,
+    activity_from_json,
+    activity_isomorphic,
+    activity_to_json,
+    conform,
+    coverage,
+    document_from_json,
+    document_to_json,
+    eventize,
+    expand,
+    export_activity,
+    find_stage,
+    format_text,
+    import_activity,
+    induced_region,
+    model_isomorphic,
+    parse,
+    parse_or_raise,
+    print_model,
+    render_behavior,
+    render_static,
+    simplify,
+    validate_document,
+)
 from tmkit.cli import run
 from tmkit.corpus import corpus_dir, mentcare_path
 
@@ -198,3 +225,127 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "0 errors" in proc.stdout
+
+
+@pytest.mark.parametrize("command", [["check"], ["fmt"], ["fmt", "--json"], ["render"]])
+def test_ids_with_more_digits_than_int_converts(tmp_path, capsys, command):
+    path = tmp_path / "digits.tm"
+    machine = "a" + "1" * 5000
+    path.write_text(f"machine {machine} {{ create; }}\n", encoding="utf-8")
+    assert run([command[0], str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert machine in out
+    if command == ["check"]:
+        assert out.endswith("0 errors, 1 warnings\n")
+
+
+# -- depth --------------------------------------------------------------------
+
+NEST_DEPTH = 400  # more nesting levels than the headroom below allows frames
+
+
+def _nest_text(depth: int) -> str:
+    """Machines nested `depth` deep, a gate chain from the innermost to the
+    outermost, an event at each end and a behavior edge between them."""
+    leaf = ".".join(["a"] * depth)
+    return (
+        "machine a {\n  process;\n  transfer;\n  receive;\n"
+        + "machine a {\n" * (depth - 1)
+        + "create;\nrelease;\ntransfer;\n"
+        + "}\n" * depth
+        + f"flow f1: {leaf}.create -> {leaf}.release;\n"
+        + f"flow f2: {leaf}.release -> {leaf}.transfer;\n"
+        + f"flow f3: {leaf}.transfer -> a.transfer;\n"
+        + "flow f4: a.transfer -> a.receive;\n"
+        + "flow f5: a.receive -> a.process;\n"
+        + f'event E1 {{ time "t1"; region {{ {leaf}.create {leaf}.release }} }}\n'
+        + 'event E2 { time "t2"; region { a.receive a.process } }\n'
+        + "behavior { E1 -> E2; }\n"
+    )
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@contextmanager
+def _recursion_headroom(frames: int = 150):
+    """Lower the recursion limit to the current frame depth plus `frames`, so
+    that code recursing once per nesting level fails on a few hundred levels."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_no_subcommand_recurses_once_per_nesting_level(tmp_path, capsys):
+    nest, simple, act = tmp_path / "nest.tm", tmp_path / "simple.tm", tmp_path / "nest.act.json"
+    nest.write_text(_nest_text(NEST_DEPTH), encoding="utf-8")
+    commands = [["check"], ["check", "--simplified"], ["fmt"], ["simplify"], ["expand"],
+                ["export-uml"], ["events"], ["trace", "--trace", "E1,E2"], ["render"],
+                ["render", "--behavior"], ["render", "--highlight", "E1"]]
+    statuses = {}
+    with _recursion_headroom():
+        assert run(["simplify", str(nest), "-o", str(simple)]) == 0
+        assert run(["export-uml", str(nest), "-o", str(act)]) == 0
+        for json_flag in ([], ["--json"]):
+            for path in (nest, simple):
+                for command in commands:
+                    argv = [command[0], str(path), *command[1:], *json_flag]
+                    statuses[" ".join(argv[:1] + argv[2:]), path.name] = run(argv)
+            for command in (["import-uml"], ["import-uml", "--full"]):
+                argv = [command[0], str(act), *command[1:], *json_flag]
+                statuses[" ".join(command + json_flag), act.name] = run(argv)
+    assert "recursion" not in capsys.readouterr().err
+    # the full form is no input to expand or a simplified check, the
+    # simplified form none to a full check or simplify, and it has no events
+    refused = {
+        ("check --simplified", "nest.tm"): 1,
+        ("expand", "nest.tm"): 1,
+        ("check", "simple.tm"): 1,
+        ("simplify", "simple.tm"): 1,
+        ("trace --trace E1,E2", "simple.tm"): 1,
+        ("render --highlight E1", "simple.tm"): 2,
+    }
+    assert {key: status for key, status in statuses.items() if status} == {
+        (command + flag, name): status
+        for (command, name), status in refused.items()
+        for flag in ("", " --json")
+    }
+
+
+def test_no_public_function_recurses_once_per_nesting_level():
+    text = _nest_text(NEST_DEPTH)
+    leaf = ["a"] * NEST_DEPTH
+    with _recursion_headroom():
+        assert not parse(text[:-10]).ok
+        result = parse_or_raise(text)
+        model, events, behavior = result.model, result.events, result.behavior
+        printed = print_model(model, events, behavior, result.comments)
+        assert format_text(printed) == printed
+        built = StaticModel.build(model.machines, model.flows, model.triggers)
+        assert len(list(built.all_machines())) == NEST_DEPTH
+        assert not validate_document(model, events, behavior)
+        simple = simplify(model)
+        assert not validate_document(simple, mode="simplified")
+        assert model_isomorphic(expand(simple), model)
+        graph = export_activity(simple)
+        assert activity_isomorphic(activity_from_json(activity_to_json(graph)), graph)
+        assert model_isomorphic(simplify(expand(import_activity(graph))), import_activity(graph))
+        closed = [eventize(model, event) for event in events]
+        assert list(coverage(model, closed)) == [".".join(leaf) + ".transfer", "a.transfer"]
+        assert conform(["E1", "E2"], behavior).conforms
+        assert render_static(model, closed[0].region).count("subgraph") == NEST_DEPTH
+        assert render_behavior(behavior, events).startswith("digraph")
+        assert find_stage(model, leaf, ActionKind.CREATE).id == ".".join(leaf) + ".create"
+        assert induced_region(model, {"a.receive", "a.process"}).edge_ids == {"f5"}
+        document = document_to_json(model, events, behavior)
+    # The JSON decoder recurses once per array or object, two per machine
+    # level, and before Python 3.12 counts against the same limit, so the
+    # document is read back under the usual one.
+    assert document_to_json(*document_from_json(document)) == document

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+import tmkit.corpus
 from tmkit import (
     ActionKind,
+    TmError,
     conform,
     coverage,
     eventize,
@@ -32,6 +35,16 @@ from tmkit.model import CORE_KINDS
 @pytest.fixture(scope="module")
 def mentcare():
     return load_mentcare()
+
+
+def test_missing_corpus_directory_is_a_tm_error(tmp_path, monkeypatch):
+    # an installed package: the module sits in site-packages, with no corpus two levels up
+    installed = tmp_path / "site-packages" / "tmkit" / "corpus.py"
+    monkeypatch.setattr(tmkit.corpus, "__file__", str(installed))
+    with pytest.raises(TmError, match=re.escape(str(tmp_path / "corpus"))):
+        corpus_dir()
+    with pytest.raises(TmError):
+        load_mentcare()
 
 
 def test_integrity_report_is_clean():

@@ -16,6 +16,7 @@ from tmkit import (
     Flow,
     Machine,
     ModelError,
+    Severity,
     Stage,
     StaticModel,
     Trigger,
@@ -25,8 +26,9 @@ from tmkit import (
     induced_region,
     model_isomorphic,
     parse_or_raise,
+    validate_static,
 )
-from tmkit.model import Region, natural_key
+from tmkit.model import Region, check_model, natural_key
 
 C, P, R, T, V = ActionKind
 
@@ -65,6 +67,28 @@ def two_machine_chain() -> StaticModel:
 def test_natural_key_orders_numbers_numerically():
     items = ["f10", "f2", "f1", "t3", "E19", "E2"]
     assert sorted(items, key=natural_key) == ["E2", "E19", "f1", "f2", "f10", "t3"]
+
+
+def test_natural_key_orders_digit_runs_past_the_int_conversion_limit():
+    long_ones, shorter_nines = "a" + "1" * 5000, "a" + "9" * 4999
+    assert sorted([long_ones, shorter_nines], key=natural_key) == [shorter_nines, long_ones]
+    assert natural_key("a" + "0" * 5000 + "7") == natural_key("a7")
+
+
+# decimal digits of several scripts: ASCII, Arabic-Indic, Devanagari,
+# fullwidth, mathematical bold; a run may mix them, as \d does
+_DIGITS = (
+    "0123456789" "\u0660\u0661\u0662\u0663\u0669" "\u0966\u0967\u096f" "\uff10\uff11\uff19"
+    "\U0001d7ce\U0001d7cf\U0001d7d7"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(st.sampled_from(_DIGITS), min_size=1, max_size=6), max_size=12))
+def test_natural_key_orders_digit_runs_as_int_does(runs):
+    assert sorted(runs, key=natural_key) == sorted(runs, key=int)
+    named = ["f" + run for run in runs]
+    assert sorted(named, key=natural_key) == sorted(named, key=lambda s: int(s[1:]))
 
 
 # -- constructors -------------------------------------------------------------
@@ -143,18 +167,22 @@ def _mutations(model: StaticModel):
     machines = list(model.all_machines())
     if stages:
         victim = stages[0]
-        dup = replace(victim, id=victim.id + "_dup")
 
-        def dup_kind(m: StaticModel) -> StaticModel:
+        def patch_victim(extra: tuple[Stage, ...], owner: str):
+            """Replace the victim stage's owner and append `extra` stages to its machine."""
             def patch(machine: Machine) -> Machine:
                 subs = tuple(patch(s) for s in machine.submachines)
                 if machine.id == victim.owner:
-                    return replace(machine, stages=machine.stages + (dup,), submachines=subs)
+                    own = tuple(
+                        replace(s, owner=owner) if s is victim else s for s in machine.stages
+                    )
+                    return replace(machine, stages=own + extra, submachines=subs)
                 return replace(machine, submachines=subs)
 
-            return StaticModel(tuple(patch(r) for r in m.machines), m.flows, m.triggers)
+            return lambda m: StaticModel(tuple(patch(r) for r in m.machines), m.flows, m.triggers)
 
-        muts.append(dup_kind)
+        muts.append(patch_victim((replace(victim, id=victim.id + "_dup"),), victim.owner))
+        muts.append(patch_victim((), victim.owner + "_elsewhere"))
         muts.append(
             lambda m: StaticModel(
                 m.machines, m.flows + (Flow("bad", stages[0].id, "missing"),), m.triggers
@@ -163,6 +191,16 @@ def _mutations(model: StaticModel):
         muts.append(
             lambda m: StaticModel(
                 m.machines, m.flows + (Flow("bad", stages[0].id, stages[0].id),), m.triggers
+            )
+        )
+        muts.append(
+            lambda m: StaticModel(
+                m.machines, m.flows, m.triggers + (Trigger("bad", stages[0].id, "missing"),)
+            )
+        )
+        muts.append(
+            lambda m: StaticModel(
+                m.machines, m.flows, m.triggers + (Trigger("bad", stages[0].id, stages[0].id),)
             )
         )
     if machines:
@@ -181,8 +219,12 @@ def _mutations(model: StaticModel):
 def test_every_single_invariant_break_is_rejected(model, data):
     muts = _mutations(model)
     broken = data.draw(st.sampled_from(muts))(model)
+    problems = check_model(broken)
+    assert problems
     with pytest.raises(ModelError):
         StaticModel.build(broken.machines, broken.flows, broken.triggers)
+    errors = {(d.rule, d.subject) for d in validate_static(broken) if d.severity is Severity.ERROR}
+    assert {(p.rule, p.subject) for p in problems} <= errors
 
 
 # -- find_stage ---------------------------------------------------------------

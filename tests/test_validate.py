@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,36 @@ def test_v1_duplicate_id_on_raw_model():
     assert any(d.rule == "V1" and d.subject == "dup" for d in diags)
 
 
+def _raw(stages=(), flows=(), triggers=(), constraint=False) -> StaticModel:
+    return StaticModel(
+        machines=(Machine(id="M", name="M", is_constraint=constraint, stages=tuple(stages)),),
+        flows=tuple(flows),
+        triggers=tuple(triggers),
+    )
+
+
+_CREATE = Stage("M.create", C, "M")
+
+
+@pytest.mark.parametrize(
+    "model, rule, subject",
+    [
+        (_raw([_CREATE], flows=[Flow("f1", "M.create", "nowhere")]), "V1", "f1"),
+        (_raw([_CREATE], triggers=[Trigger("t1", "nowhere", "M.create")]), "V1", "t1"),
+        (_raw([replace(_CREATE, owner="N")]), "V5", "M.create"),
+        (_raw([_CREATE], constraint=True), "V7", "M"),
+        (_raw([_CREATE], flows=[Flow("f1", "M.create", "M.create")]), "V2", "f1"),
+        (_raw([_CREATE], triggers=[Trigger("t1", "M.create", "M.create")]), "V4", "t1"),
+    ],
+    ids=["flow-end", "trigger-end", "owner", "no-process", "flow-loop", "trigger-loop"],
+)
+def test_raw_model_invariant_breaks_are_errors_under_their_rule(model, rule, subject):
+    diags = validate_static(model)
+    assert any(
+        d.severity is Severity.ERROR and (d.rule, d.subject) == (rule, subject) for d in diags
+    )
+
+
 def test_v6_orphan_stage_is_a_warning():
     model = parse_or_raise("machine A { create; process; }").model
     diags = validate_static(model)
@@ -242,6 +273,28 @@ def test_undeclared_event_reference_is_v9_error():
     behavior = BehavioralModel(event_ids=frozenset({"E1", "E99"}), edges=())
     diags = validate_behavior(model, events, behavior)
     assert any(d.rule == "V9" and d.subject == "E99" and d.severity is Severity.ERROR for d in diags)
+
+
+def test_repeated_looping_or_dangling_edge_on_raw_behavior_is_v9_error():
+    model = simple_event_model()
+    events = make_events("E1", "E2")
+    edges = (
+        BehaviorEdge("E1", "E2"),
+        BehaviorEdge("E1", "E2"),
+        BehaviorEdge("E2", "E2"),
+        BehaviorEdge("E2", "E9"),
+    )
+    behavior = BehavioralModel(event_ids=frozenset({"E1", "E2"}), edges=edges)
+    errors = [
+        (d.rule, d.subject, d.message)
+        for d in validate_behavior(model, events, behavior)
+        if d.severity is Severity.ERROR
+    ]
+    assert errors == [
+        ("V9", "E1", "duplicate edge 'E1' -> 'E2'"),
+        ("V9", "E2", "self-edge on event 'E2'"),
+        ("V9", "E9", "edge references undeclared event 'E9'"),
+    ]
 
 
 def test_cycle_is_a_warning():
