@@ -74,6 +74,8 @@ def _parse_trace(spec: str) -> list[str]:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise _Failure(2, f"trace file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise _Failure(2, "trace file nests deeper than this Python's JSON decoder reads") from exc
         if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
             raise _Failure(2, "trace file must hold a JSON array of event ids")
         return data

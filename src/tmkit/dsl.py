@@ -31,6 +31,19 @@ first name; a bad kind word is reported on the reference's last name.  Only a
 string literal that holds a backslash or is never closed leaves the pattern
 for a character loop, which reports bad escapes and unterminated strings.
 
+Most of a model is flows and stage declarations, so the pattern's first
+alternative reads a whole well-formed ``flow``, ``trigger``, stage
+declaration or ``machine ... {`` head, and the lexer makes it one statement
+token that carries the ID, REF and STRING tokens of its text.  The pattern
+reads only the shape; Python checks the words (keyword and arrow, a guard
+only on a trigger, references ending in a stage kind, no reserved label or
+machine name) and reads the text of a refused statement token by token.  So
+does everything else: comments or escapes inside a statement, spaced
+references, a missing ';'.  The parser takes a statement token where its
+statement may stand.  Anywhere else, before it reports on or skips over one,
+it reads the text from there on again token by token, so every parse result
+and diagnostic is the one token-by-token reading gives.
+
 Each token carries its offset in the text, not a line and column.  Those are
 looked up, by bisection in an index of line starts built on first use, only
 for positions that are reported: diagnostics, the line of an earlier
@@ -169,6 +182,27 @@ class _Token(NamedTuple):
     offset: int
 
 
+class _Statement(NamedTuple):
+    """A well-formed statement read as one token.  Its value and offset are
+    those of its first word, and ``end`` is the offset past its ';' or '{'.
+    ``parts`` are the ID, REF and STRING tokens that reading the rest of
+    ``text[offset:end]`` token by token gives, None for an absent optional
+    part: (label, source, target, guard) for an EDGE, a flow or trigger (a
+    guard's 'if' has no part); (store, None, label) for a STAGE declaration;
+    (name, constraint, display) for a machine HEAD."""
+
+    kind: str  # EDGE STAGE HEAD
+    value: str
+    offset: int
+    end: int
+    parts: tuple
+
+
+_STATEMENTS = {"EDGE", "STAGE", "HEAD"}
+_WORDS = {"ID", *_STATEMENTS}  # the kinds of token whose value is a word
+_EDGE_SHAPES = {("flow", "->", None), ("trigger", "=>", None), ("trigger", "=>", "if")}
+_KIND_ENDS = tuple(f".{kind}" for kind in KIND_WORDS)  # the ends of a reference
+
 _PUNCT = {
     "->": "ARROW",
     "=>": "DARROW",
@@ -182,15 +216,24 @@ _PUNCT = {
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-# One alternative per token class, tried at the end of the previous match after
-# skipping blanks.  An identifier followed by unspaced ".identifier" parts
-# ends in the REF group.  A string with no backslash that closes on its own
-# line is read whole here; any other '"' is read by _lex_string.
+# Tried at the end of the previous match after skipping blanks.  The first
+# alternative reads the shape of a whole edge statement (ending in the EDGE
+# group) or stage declaration or machine head (ending in END), with any words
+# in place of the keywords: _statement checks them.  The lookahead keeps a
+# failed shape from trying every shorter first word.  The rest is one
+# alternative per token class.  An identifier followed by unspaced
+# ".identifier" parts ends in the REF group.  A string with no backslash that
+# closes on its own line is read whole here; any other '"' is read by
+# _lex_string.
+_B, _N, _Q = r"[ \t\r\n]", r"[A-Za-z][A-Za-z0-9_]*", r'[^"\\\n]*'
 _MASTER = re.compile(
-    r"[ \t\r\n]*(?:"
-    r"(?P<ID>[A-Za-z][A-Za-z0-9_]*)(?P<REF>(?:\.[A-Za-z][A-Za-z0-9_]*)+)?"
+    rf"{_B}*(?:(?P<W>{_N})(?=[ \t\r\n:;{{])(?:"
+    rf"{_B}+(?:(?P<L>{_N}){_B}*:{_B}*)?(?P<S>{_N}(?:\.{_N})+){_B}*(?P<A>[-=]>){_B}*"
+    rf'(?P<T>{_N}(?:\.{_N})+)(?:{_B}+(?P<I>{_N}){_B}*"(?P<G>{_Q})")?{_B}*(?P<EDGE>;)'
+    rf'|(?:{_B}+(?P<X>{_N}))?(?:{_B}+(?P<Y>{_N}))?(?:{_B}*:{_B}*"(?P<D>{_Q})")?{_B}*(?P<END>[;{{]))'
+    rf"|(?P<ID>{_N})(?P<REF>(?:\.{_N})+)?"
     r"|(?P<PUNCT>->|=>|[{};:.])"
-    r'|"(?P<STRING>[^"\\\n]*)"'
+    rf'|"(?P<STRING>{_Q})"'
     r"|#(?P<COMMENT>[^\n]*)"
     r'|(?P<QUOTE>")'
     r"|(?P<OTHER>[^ \t\r\n])"  # not a blank, or trailing blanks would backtrack into it
@@ -246,27 +289,79 @@ def _lex_string(
     return "".join(out), i
 
 
+_new = tuple.__new__  # makes a NamedTuple without NamedTuple.__new__'s Python frame
+
+
+def _statement(m: re.Match) -> Optional[_Statement]:
+    """The token for a match of the master pattern's statement alternative,
+    or None unless its words make a well-formed statement: the keyword fits
+    the arrow or the closing mark, only a trigger has a guard, references end
+    in a stage kind, and no label or machine name is a reserved word."""
+    word, start = m["W"], m.start
+    if m.lastgroup == "EDGE":
+        label, source, arrow, target, if_, guard = m.group("L", "S", "A", "T", "I", "G")
+        if (word, arrow, if_) not in _EDGE_SHAPES or label in RESERVED or not (
+            source.endswith(_KIND_ENDS) and target.endswith(_KIND_ENDS)
+        ):
+            return None
+        kind, parts = "EDGE", (
+            label and _new(_Token, ("ID", label, start("L"))),
+            _new(_Token, ("REF", source, start("S"))),
+            _new(_Token, ("REF", target, start("T"))),
+            None if guard is None else _new(_Token, ("STRING", guard, start("G") - 1)),
+        )
+    else:
+        x, y, display = m.group("X", "Y", "D")
+        if m["END"] == ";":  # KIND ("store")? (":" STRING)? ";"
+            kind, ok = "STAGE", word in KIND_WORDS and x in (None, "store") and y is None
+        else:  # "machine" ID ("constraint")? (":" STRING)? "{"
+            kind, ok = "HEAD", word == "machine" and x and x not in RESERVED and y in (None, "constraint")
+        if not ok:
+            return None
+        parts = (
+            x and _new(_Token, ("ID", x, start("X"))),
+            y and _new(_Token, ("ID", y, start("Y"))),
+            None if display is None else _new(_Token, ("STRING", display, start("D") - 1)),
+        )
+    return _new(_Statement, (kind, word, start("W"), m.end(), parts))
+
+
 def _lex(
-    text: str, lines: Optional[_Lines] = None
-) -> tuple[list[_Token], list[tuple[int, str]], list[ParseDiagnostic]]:
-    """Tokens, comments as (offset of '#', text) and diagnostics of ``text``.
+    text: str, lines: Optional[_Lines] = None, pos: int = 0, end: Optional[int] = None
+) -> tuple[list, list[tuple[int, str]], list[ParseDiagnostic]]:
+    """Tokens, comments as (offset of '#', text) and diagnostics of ``text``,
+    or of ``text[pos:end]`` if an end is given.
 
     Positions are looked up in ``lines`` (one is made if none is given) only
-    for the diagnostics.  An unspaced dotted reference such as ``A.B.process``
-    is one REF token; one followed by a further '.' is split back into ID and
-    DOT tokens, as are references written with blanks."""
+    for the diagnostics.  In the whole text, a well-formed flow, trigger,
+    stage declaration or machine head is one statement token, and an EOF
+    token comes last.  In a part of it, as in the text of a statement
+    _statement refuses, every token is read on its own, a statement's first
+    word as an ID token.  An unspaced dotted reference such as
+    ``A.B.process`` is one REF token; one followed by a further '.' is split
+    back into ID and DOT tokens, as are references written with blanks."""
     lines = lines or _Lines(text)
-    tokens: list[_Token] = []
+    tokens: list = []
     comments: list[tuple[int, str]] = []
     diagnostics: list[ParseDiagnostic] = []
     append = tokens.append
-    new = tuple.__new__  # skips NamedTuple.__new__'s Python frame
+    new = _new
     match = _MASTER.match
-    pos = 0
-    while (m := match(text, pos)) is not None:
+    stop = len(text) if end is None else end
+    while (m := match(text, pos, stop)) is not None:
         group = m.lastgroup
+        if group == "EDGE" or group == "END":
+            if end is None:
+                pos = m.end()
+                statement = _statement(m)
+                if statement is None:
+                    tokens += _lex(text, lines, m.start("W"), pos)[0]
+                else:
+                    append(statement)
+                continue
+            group = "W"
         start, pos = m.span(group)
-        if group == "ID":
+        if group == "ID" or group == "W":
             append(new(_Token, ("ID", text[start:pos], start)))
         elif group == "REF":
             first = start = m.start("ID")
@@ -296,7 +391,8 @@ def _lex(
                     lines.span(start, 1), "syntax", f"unexpected character {text[start]!r}"
                 )
             )
-    tokens.append(_Token("EOF", "", len(text)))
+    if end is None:
+        append(_Token("EOF", "", len(text)))
     return tokens, comments, diagnostics
 
 
@@ -320,10 +416,8 @@ class _RawMachine:
     children: list["_RawMachine"]
 
 
-@dataclass
-class _RawRef:
-    path: str  # the machine id, e.g. "A.B"
-    kind: ActionKind
+class _RawRef(NamedTuple):
+    text: str  # dotted, ending in a stage kind, e.g. "A.B.process"
     first: _Token  # the reference's first and last tokens, for its span
     last: _Token
 
@@ -343,7 +437,6 @@ class _RawEvent:
     id_tok: _Token
     display: Optional[str]
     time: str
-    time_tok: _Token
     stage_refs: list[_RawRef]
     edge_refs: list[_Token]
     intensity: Optional[str]
@@ -356,8 +449,18 @@ class _RawBehaviorEdge:
     group: Optional[str]
 
 
+class _Skip(Exception):
+    """The statement being read cannot go on: it has been reported, and the
+    parser skips to its end."""
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token], lines: _Lines):
+    """Statement tokens are read where their first word would start the
+    statement.  Wherever else the parser meets one, it first reads the text
+    from there on again token by token (see ``plain``), so it reports and
+    recovers exactly as it does on tokens read one by one."""
+
+    def __init__(self, tokens: list, lines: _Lines):
         self.tokens = tokens
         self.lines = lines
         self.pos = 0
@@ -380,9 +483,20 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str, tok: Optional[_Token] = None, code: str = "syntax") -> None:
-        tok = tok or self.cur
-        self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
+    def plain(self, pos: Optional[int] = None) -> _Token:
+        """The token at ``pos`` (by default the cursor).  If it is a statement
+        token, the text from there on is first read again token by token, so
+        the parser goes on exactly as on tokens read one by one, and a text
+        with many misplaced statements is still read again only once."""
+        pos = self.pos if pos is None else pos
+        tokens, text = self.tokens, self.lines.text
+        if tokens[pos].kind in _STATEMENTS:
+            # the text's own EOF token stays last
+            tokens[pos:] = [*_lex(text, self.lines, tokens[pos].offset, len(text))[0], tokens[-1]]
+        return tokens[pos]
+
+    def error(self, message: str, tok: _Token) -> None:
+        self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), "syntax", message))
 
     def unexpected(self, what: str, tok: _Token) -> None:
         if tok.kind == "REF":  # a dotted name where one name belongs: report its first name
@@ -390,26 +504,41 @@ class _Parser:
         self.error(f"expected {what}, found {tok.value or tok.kind!r}", tok)
 
     def expect(self, kind: str, what: str) -> Optional[_Token]:
-        tok = self.tokens[self.pos]
+        tok = self.plain()
         if tok.kind == kind:  # callers never expect "EOF", so a next token exists
             self.pos += 1
             return tok
         self.unexpected(what, tok)
         return None
 
-    def expect_word(self, word: str) -> bool:
-        if self.at_word(word):
-            self.advance()
-            return True
-        self.unexpected(repr(word), self.cur)
-        return False
+    def need(self, kind: str, what: str) -> _Token:
+        """``expect``, ending the statement if the token is not there."""
+        tok = self.expect(kind, what)
+        if tok is None:
+            raise _Skip
+        return tok
+
+    def need_word(self, word: str) -> None:
+        if not self.at_word(word):
+            self.unexpected(repr(word), self.plain())
+            raise _Skip
+        self.advance()
 
     def at_word(self, word: str) -> bool:
         return self.cur.kind == "ID" and self.cur.value == word
 
+    def option(self, mark: str, what: str) -> Optional[str]:
+        """The STRING after ``mark`` (':' or a word) if the cursor is at the
+        mark; None if it is not, or (reported) if no STRING follows."""
+        if self.cur.value != mark or self.cur.kind == "STRING":
+            return None
+        self.pos += 1
+        tok = self.expect("STRING", what)
+        return tok and tok.value
+
     def sync_statement(self) -> None:
         # one diagnostic per statement: skip to the next ';' or block edge
-        while self.cur.kind not in ("EOF", "SEMI", "RBRACE"):
+        while self.plain().kind not in ("EOF", "SEMI", "RBRACE"):
             self.advance()
         if self.cur.kind == "SEMI":
             self.advance()
@@ -419,34 +548,31 @@ class _Parser:
     def parse_model(self) -> None:
         tokens = self.tokens
         while (tok := tokens[self.pos]).kind != "EOF":
-            word = tok.value if tok.kind == "ID" else ""
-            if word == "machine":
-                machine = self.parse_machine()
-                if machine:
-                    self.machines.append(machine)
-            elif word == "flow":
-                self.parse_edge(dashed=False)
-            elif word == "trigger":
-                self.parse_edge(dashed=True)
-            elif word == "event":
-                self.parse_event()
-            elif word == "behavior":
-                self.parse_behavior()
-            else:
-                self.unexpected("a declaration", tok)
-                self.advance()
+            word = tok.value if tok.kind in _WORDS else ""
+            try:
+                if word == "machine":
+                    self.parse_machine()
+                elif word == "flow" or word == "trigger":
+                    self.parse_edge(dashed=word == "trigger")
+                elif word == "event":
+                    self.parse_event()
+                elif word == "behavior":
+                    self.parse_behavior()
+                else:
+                    self.unexpected("a declaration", self.plain())
+                    self.advance()
+                    raise _Skip
+            except _Skip:
                 self.sync_statement()
 
-    def parse_name(self, what: str) -> Optional[_Token]:
-        tok = self.expect("ID", f"{what} name")
-        if tok is None:
-            return None
+    def parse_name(self, what: str) -> _Token:
+        tok = self.need("ID", f"{what} name")
         if tok.value in RESERVED:
             self.error(f"{tok.value!r} is a reserved word", tok)
-            return None
+            raise _Skip
         return tok
 
-    def parse_machine(self) -> Optional[_RawMachine]:
+    def parse_machine(self) -> None:
         """Parse a machine and the machines nested in it.  The machines whose
         closing brace is still to come are kept on an explicit stack, so the
         nesting depth is not bounded by Python's recursion limit."""
@@ -454,215 +580,152 @@ class _Parser:
         open_machines: list[_RawMachine] = []
         at_head = True  # at a 'machine' keyword
         while True:
-            if at_head:
-                machine = self.parse_machine_head()
-                if machine is not None:
-                    open_machines.append(machine)
-                elif not open_machines:
-                    return None
-            tok = tokens[self.pos]
-            word = tok.value if tok.kind == "ID" else ""
-            at_head = word == "machine"
-            if at_head:
-                continue
-            inner = open_machines[-1]
-            if tok.kind in ("RBRACE", "EOF"):
-                self.expect("RBRACE", "'}'")
-                open_machines.pop()
-                if not open_machines:
-                    return inner
-                open_machines[-1].children.append(inner)
-            elif word in KIND_WORDS:
-                stage = self.parse_stage()
-                if stage:
-                    inner.stages.append(stage)
-            else:
-                self.unexpected("a stage or submachine", tok)
-                self.advance()
+            try:
+                if at_head:
+                    open_machines.append(self.parse_machine_head())
+                tok = tokens[self.pos]
+                word = tok.value if tok.kind in _WORDS else ""
+                at_head = word == "machine"
+                if at_head:
+                    continue
+                inner = open_machines[-1]
+                if tok.kind in ("RBRACE", "EOF"):
+                    self.expect("RBRACE", "'}'")
+                    open_machines.pop()
+                    if not open_machines:
+                        self.machines.append(inner)
+                        return
+                    open_machines[-1].children.append(inner)
+                elif word in KIND_WORDS:
+                    inner.stages.append(self.parse_stage())
+                else:
+                    self.unexpected("a stage or submachine", self.plain())
+                    self.advance()
+                    raise _Skip
+            except _Skip:
                 self.sync_statement()
+                if not open_machines:
+                    return
+                at_head = False
 
-    def parse_machine_head(self) -> Optional[_RawMachine]:
+    def parse_machine_head(self) -> _RawMachine:
         """Parse ``machine ID constraint? (: STRING)? {``."""
-        self.advance()  # 'machine'
+        head = self.advance()  # 'machine'
+        if head.kind == "HEAD":
+            name, constraint, display = head.parts
+            return _RawMachine(name, display and display.value, constraint is not None, [], [])
         name_tok = self.parse_name("machine")
-        if name_tok is None:
-            self.sync_statement()
-            return None
-        constraint = False
-        if self.at_word("constraint"):
-            self.advance()
-            constraint = True
-        display = None
-        if self.cur.kind == "COLON":
-            self.advance()
-            tok = self.expect("STRING", "machine display name")
-            display = tok.value if tok else None
-        if self.expect("LBRACE", "'{'") is None:
-            self.sync_statement()
-            return None
+        constraint = self.at_word("constraint")
+        self.pos += constraint
+        display = self.option(":", "machine display name")
+        self.need("LBRACE", "'{'")
         return _RawMachine(name_tok, display, constraint, [], [])
 
-    def parse_stage(self) -> Optional[_RawStage]:
-        tokens = self.tokens
-        tok = tokens[self.pos]  # a stage kind word
-        self.pos += 1
+    def parse_stage(self) -> _RawStage:
+        tok = self.advance()  # a stage kind word
         kind = KIND_WORDS[tok.value]
-        nxt = tokens[self.pos]
-        store = nxt.kind == "ID" and nxt.value == "store"
-        if store:
-            self.pos += 1
-            nxt = tokens[self.pos]
-        label = None
-        if nxt.kind == "COLON":
-            self.pos += 1
-            lab = self.expect("STRING", "stage label")
-            label = lab.value if lab else None
-        if self.expect("SEMI", "';'") is None:
-            self.sync_statement()
-            return None
+        if tok.kind == "STAGE":
+            store, _, label = tok.parts
+            return _RawStage(kind, store is not None, label and label.value, tok)
+        store = self.at_word("store")
+        self.pos += store
+        label = self.option(":", "stage label")
+        self.need("SEMI", "';'")
         return _RawStage(kind, store, label, tok)
 
-    def parse_ref(self) -> Optional[_RawRef]:
+    def parse_ref(self) -> _RawRef:
         """Parse ``machine.path.kind``: usually one REF token, but any mix of
         ID and REF tokens joined by DOT tokens spells the same reference."""
         tokens = self.tokens
-        first = tokens[self.pos]
+        first = self.plain()
         if first.kind != "REF" and first.kind != "ID":
             self.unexpected("stage reference", first)
-            return None
+            raise _Skip
         pos = self.pos + 1
         last = first
         dotted = first.value
         while tokens[pos].kind == "DOT":  # a DOT is never the final EOF
-            last = tokens[pos + 1]
+            last = self.plain(pos + 1)
             if last.kind != "ID" and last.kind != "REF":
                 self.pos = pos + 1
                 self.unexpected("name or stage kind", last)
-                return None
+                raise _Skip
             dotted += "." + last.value
             pos += 2
         self.pos = pos
         path, _, word = dotted.rpartition(".")
-        kind = KIND_WORDS.get(word) if path else None
-        if kind is None:  # reported on the word itself, the last name of the last token
+        if not path or word not in KIND_WORDS:
+            # reported on the word itself, the last name of the last token
             offset = last.offset + len(last.value) - len(word)
             self.error("a stage reference ends in a stage kind (machine.kind)",
                        _Token("ID", word, offset))
-            return None
-        return _RawRef(path, kind, first, last)
+            raise _Skip
+        return _RawRef(dotted, first, last)
 
     def parse_edge(self, dashed: bool) -> None:
-        tokens = self.tokens
-        head = tokens[self.pos]  # 'flow' | 'trigger'
-        self.pos += 1
+        head = self.advance()  # 'flow' | 'trigger'
+        if head.kind == "EDGE":
+            label_tok, source, target, guard = head.parts
+            self.edges.append(_RawEdge(
+                label_tok, _new(_RawRef, (source.value, source, source)),
+                _new(_RawRef, (target.value, target, target)), guard and guard.value, dashed, head,
+            ))
+            return
         label_tok = None
-        if tokens[self.pos].kind == "ID" and tokens[self.pos + 1].kind == "COLON":
+        if self.plain().kind == "ID" and self.tokens[self.pos + 1].kind == "COLON":
             label_tok = self.parse_name("flow" if not dashed else "trigger")
-            if label_tok is None:
-                self.sync_statement()
-                return
             self.pos += 1  # ':'
         source = self.parse_ref()
-        if source is None:
-            self.sync_statement()
-            return
-        arrow = "DARROW" if dashed else "ARROW"
-        if self.expect(arrow, "'=>'" if dashed else "'->'") is None:
-            self.sync_statement()
-            return
+        self.need("DARROW" if dashed else "ARROW", "'=>'" if dashed else "'->'")
         target = self.parse_ref()
-        if target is None:
-            self.sync_statement()
-            return
-        guard = None
-        tok = tokens[self.pos]
-        if dashed and tok.kind == "ID" and tok.value == "if":
-            self.pos += 1
-            tok = self.expect("STRING", "guard text")
-            guard = tok.value if tok else None
-        if self.expect("SEMI", "';'") is None:
-            self.sync_statement()
-            return
+        guard = self.option("if", "guard text") if dashed else None
+        self.need("SEMI", "';'")
         self.edges.append(_RawEdge(label_tok, source, target, guard, dashed, head))
 
     def parse_event(self) -> None:
         self.advance()  # 'event'
         id_tok = self.parse_name("event")
-        if id_tok is None:
-            self.sync_statement()
-            return
-        display = None
-        if self.cur.kind == "COLON":
-            self.advance()
-            tok = self.expect("STRING", "event name")
-            display = tok.value if tok else None
-        if self.expect("LBRACE", "'{'") is None:
-            self.sync_statement()
-            return
-        if not self.expect_word("time"):
-            self.sync_statement()
-            return
-        time_tok = self.expect("STRING", "time annotation")
-        if time_tok is None or self.expect("SEMI", "';'") is None:
-            self.sync_statement()
-            return
-        if not self.expect_word("region") or self.expect("LBRACE", "'{'") is None:
-            self.sync_statement()
-            return
+        display = self.option(":", "event name")
+        self.need("LBRACE", "'{'")
+        self.need_word("time")
+        time = self.need("STRING", "time annotation").value
+        self.need("SEMI", "';'")
+        self.need_word("region")
+        self.need("LBRACE", "'{'")
         stage_refs: list[_RawRef] = []
         edge_refs: list[_Token] = []
-        while self.cur.kind not in ("RBRACE", "EOF"):
-            if self.at_word("edge"):
-                self.advance()
-                tok = self.expect("ID", "edge id")
-                if tok:
-                    edge_refs.append(tok)
-            else:
-                ref = self.parse_ref()
-                if ref is None:
-                    break
-                stage_refs.append(ref)
-        if self.expect("RBRACE", "'}'") is None:
-            self.sync_statement()
-            return
+        try:
+            while self.cur.kind not in ("RBRACE", "EOF"):
+                if self.at_word("edge"):
+                    self.advance()
+                    tok = self.expect("ID", "edge id")
+                    if tok:
+                        edge_refs.append(tok)
+                else:
+                    stage_refs.append(self.parse_ref())
+        except _Skip:
+            pass
+        self.need("RBRACE", "'}'")
         if not stage_refs and not edge_refs:
             self.error("region must reference at least one stage", id_tok)
         intensity = None
         if self.at_word("intensity"):
-            self.advance()
-            tok = self.expect("STRING", "intensity text")
-            intensity = tok.value if tok else None
+            intensity = self.option("intensity", "intensity text")
             self.expect("SEMI", "';'")
-        if self.expect("RBRACE", "'}'") is None:
-            self.sync_statement()
-            return
-        self.events.append(
-            _RawEvent(id_tok, display, time_tok.value, time_tok, stage_refs, edge_refs, intensity)
-        )
+        self.need("RBRACE", "'}'")
+        self.events.append(_RawEvent(id_tok, display, time, stage_refs, edge_refs, intensity))
 
     def parse_behavior(self) -> None:
         self.behavior_toks.append(self.advance())  # 'behavior'
-        if self.expect("LBRACE", "'{'") is None:
-            self.sync_statement()
-            return
+        self.need("LBRACE", "'{'")
         while self.cur.kind not in ("RBRACE", "EOF"):
-            from_tok = self.expect("ID", "event id")
-            if from_tok is None:
-                self.sync_statement()
-                continue
-            if self.expect("ARROW", "'->'") is None:
-                self.sync_statement()
-                continue
-            to_tok = self.expect("ID", "event id")
-            if to_tok is None:
-                self.sync_statement()
-                continue
-            group = None
-            if self.at_word("excl"):
-                self.advance()
-                tok = self.expect("STRING", "exclusion group")
-                group = tok.value if tok else None
-            if self.expect("SEMI", "';'") is None:
+            try:
+                from_tok = self.need("ID", "event id")
+                self.need("ARROW", "'->'")
+                to_tok = self.need("ID", "event id")
+                group = self.option("excl", "exclusion group")
+                self.need("SEMI", "';'")
+            except _Skip:
                 self.sync_statement()
                 continue
             self.behavior_edges.append(_RawBehaviorEdge(from_tok, to_tok, group))
@@ -679,6 +742,8 @@ class _Resolver:
         self.raw_comments = comments
         self.diagnostics = list(parser.diagnostics)
         self.ids: dict[str, _Token] = {}
+        # each stage id to itself: the string its Stage holds, for flows to share
+        self.stage_ids: dict[str, str] = {}
         # (offset of a declaration's first token, element id) in declaration
         # order; only read, as line numbers, when comments are attached
         self.keys: list[tuple[int, str]] = []
@@ -700,7 +765,7 @@ class _Resolver:
 
         flows: list[Flow] = []
         triggers: list[Trigger] = []
-        auto_f, auto_t = 1, 1
+        auto = {"f": 1, "t": 1}  # the next number to try for an unlabeled edge
         for raw in self.p.edges:
             src = self.resolve_ref(model_for_refs, raw.source)
             dst = self.resolve_ref(model_for_refs, raw.target)
@@ -710,15 +775,11 @@ class _Resolver:
                     continue
             else:
                 prefix = "t" if raw.dashed else "f"
-                counter = auto_t if raw.dashed else auto_f
-                while f"{prefix}{counter}" in self.ids:
-                    counter += 1
-                edge_id = f"{prefix}{counter}"
+                while f"{prefix}{auto[prefix]}" in self.ids:
+                    auto[prefix] += 1
+                edge_id = f"{prefix}{auto[prefix]}"
+                auto[prefix] += 1
                 self.ids[edge_id] = raw.tok
-                if raw.dashed:
-                    auto_t = counter + 1
-                else:
-                    auto_f = counter + 1
             if src is None or dst is None:
                 continue
             if src == dst:
@@ -788,21 +849,19 @@ class _Resolver:
                 continue
             self.keys.append((raw.name_tok.offset, mid))
             stages = []
-            kinds_seen: set[ActionKind] = set()
             for raw_stage in raw.stages:
-                if raw_stage.kind in kinds_seen:
+                word = raw_stage.tok.value  # the stage's kind
+                sid = f"{mid}.{word}"
+                if sid in self.stage_ids:
                     self.error(
-                        raw_stage.tok,
-                        "duplicate-id",
-                        f"machine {mid!r} already has a {raw_stage.kind.value} stage",
+                        raw_stage.tok, "duplicate-id", f"machine {mid!r} already has a {word} stage"
                     )
                     continue
-                kinds_seen.add(raw_stage.kind)
-                sid = f"{mid}.{raw_stage.kind.value}"
                 self.ids[sid] = raw_stage.tok
+                self.stage_ids[sid] = sid
                 self.keys.append((raw_stage.tok.offset, sid))
                 stages.append(Stage(sid, raw_stage.kind, mid, raw_stage.store, raw_stage.label))
-            if raw.constraint and ActionKind.PROCESS not in kinds_seen:
+            if raw.constraint and f"{mid}.process" not in self.stage_ids:
                 self.error(raw.name_tok, "invalid", f"constraint machine {mid!r} needs a process stage")
             order.append((raw, mid, parent, tuple(stages)))
             todo += [(child, len(order) - 1) for child in reversed(raw.children)]
@@ -824,24 +883,17 @@ class _Resolver:
         return tuple(reversed(roots))
 
     def resolve_ref(self, model: StaticModel, ref: _RawRef) -> Optional[str]:
-        mid = ref.path
-        machine = model.machines_by_id.get(mid)
-        if machine is None:
-            self.diagnostics.append(
-                ParseDiagnostic(self.ref_span(ref), "unresolved-ref", f"unknown machine {mid!r}")
-            )
-            return None
-        stage = machine.stage_of(ref.kind)
-        if stage is None:
-            self.diagnostics.append(
-                ParseDiagnostic(
-                    self.ref_span(ref),
-                    "unresolved-ref",
-                    f"machine {mid!r} has no {ref.kind.value} stage",
-                )
-            )
-            return None
-        return stage.id
+        """The stage id ``ref`` names, looked up by its dotted text."""
+        sid = self.stage_ids.get(ref.text)
+        if sid is not None:
+            return sid
+        mid, _, kind = ref.text.rpartition(".")
+        if mid in model.machines_by_id:
+            message = f"machine {mid!r} has no {kind} stage"
+        else:
+            message = f"unknown machine {mid!r}"
+        self.diagnostics.append(ParseDiagnostic(self.ref_span(ref), "unresolved-ref", message))
+        return None
 
     def ref_span(self, ref: _RawRef) -> SourceSpan:
         """From the reference's first character to its last, the length

@@ -3,6 +3,13 @@
 The document object carries ``machines`` (nested), ``flows``, ``triggers``,
 ``events``, and ``behavior`` with the same field names as the domain types.
 Keys serialize alphabetically and lists sort by id, so byte output is stable.
+
+Writing has no depth limit, but reading does: the standard library's JSON
+decoder recurses once per nested array or object, two per machine level,
+and (before Python 3.12) against the interpreter's recursion limit, so
+Python 3.11 reads machines nested up to roughly 490 deep.  A deeper document
+is rejected with a JsonFormatError that says so; the model text (``.tm``)
+form has no such limit.
 """
 
 from __future__ import annotations
@@ -214,7 +221,12 @@ def document_from_json(
 ) -> tuple[StaticModel, tuple[Event, ...], BehavioralModel]:
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+    except RecursionError as exc:
+        raise JsonFormatError(
+            "the document nests deeper than this Python's JSON decoder reads"
+            " (model text has no such limit)"
+        ) from exc
+    except ValueError as exc:  # covers JSONDecodeError
         raise JsonFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise JsonFormatError("expected a JSON object")

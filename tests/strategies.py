@@ -6,9 +6,12 @@ constrained to at most one stage per machine originating inter-machine flows
 expansions to full five-stage form.  `activity_graphs` generates the strict
 activity subset the importer round-trips: single initial and final, fan-ins
 through merges, decisions with two or more guarded action successors.
+`mutated_texts` prints a document and breaks the shape of its statements.
 """
 
 from __future__ import annotations
+
+import re
 
 from hypothesis import strategies as st
 
@@ -28,6 +31,7 @@ from tmkit import (
     Trigger,
     expand,
     induced_region,
+    print_model,
 )
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
@@ -191,6 +195,54 @@ def documents(draw, max_machines: int = 4):
             edges.append(BehaviorEdge(src, dst, group))
     behavior = BehavioralModel.build(event_ids, edges)
     return model, tuple(events), behavior
+
+
+def _at_random(pattern: str, replacement):
+    """A mutation replacing one match of `pattern`, picked by the given
+    random source, by `replacement`: a template or a function of the match."""
+    regex = re.compile(pattern, re.M)
+
+    def mutate(text: str, rng) -> str:
+        matches = list(regex.finditer(text))
+        if not matches:
+            return text
+        m = rng.choice(matches)
+        new = replacement(m) if callable(replacement) else m.expand(replacement)
+        return text[: m.start()] + new + text[m.end() :]
+
+    return mutate
+
+
+# Each breaks the shape the lexer reads as one statement token, or moves a
+# statement where it does not belong.
+STATEMENT_MUTATIONS = {
+    "comment inside": _at_random(r" (?=\S)", " # note\n"),
+    "line break inside": _at_random(r" (?=\S)", "\n"),
+    "spaced reference": _at_random(r"(?<=\w)\.(?=\w)", " . "),
+    "reserved label": _at_random(r"(?<=^flow )\w+(?=:)|(?<=^trigger )\w+(?=:)", "create"),
+    "reserved machine name": _at_random(r"(?<=machine )\w+", "flow"),
+    "non-kind last segment": _at_random(r"(?<=\.)(?:create|process|release|transfer|receive)\b",
+                                        "bogus"),
+    "swapped arrow": _at_random(r"[-=]>", lambda m: "=>" if m.group() == "->" else "->"),
+    "guard on a flow": _at_random(r"^(flow [^;\n]*);", r'\1 if "g";'),
+    "escape in a string": _at_random(r'"(?=[^"\n]*";)', lambda m: '"\\t'),
+    "missing semicolon": _at_random(r";", ""),
+    "stage at top level": _at_random(r"^(?=machine |flow |event )", "process;\n"),
+    "flow in a machine": _at_random(r"(?<=\{)\n(?=  )", "\nflow g: a.create -> b.process;\n"),
+    "machine head in an event": _at_random(r"(?<=region \{)", " machine Z { "),
+}
+
+
+@st.composite
+def mutated_texts(draw, max_machines: int = 4) -> str:
+    """The canonical text of a `documents` draw after up to three
+    `STATEMENT_MUTATIONS`."""
+    model, events, behavior = draw(documents(max_machines))
+    text = print_model(model, events, behavior)
+    rng = draw(st.randoms(use_true_random=False))
+    for name in draw(st.lists(st.sampled_from(sorted(STATEMENT_MUTATIONS)), max_size=3)):
+        text = STATEMENT_MUTATIONS[name](text, rng)
+    return text
 
 
 @st.composite

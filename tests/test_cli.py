@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
 import json
+import re
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+
+from strategies import mutated_texts
 
 from tmkit import (
     ActionKind,
@@ -126,6 +131,13 @@ def test_trace_accepts_json_file(capsys):
     trace_file = corpus_dir() / "traces" / "ok_not_dangerous.json"
     status = run(["trace", str(mentcare_path()), "--trace", f"@{trace_file}"])
     assert status == 0
+
+
+def test_trace_file_nested_past_the_decoder_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert run(["trace", str(mentcare_path()), "--trace", f"@{path}"]) == 2
+    assert capsys.readouterr().err == "trace file nests deeper than this Python's JSON decoder reads\n"
 
 
 def test_empty_trace_is_usage_error(capsys):
@@ -349,3 +361,31 @@ def test_no_public_function_recurses_once_per_nesting_level():
     # level, and before Python 3.12 counts against the same limit, so the
     # document is read back under the usual one.
     assert document_to_json(*document_from_json(document)) == document
+
+
+# -- grammar-aware fuzzing -------------------------------------------------------
+
+FUZZ_COMMANDS = [["check"], ["check", "--simplified"], ["fmt"], ["simplify"], ["expand"],
+                 ["export-uml"], ["events"], ["trace", "--trace", "E1,E2"], ["render"],
+                 ["render", "--behavior"], ["render", "--highlight", "E1"], ["import-uml"],
+                 ["import-uml", "--full"]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(mutated_texts())
+def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tm"
+    path.write_text(text, encoding="utf-8")
+    # stderr holds diagnostics, one a line, or one line of another message
+    diagnostic = re.compile(
+        rf"{re.escape(str(path))}:\d+:\d+: (syntax|duplicate-id|unresolved-ref|invalid): \S"
+        r"|(ERROR|WARNING) V\d \S"
+    )
+    for json_flag in ([], ["--json"]):
+        for command in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = run([command[0], str(path), *command[1:], *json_flag])
+            assert status in (0, 1, 2)
+            lines = err.getvalue().splitlines()
+            assert len(lines) <= 1 or all(diagnostic.match(line) for line in lines), (command, lines)

@@ -156,3 +156,39 @@ def test_detention_walkthrough_flows_present(mentcare):
     assert ("DangerAssessment.transfer", "PoliceStation.transfer") in pairs
     assert ("DetaineeInfo.transfer", "SocialServices.transfer") in pairs
     assert ("InfoSystem.receive", "InfoSystem.process") in pairs
+
+
+# -- the pipeline demo script ----------------------------------------------------
+
+
+def _pipeline_demo():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "pipeline_demo.py"
+    spec = importlib.util.spec_from_file_location("pipeline_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pipeline_demo_exits_zero_on_the_corpus(capsys):
+    assert _pipeline_demo().main() == 0
+    assert "FAILED" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failure",
+    [
+        ("conform", lambda trace, behavior: conform(trace[::-1], behavior),
+         "FAILED: trace bad_dangerous_then_not.json: expected conforms=False, violation_index=4"),
+        ("model_isomorphic", lambda a, b: False,
+         "FAILED: expand does not restore the full form"),
+        ("has_errors", lambda diags: True, "FAILED: validation reports errors"),
+    ],
+)
+def test_pipeline_demo_exits_one_on_a_wrong_answer(monkeypatch, capsys, name, wrong, failure):
+    demo = _pipeline_demo()
+    monkeypatch.setattr(demo, name, wrong)
+    assert demo.main() == 1
+    assert failure in capsys.readouterr().out.splitlines()

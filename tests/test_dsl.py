@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import documents
+from strategies import documents, mutated_texts
 from test_model import two_machine_chain
 from tmkit import (
     BehavioralModel,
@@ -397,12 +397,30 @@ def char_lex(text):
     return tokens, comments, diagnostics
 
 
+def expand(tokens, lines):
+    """`tokens` with each statement token replaced by the tokens `_lex`
+    reads from its text one by one."""
+    return [
+        plain
+        for tok in tokens
+        for plain in (
+            dsl._lex(lines.text, lines, tok.offset, tok.end)[0]
+            if tok.kind in dsl._STATEMENTS
+            else [tok]
+        )
+    ]
+
+
 def lex_as_char_lex_did(text):
     """Run `dsl._lex` and restate its output the way `char_lex` reported it.
 
     `_lex` gives each token its offset, where `char_lex` gave a line and
-    column, and makes one REF token of an unspaced dotted reference, where
-    `char_lex` made ID and DOT tokens; both are restated here.
+    column; makes one statement token of a well-formed flow, trigger, stage
+    declaration or machine head, where `char_lex` made a token of each word
+    and mark; and makes one REF token of an unspaced dotted reference, where
+    `char_lex` made ID and DOT tokens.  All three are restated here, the
+    statement tokens by `expand` (whose tokens are checked against the
+    statement tokens' parts by `test_statement_tokens_carry_the_tokens_of_their_text`).
     The character lexer had three position faults.  It counted an escaped
     newline inside a string as two columns instead of a line break; it moved
     the EOF token two columns on from a final one-character punctuation mark,
@@ -415,6 +433,7 @@ def lex_as_char_lex_did(text):
     back too.
     """
     tokens, comments, diagnostics = dsl._lex(text)
+    tokens = expand(tokens, dsl._Lines(text))
     line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
     escaped = sorted(
         line_starts[d.span.line - 1] + d.span.column  # the newline after the backslash
@@ -596,3 +615,156 @@ def test_a_comment_goes_to_the_last_element_declared_on_the_next_line():
     # machines are declared before flows, and a machine before its stages
     text = "# about A\nmachine A { create; }\n# about f\nflow A.create -> B.process; machine B { process; }\n"
     assert parse(text).comments.items == {"A.create": ("about A",), "f1": ("about f",)}
+
+
+# -- statements as one token ------------------------------------------------------
+
+
+def test_well_formed_statements_are_one_token_each():
+    text = (
+        'machine A constraint : "a" {\n  create store : "made";\n  process;\n'
+        "  machine B { receive; }\n}\n"
+        "flow A.create -> A.process;\nflow f: A.process->A.B.receive;\n"
+        'trigger t1: A.B.receive => A.process if "ok";\ntrigger A.process => A.create;\n'
+    )
+    tokens = dsl._lex(text)[0]
+    assert [t.kind for t in tokens] == ["HEAD", "STAGE", "STAGE", "HEAD", "STAGE", "RBRACE",
+                                        "RBRACE", "EDGE", "EDGE", "EDGE", "EDGE", "EOF"]
+    head, stage = tokens[:2]
+    assert (head.value, head.offset, head.end) == ("machine", 0, text.index("{") + 1)
+    assert [p and (p.kind, p.value) for p in head.parts] == [
+        ("ID", "A"), ("ID", "constraint"), ("STRING", "a")]
+    assert [p and (p.kind, p.value) for p in stage.parts] == [
+        ("ID", "store"), None, ("STRING", "made")]
+    assert parse_or_raise(text).model.triggers[0].guard == "ok"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "flow A.create # note\n -> B.process;",  # a comment inside
+        "flow A . create -> B.process;",  # a spaced reference
+        "flow A.create -> B.process",  # no ';'
+        "flow create: A.create -> B.process;",  # a reserved label
+        "flow A.create -> B.bogus;",  # a last part that is no stage kind
+        "flow A.bogus -> B.process;",
+        "flow A.create => B.process;",  # the trigger's arrow on a flow
+        "trigger A.create -> B.process;",  # and the flow's on a trigger
+        'flow A.create -> B.process if "g";',  # a guard on a flow
+        'trigger A.create => B.process iff "g";',
+        'trigger A.create => B.process if "a\\tb";',  # an escape in the guard
+        "flows A.create -> B.process;",
+        "machine flow {",  # a reserved machine name
+        "machine A constraints {",
+        "machine A.b {",
+        "machine {",
+        'machine A : "unterminated {',
+        "create stored;",
+        "create store store;",
+        "creates;",
+        'create : "a\\"b";',  # an escape in the label
+        "create {",
+    ],
+)
+def test_other_statement_texts_are_read_token_by_token(text):
+    tokens = dsl._lex(text)[0]
+    assert not any(t.kind in dsl._STATEMENTS for t in tokens)
+    assert lex_as_char_lex_did(text) == char_lex(text)
+
+
+_STATEMENT_PIECES = _LEX_PIECES + (
+    "flow", "trigger", "machine", "create", "process", "store", "constraint", "if", "=>", ":",
+    "A.b.create", "B.process", "A.bogus", "f1", " x ", '"g"', "flow f: A.create -> B.process;",
+    "trigger A.process => B.create if \"g\";", "create store;", 'process : "p";', "machine M {",
+)
+_TEXTS = (
+    mutated_texts()
+    | st.lists(st.sampled_from(_STATEMENT_PIECES), max_size=30).map("".join)
+    | st.text(alphabet=_LEX_ALPHABET, max_size=40)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+def test_statement_tokens_carry_the_tokens_of_their_text(text):
+    lines = dsl._Lines(text)
+    for tok in dsl._lex(text, lines)[0]:
+        if tok.kind not in dsl._STATEMENTS:
+            continue
+        plain = expand([tok], lines)
+        assert (plain[0].kind, plain[0].value, plain[0].offset) == ("ID", tok.value, tok.offset)
+        assert plain[-1].offset + 1 == tok.end and plain[-1].kind in ("SEMI", "LBRACE")
+        words = [t for t in plain[1:] if t.kind in ("ID", "REF", "STRING") and t.value != "if"]
+        assert [p for p in tok.parts if p is not None] == words
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXTS)
+def test_parse_reads_statement_tokens_as_their_tokens(text):
+    lines = dsl._Lines(text)
+    tokens, comments, diagnostics = dsl._lex(text, lines)
+    parser = dsl._Parser(expand(tokens, lines), lines)
+    parser.diagnostics.extend(diagnostics)
+    parser.parse_model()
+    # model, events, behavior, comments and every diagnostic's code, message
+    # and span
+    assert parse(text) == dsl._Resolver(parser, comments).resolve()
+
+
+@pytest.mark.parametrize(
+    "text, messages",
+    [
+        # a statement token where its statement does not belong is reported
+        # and skipped as its tokens are
+        ("create;\nmachine A { create; }", ["1:1: syntax: expected a declaration, found 'create'"]),
+        ("machine A { create; flow A.create -> A.process; process; }",
+         ["1:21: syntax: expected a stage or submachine, found 'flow'"]),
+        ('machine A { create; }\nevent E { time "t"; region { machine B { A.create } } }',
+         ["2:30: syntax: a stage reference ends in a stage kind (machine.kind)",
+          "2:38: syntax: expected '}', found 'B'",
+          "2:51: syntax: expected a declaration, found '}'",
+          "2:53: syntax: expected a declaration, found '}'",
+          "2:55: syntax: expected a declaration, found '}'"]),
+        ('machine A { create; }\nflow create : "x";', ["2:6: syntax: 'create' is a reserved word"]),
+        ('machine A { create; }\nflow # c\ncreate : "x";', ["3:1: syntax: 'create' is a reserved word"]),
+        ("machine A { create; }\nflow A.bogus -> A.create;",
+         ["2:8: syntax: a stage reference ends in a stage kind (machine.kind)"]),
+        ("machine A { create; process; }\nflow A. process;", ["2:16: syntax: expected '->', found ';'"]),
+        ('machine A { create; }\nevent E { time "t"; region { A.create } }\nbehavior { E -> process; }',
+         ["3:17: unresolved-ref: unknown event 'process'"]),
+        ("machine A.b { create; }", ["1:9: syntax: expected machine name, found 'A'",
+                                      "1:23: syntax: expected a declaration, found '}'"]),
+        ("machine A { machine B {\ntrigger A.create => A.B.process;",
+         ["2:1: syntax: expected a stage or submachine, found 'trigger'",
+          "2:33: syntax: expected '}', found 'EOF'", "2:33: syntax: expected '}', found 'EOF'"]),
+    ],
+)
+def test_misplaced_statements_are_reported_as_their_tokens(text, messages):
+    assert [str(d) for d in parse(text).diagnostics] == messages
+
+
+@pytest.mark.parametrize(
+    "text, messages",
+    [
+        # a string that reads like ':' or a keyword is no mark
+        ('machine A ":" { create; }', ["1:11: syntax: expected '{', found ':'",
+                                      "1:25: syntax: expected a declaration, found '}'"]),
+        ('machine A { create ":" "x"; }', ["1:20: syntax: expected ';', found ':'"]),
+        ('machine A { create; process; }\ntrigger A.create => A.process "if" "g";',
+         ["2:31: syntax: expected ';', found 'if'"]),
+        ('machine A { create; }\nevent E1 { time "t"; region { A.create } }\n'
+         'event E2 { time "t"; region { A.create } }\nbehavior { E1 -> E2 "excl" "g"; }',
+         ["4:21: syntax: expected ';', found 'excl'"]),
+    ],
+)
+def test_a_string_is_never_a_mark(text, messages):
+    assert [str(d) for d in parse(text).diagnostics] == messages
+
+
+def test_a_reference_that_names_no_stage_is_reported_on_its_text():
+    text = "machine A { create; machine B { process; } }\nflow A.create -> A.B.receive;\n" \
+           "flow A.create -> A.C.process;\nflow f: A.create->A.B.process;\n"
+    assert [str(d) for d in parse(text).diagnostics] == [
+        "2:18: unresolved-ref: machine 'A.B' has no receive stage",
+        "3:18: unresolved-ref: unknown machine 'A.C'",
+    ]

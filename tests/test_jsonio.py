@@ -280,3 +280,24 @@ def test_any_json_value_is_read_or_rejected_with_a_toolkit_error(tmp_path_factor
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for command in ("check", "import-uml"):
             assert run([command, str(path)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("depth", [300, 1200])
+def test_deep_documents_round_trip_or_are_refused_as_too_deep(tmp_path, capsys, depth):
+    from test_cli import _nest_text
+
+    nest, doc = tmp_path / "nest.tm", tmp_path / "nest.json"
+    nest.write_text(_nest_text(depth), encoding="utf-8")
+    assert run(["fmt", "--json", str(nest), "-o", str(doc)]) == 0
+    status = run(["check", str(doc)])
+    err = capsys.readouterr().err
+    assert "not valid JSON" not in err
+    # how deep the decoder reads depends on the Python version and the stack
+    if status == 0 or depth == 300:
+        assert status == 0
+        text = doc.read_text(encoding="utf-8")
+        assert document_to_json(*document_from_json(text)) == text
+    else:
+        assert status == 1
+        assert err == (f"{doc}: the document nests deeper than this Python's JSON decoder"
+                       " reads (model text has no such limit)\n")
