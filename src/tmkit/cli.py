@@ -10,13 +10,13 @@ serialization to canonical JSON.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import behavior as behavior_ops
-from . import dsl, jsonio, render, transform, uml, validate
+# Each command imports the other modules it runs where it runs them, so a
+# `tmkit` run loads and compiles only those.
+from . import dsl, validate
 from .model import BehavioralModel, GATE_KINDS, StaticModel, TmError
 
 
@@ -49,6 +49,8 @@ def _load(path: str):
     sniffed: a JSON document starts with '{', anything else is model text."""
     text = _read(path)
     if text.lstrip().startswith("{"):
+        from . import jsonio
+
         try:
             model, events, behav = jsonio.document_from_json(text)
         except TmError as exc:
@@ -63,12 +65,16 @@ def _load(path: str):
 
 def _dump(model, events, behav, comments, json_mode: bool) -> str:
     if json_mode:
+        from . import jsonio
+
         return jsonio.document_to_json(model, events, behav)
     return dsl.print_model(model, events, behav, comments)
 
 
 def _parse_trace(spec: str) -> list[str]:
     if spec.startswith("@"):
+        import json
+
         raw = _read(spec[1:])
         try:
             data = json.loads(raw)
@@ -143,6 +149,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     command = args.command
 
     if command == "import-uml":
+        from . import transform, uml
+
         graph = uml.activity_from_json(_read(args.file))
         model = uml.import_activity(graph)
         if args.full:
@@ -167,18 +175,24 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if command == "simplify":
+        from . import transform
+
         _require_clean(model, mode="full")
         simplified = transform.simplify(model)
         _write_out(_dump(simplified, (), None, None, args.json), args.output)
         return 0
 
     if command == "expand":
+        from . import transform
+
         _require_clean(model, mode="simplified")
         expanded = transform.expand(model)
         _write_out(_dump(expanded, (), None, None, args.json), args.output)
         return 0
 
     if command == "export-uml":
+        from . import transform, uml
+
         if any(s.kind in GATE_KINDS for s in model.all_stages()):
             _require_clean(model, mode="full")
             model = transform.simplify(model)
@@ -187,6 +201,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if command == "events":
+        from . import behavior as behavior_ops
+
         diags = validate.validate_events(model, events)
         for diag in diags:
             print(str(diag), file=sys.stderr)
@@ -198,6 +214,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if command == "trace":
+        from . import behavior as behavior_ops
+
         trace = _parse_trace(args.trace)
         if not trace:
             raise _Failure(2, "the trace must contain at least one event id")
@@ -218,11 +236,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 1
 
     if command == "render":
+        from . import render
+
         if args.behavior:
             _write_out(render.render_behavior(behav or BehavioralModel(), events), args.output)
             return 0
         highlight = None
         if args.highlight is not None:
+            from . import behavior as behavior_ops
+
             chosen = next((e for e in events if e.id == args.highlight), None)
             if chosen is None:
                 raise _Failure(2, f"no event named {args.highlight!r} in {args.file}")

@@ -168,7 +168,11 @@ def activity_to_json(graph: ActivityGraph) -> str:
 def activity_from_json(text: str) -> ActivityGraph:
     try:
         doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+    except RecursionError as exc:
+        raise ActivityError(
+            "the activity graph nests deeper than this Python's JSON decoder reads"
+        ) from exc
+    except ValueError as exc:  # covers JSONDecodeError
         raise ActivityError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ActivityError("expected an object with 'nodes' and 'edges'")

@@ -1,0 +1,125 @@
+"""What `import tmkit` and each `tmkit` command line load, and the package's
+public surface under lazy loading."""
+
+from __future__ import annotations
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tmkit
+from tmkit.cli import run
+from tmkit.corpus import corpus_dir, mentcare_path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one command line through `cli.run`, output to a file, and prints its
+# status, whether `json` was imported, and every tmkit module loaded.
+_PROBE = (
+    "import sys\n"
+    "from tmkit.cli import run\n"
+    "status = run(sys.argv[1:])\n"
+    "print(status, 'json' in sys.modules,"
+    " *sorted(m for m in sys.modules if m.split('.')[0] == 'tmkit'))\n"
+)
+
+
+def _fresh(*args: str) -> str:
+    """stdout of a fresh `python -B` that imports tmkit from this source tree."""
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-B", *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+BASE = {"tmkit", "tmkit.cli", "tmkit.model", "tmkit.dsl", "tmkit.validate"}
+UML = {"tmkit.uml", "tmkit.transform", "tmkit.jsonio"}  # uml imports both
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory) -> dict[str, Path]:
+    """The corpus files, and the corpus model as canonical JSON and simplified."""
+    tmp = tmp_path_factory.mktemp("inputs")
+    paths = {"tm": mentcare_path(), "json": tmp / "m.json", "simplified": tmp / "s.tm",
+             "act": corpus_dir() / "mentcare.act.json",
+             "trace": corpus_dir() / "traces" / "ok_police_path.json"}
+    assert run(["fmt", "--json", str(paths["tm"]), "-o", str(paths["json"])]) == 0
+    assert run(["simplify", str(paths["tm"]), "-o", str(paths["simplified"])]) == 0
+    return paths
+
+
+COMMANDS = [
+    (["check", "{tm}"], 0, set(), False),
+    (["check", "{tm}", "--simplified"], 1, set(), False),
+    (["fmt", "{tm}"], 0, set(), False),
+    (["fmt", "{tm}", "--json"], 0, {"tmkit.jsonio"}, True),
+    (["check", "{json}"], 0, {"tmkit.jsonio"}, True),
+    (["render", "{tm}"], 0, {"tmkit.render"}, False),
+    (["render", "{tm}", "--behavior"], 0, {"tmkit.render"}, False),
+    (["render", "{tm}", "--highlight", "E5"], 0, {"tmkit.render", "tmkit.behavior"}, False),
+    (["events", "{tm}"], 0, {"tmkit.behavior"}, False),
+    (["trace", "{tm}", "--trace", "E1,E2"], 0, {"tmkit.behavior"}, False),
+    (["trace", "{tm}", "--trace", "@{trace}"], 0, {"tmkit.behavior"}, True),
+    (["simplify", "{tm}"], 0, {"tmkit.transform"}, False),
+    (["expand", "{simplified}"], 0, {"tmkit.transform"}, False),
+    (["export-uml", "{tm}"], 0, UML, True),
+    (["import-uml", "{act}", "--full"], 0, UML, True),
+]
+
+
+@pytest.mark.parametrize("argv, status, extra, json_loaded", COMMANDS,
+                         ids=[" ".join(argv) for argv, *_ in COMMANDS])
+def test_each_command_loads_only_the_modules_it_runs(
+    inputs, tmp_path, argv, status, extra, json_loaded
+):
+    argv = [a.format(**inputs) for a in argv] + ["-o", str(tmp_path / "out")]
+    got_status, got_json, *modules = _fresh("-c", _PROBE, *argv).split()
+    assert (int(got_status), got_json) == (status, str(json_loaded))
+    assert set(modules) == BASE | extra
+
+
+def test_import_tmkit_loads_no_submodule():
+    out = _fresh("-c", "import sys, tmkit; print(*sorted(m for m in sys.modules"
+                       " if m.split('.')[0] == 'tmkit'))")
+    assert out.split() == ["tmkit"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    assert len(set(tmkit.__all__)) == len(tmkit.__all__) == 61
+    assert "induced_region" in tmkit.__all__
+    for name in tmkit.__all__:
+        home = importlib.import_module(f"tmkit.{tmkit._HOME[name]}")
+        value = getattr(tmkit, name)
+        assert value is getattr(home, name)
+        # classes and functions live where the table says they do
+        assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from tmkit import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(tmkit.__all__)
+    assert all(namespace[name] is getattr(tmkit, name) for name in tmkit.__all__)
+
+
+def test_dir_lists_the_public_names():
+    assert set(tmkit.__all__) <= set(dir(tmkit))
+    assert "__version__" in dir(tmkit)
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        tmkit.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from tmkit import no_such_name", {})
+
+
+def test_submodules_resolve_as_attributes_and_by_from_import():
+    out = _fresh("-c", "import tmkit; from tmkit import render; import tmkit.jsonio\n"
+                       "print(tmkit.uml.__name__, render.__name__, tmkit.jsonio.__name__)")
+    assert out.split() == ["tmkit.uml", "tmkit.render", "tmkit.jsonio"]

@@ -24,6 +24,8 @@ from tmkit import (
     parse_or_raise,
     validate_static,
 )
+from tmkit.cli import run
+from tmkit.uml import ActivityError
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
 
@@ -259,3 +261,14 @@ def test_repeated_labels_number_their_machines_in_order():
     assert sorted((m.id, m.name) for m in model.all_machines()) == [
         ("Check", "Check"), ("Check2", "Check"), ("Check22", "Check2"), ("Check3", "Check")
     ]
+
+
+def test_too_deep_activity_json_is_one_line_activity_error(tmp_path, capsys):
+    message = "the activity graph nests deeper than this Python's JSON decoder reads"
+    with pytest.raises(ActivityError) as info:
+        activity_from_json("[" * 100000)
+    assert str(info.value) == message
+    act = tmp_path / "deep.act.json"
+    act.write_text("[" * 100000, encoding="utf-8")
+    assert run(["import-uml", str(act)]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
