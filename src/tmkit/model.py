@@ -4,13 +4,20 @@ A model is a tree (or forest) of machines.  Every machine owns at most one
 stage per action kind; solid flows and dashed (optionally guarded) triggers
 connect stages across the whole model.  All types are immutable; operations
 are pure functions.
+
+Because a model never changes, it walks its machine trees once: the first
+query builds a preorder index of its machines and their stages, which
+`all_machines`, `all_stages`, the id lookups and `check_model` all read.  It
+is checked once too: `StaticModel.problems` keeps what `check_model` found,
+`StaticModel.build` raises from it and `validate_static` reports it, so a
+built model is not checked again.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
@@ -157,18 +164,38 @@ class StaticModel:
         """Normalize parent links and reject any invariant violation."""
         normalized = build_trees(machines, submachines_of, _relink)
         model = cls(machines=normalized, flows=tuple(flows), triggers=tuple(triggers))
-        _raise_problems(check_model(model))
+        _raise_problems(model.problems())
         return model
 
-    # -- derived lookups (model is immutable, so caching is safe) --
+    # -- derived state (model is immutable, so caching is safe); the index and
+    # the problems sit in the instance dict, read directly, which is cheaper
+    # than a cached_property on the small models most calls see
+
+    def _index(self) -> tuple[tuple[Machine, ...], tuple[Stage, ...]]:
+        """Every machine in preorder, as `Machine.walk` gives it from each
+        root in turn, and every stage in that order; walked on first use."""
+        index = self.__dict__.get("_preorder")
+        if index is None:
+            machines = tuple([machine for root in self.machines for machine in root.walk()])
+            stages = tuple([stage for machine in machines for stage in machine.stages])
+            index = self.__dict__["_preorder"] = (machines, stages)
+        return index
+
+    def problems(self) -> tuple[Problem, ...]:
+        """What `check_model` finds wrong with this model, checked on first
+        use; empty means well-formed."""
+        problems = self.__dict__.get("_problems")
+        if problems is None:
+            problems = self.__dict__["_problems"] = tuple(check_model(self))
+        return problems
 
     @cached_property
     def machines_by_id(self) -> dict[str, Machine]:
-        return {m.id: m for m in self.all_machines()}
+        return {m.id: m for m in self._index()[0]}
 
     @cached_property
     def stages_by_id(self) -> dict[str, Stage]:
-        return {s.id: s for s in self.all_stages()}
+        return {s.id: s for s in self._index()[1]}
 
     @cached_property
     def flows_by_id(self) -> dict[str, Flow]:
@@ -195,12 +222,10 @@ class StaticModel:
         return _group(self.triggers, lambda t: t.target)
 
     def all_machines(self) -> Iterator[Machine]:
-        for root in self.machines:
-            yield from root.walk()
+        return iter(self._index()[0])
 
     def all_stages(self) -> Iterator[Stage]:
-        for machine in self.all_machines():
-            yield from machine.stages
+        return iter(self._index()[1])
 
 
 def _group(items, key) -> dict:
@@ -244,7 +269,8 @@ def _relink(machine: Machine, parent: Optional[Machine], kids: tuple[Machine, ..
     parent_id = None if parent is None else parent.id
     subs = machine.submachines
     if machine.parent != parent_id or subs and any(n is not o for n, o in zip(kids, subs)):
-        return replace(machine, parent=parent_id, submachines=kids)
+        return Machine(machine.id, machine.name, machine.is_constraint, machine.stages,
+                       kids, parent_id)
     return machine
 
 
@@ -260,45 +286,53 @@ class Problem:
 
 def check_model(model: StaticModel) -> list[Problem]:
     """Return the model's invariant violations; empty means well-formed.
-    `StaticModel.build` raises from this list and `validate_static` reports it."""
+    `StaticModel.problems` keeps this list, which `StaticModel.build` raises
+    from and `validate_static` reports."""
     problems: list[Problem] = []
-    seen: dict[str, str] = {}
-
-    def report(rule: str, subject: str, message: str) -> None:
-        problems.append(Problem(rule, subject, message))
-
-    def claim(id_: str, what: str) -> None:
-        if id_ in seen:
-            report("V1", id_, f"duplicate id {id_!r} ({seen[id_]} vs {what})")
-        else:
-            seen[id_] = what
+    seen: dict[str, str] = {}  # each id to the kind of element that claimed it first
+    machines, stages = model._index()
 
     # Machine nesting is a tree by construction (tuples cannot cycle), but a
     # machine object reused in two places would fake a DAG; catch by id reuse.
-    for machine in model.all_machines():
-        claim(machine.id, "machine")
+    for machine in machines:
+        mid = machine.id
+        if mid in seen:
+            problems.append(Problem("V1", mid, f"duplicate id {mid!r} ({seen[mid]} vs machine)"))
+        else:
+            seen[mid] = "machine"
         kinds_seen = set()
         for stage in machine.stages:
-            claim(stage.id, "stage")
-            if stage.owner != machine.id:
-                report("V5", stage.id,
-                       f"stage {stage.id!r} owner {stage.owner!r} is not {machine.id!r}")
+            sid = stage.id
+            if sid in seen:
+                problems.append(Problem("V1", sid, f"duplicate id {sid!r} ({seen[sid]} vs stage)"))
+            else:
+                seen[sid] = "stage"
+            if stage.owner != mid:
+                problems.append(Problem(
+                    "V5", sid, f"stage {sid!r} owner {stage.owner!r} is not {mid!r}"))
             if stage.kind in kinds_seen:
-                report("V5", machine.id,
-                       f"machine {machine.id!r} has more than one {stage.kind.value} stage")
+                problems.append(Problem(
+                    "V5", mid, f"machine {mid!r} has more than one {stage.kind.value} stage"))
             kinds_seen.add(stage.kind)
-        if machine.is_constraint and machine.stage_of(ActionKind.PROCESS) is None:
-            report("V7", machine.id, f"constraint machine {machine.id!r} has no process stage")
+        if machine.is_constraint and ActionKind.PROCESS not in kinds_seen:
+            problems.append(Problem(
+                "V7", mid, f"constraint machine {mid!r} has no process stage"))
 
-    stage_ids = {s.id for s in model.all_stages()}
+    stage_ids = {s.id for s in stages}
     for edge in (*model.flows, *model.triggers):
         what, loop_rule = ("flow", "V2") if isinstance(edge, Flow) else ("trigger", "V4")
-        claim(edge.id, what)
+        eid = edge.id
+        if eid in seen:
+            problems.append(Problem("V1", eid, f"duplicate id {eid!r} ({seen[eid]} vs {what})"))
+        else:
+            seen[eid] = what
         for end in (edge.source, edge.target):
             if end not in stage_ids:
-                report("V1", edge.id, f"{what} {edge.id!r} references unknown stage {end!r}")
+                problems.append(Problem(
+                    "V1", eid, f"{what} {eid!r} references unknown stage {end!r}"))
         if edge.source == edge.target:
-            report(loop_rule, edge.id, f"{what} {edge.id!r} is a self-loop on {edge.source!r}")
+            problems.append(Problem(
+                loop_rule, eid, f"{what} {eid!r} is a self-loop on {edge.source!r}"))
     return problems
 
 
@@ -366,6 +400,18 @@ def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> 
             message = f"duplicate edge {edge.source!r} -> {edge.target!r}"
             problems.append(Problem("V9", edge.source, message))
         pairs.add((edge.source, edge.target))
+    return problems
+
+
+def check_events(events: Sequence[Event]) -> list[Problem]:
+    """Return the events' invariant violations, rule V8: no event id is
+    declared more than once."""
+    problems: list[Problem] = []
+    seen: set[str] = set()
+    for event in events:
+        if event.id in seen:
+            problems.append(Problem("V8", event.id, "event id declared more than once"))
+        seen.add(event.id)
     return problems
 
 

@@ -32,7 +32,6 @@ distinct paths the gates form.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from .model import (
@@ -242,7 +241,10 @@ def _nearest_surviving(
     return None
 
 
-def _fresh_edge_ids(used: set[str], prefix: str):
+def _fresh_edge_ids(model: StaticModel, prefix: str):
+    """A maker of ids `prefix` + number that no element of the model holds."""
+    used = {x.id for part in (model.all_machines(), model.all_stages(), model.flows,
+                              model.triggers) for x in part}
     counter = 1
 
     def make() -> str:
@@ -262,13 +264,14 @@ def _rebuild_machines(
 
     def rebuild(machine: Machine, _parent: Optional[Machine], subs: tuple[Machine, ...]) -> Machine:
         stages = tuple([
-            replace(s, has_storage=True)
+            Stage(s.id, s.kind, s.owner, True, s.label)
             if keep_storage_for.get(s.id) and not s.has_storage
             else s
             for s in machine.stages
             if s.kind in CORE_KINDS
         ])
-        return replace(machine, stages=stages, submachines=subs)
+        return Machine(machine.id, machine.name, machine.is_constraint, stages, subs,
+                       machine.parent)
 
     return build_trees(model.machines, submachines_of, rebuild)
 
@@ -295,8 +298,7 @@ def simplify(model: StaticModel) -> StaticModel:
             flows.append(flow)
             direct_pairs.add((flow.source, flow.target))
 
-    used_ids = {f.id for f in model.flows} | {t.id for t in model.triggers}
-    fresh = _fresh_edge_ids(used_ids, "f")
+    fresh = _fresh_edge_ids(model, "f")
     for source_id in sorted(delivered, key=natural_key):
         for target_id in sorted(delivered[source_id], key=natural_key):
             if (source_id, target_id) in direct_pairs or source_id == target_id:
@@ -315,7 +317,9 @@ def simplify(model: StaticModel) -> StaticModel:
             raise DanglingChain([trig.source if source is None else trig.target])
         if source == target:
             continue  # the chain collapsed under the trigger; nothing to say
-        triggers.append(replace(trig, source=source, target=target))
+        if source != trig.source or target != trig.target:
+            trig = Trigger(trig.id, source, target, trig.guard)
+        triggers.append(trig)
 
     storage_moves: dict[str, bool] = {}
     for stage in model.all_stages():
@@ -367,12 +371,12 @@ def expand(model: StaticModel) -> StaticModel:
         gates[machine.id] = tuple(extra)
 
     def rebuild(machine: Machine, _parent: Optional[Machine], subs: tuple[Machine, ...]) -> Machine:
-        return replace(machine, stages=machine.stages + gates[machine.id], submachines=subs)
+        return Machine(machine.id, machine.name, machine.is_constraint,
+                       machine.stages + gates[machine.id], subs, machine.parent)
 
     machines = build_trees(model.machines, submachines_of, rebuild)
 
-    used_ids = {f.id for f in model.flows} | {t.id for t in model.triggers}
-    fresh = _fresh_edge_ids(used_ids, "f")
+    fresh = _fresh_edge_ids(model, "f")
     flows = list(intra_flows)
     pairs: set[tuple[str, str]] = set()
 

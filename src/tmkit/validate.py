@@ -13,8 +13,10 @@ Rule codes are stable public identifiers:
     V9  behavior graphs reference declared events; cycles and unreachable
         events are warnings
 
-The model invariants (V1, V5, self-loops, V7's process stage, V9's edges)
-come from `check_model` and `check_behavior`, which the constructors raise from.
+The model invariants (V1, V5, self-loops, V7's process stage, V8's event
+ids, V9's edges) come from `check_model`, `check_events` and `check_behavior`.
+A model keeps what `check_model` found (`StaticModel.problems`), so
+`validate_static` reports a built model's problems without checking it again.
 
 The intra-machine adjacency table is a reading of the five-stage diagram, not
 a set the source material enumerates, so `validate_static` accepts a custom
@@ -36,7 +38,7 @@ from .model import (
     Problem,
     StaticModel,
     check_behavior,
-    check_model,
+    check_events,
     natural_key,
 )
 
@@ -87,7 +89,7 @@ def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: (natural_key(d.subject), d.rule, d.message))
 
 
-def _errors(problems: list[Problem]) -> list[Diagnostic]:
+def _errors(problems: Sequence[Problem]) -> list[Diagnostic]:
     return [Diagnostic(Severity.ERROR, p.rule, p.subject, p.message) for p in problems]
 
 
@@ -105,7 +107,7 @@ def validate_static(
     if mode not in ("full", "simplified"):
         raise ValueError(f"unknown mode {mode!r}")
     steps = LEGAL_INTRA_STEPS if intra_steps is None else intra_steps
-    problems = check_model(model)
+    problems = model.problems()
     diags = _errors(problems)
     reported = {problem.subject for problem in problems}  # V2-V4 skip these edges
     stages = model.stages_by_id
@@ -160,15 +162,11 @@ def validate_static(
 
 def validate_events(model: StaticModel, events: Sequence[Event]) -> list[Diagnostic]:
     """Check V8: regions resolve, stay closed, and carry a time."""
-    diags: list[Diagnostic] = []
-    seen: set[str] = set()
+    diags = _errors(check_events(events))
     for event in events:
         def err(message: str, *, _id=event.id) -> None:
             diags.append(Diagnostic(Severity.ERROR, "V8", _id, message))
 
-        if event.id in seen:
-            err("event id declared more than once")
-        seen.add(event.id)
         if not event.time.strip():
             err("event has no time annotation")
         if not event.region.stage_ids:

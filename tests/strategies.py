@@ -238,7 +238,11 @@ def mutated_texts(draw, max_machines: int = 4) -> str:
     """The canonical text of a `documents` draw after up to three
     `STATEMENT_MUTATIONS`."""
     model, events, behavior = draw(documents(max_machines))
-    text = print_model(model, events, behavior)
+    return mutate_statements(draw, print_model(model, events, behavior))
+
+
+def mutate_statements(draw, text: str) -> str:
+    """`text` after up to three `STATEMENT_MUTATIONS`, chosen by `draw`."""
     rng = draw(st.randoms(use_true_random=False))
     for name in draw(st.lists(st.sampled_from(sorted(STATEMENT_MUTATIONS)), max_size=3)):
         text = STATEMENT_MUTATIONS[name](text, rng)

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import mutated_texts
+from strategies import mutate_statements, mutated_texts
+from test_transform import MACHINE_NAMED_F1, SIMPLE_MACHINE_NAMED_F1
 
 from tmkit import (
     ActionKind,
@@ -251,6 +253,21 @@ def test_ids_with_more_digits_than_int_converts(tmp_path, capsys, command):
         assert out.endswith("0 errors, 1 warnings\n")
 
 
+@pytest.mark.parametrize("command, text, check", [
+    ("simplify", MACHINE_NAMED_F1, []),
+    ("expand", SIMPLE_MACHINE_NAMED_F1, ["--simplified"]),
+])
+def test_transforms_run_on_a_machine_named_like_a_fresh_flow(tmp_path, capsys, command, text,
+                                                             check):
+    path = tmp_path / "f1.tm"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", str(path), *check]) == 0
+    assert capsys.readouterr().out.endswith("0 errors, 0 warnings\n")
+    assert run([command, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "flow f2: " in out and "flow f1: " not in out
+
+
 # -- depth --------------------------------------------------------------------
 
 NEST_DEPTH = 400  # more nesting levels than the headroom below allows frames
@@ -371,8 +388,51 @@ FUZZ_COMMANDS = [["check"], ["check", "--simplified"], ["fmt"], ["simplify"], ["
                  ["import-uml", "--full"]]
 
 
-@settings(max_examples=80, deadline=None)
-@given(mutated_texts())
+# whole tokens, statement heads and statements, joined in any order
+_SOUP = ("machine", "flow", "trigger", "event", "behavior", "constraint", "create", "process",
+         "release", "transfer", "receive", "store", "time", "region", "edge", "intensity", "excl",
+         "if", "a", "b", "E1", "E2", "f1", "a.create", "a.b.process", "b.transfer", "{", "}",
+         ";", ":", ".", "->", "=>", '"s"', "# c\n", " ", "\n", "machine a {", "machine b {",
+         "flow a.create -> b.process;", "trigger a.process => a.create if \"g\";",
+         'event E1 { time "t"; region { a.create } }', "behavior { E1 -> E2; }")
+
+# what a declared name may be renamed to, everywhere it occurs: a digit run
+# past int()'s limit, and letters and decimal digits from other scripts
+_RENAMES = (lambda name: name + "7" * 5000, lambda name: name + "0" * 4400 + "1",
+            lambda name: "\u00e9" + name, lambda name: name + "\u540d",
+            lambda name: name + "\u0663\u0664", lambda name: name + "\uff11")
+_DECLARED = re.compile(r"(?<=machine )\w+|(?<=flow )\w+(?=:)|(?<=trigger )\w+(?=:)"
+                       r"|(?<=event )\w+")
+
+
+@st.composite
+def _renamed_texts(draw) -> str:
+    """A `mutated_texts` draw with one declared name renamed everywhere."""
+    text = draw(mutated_texts())
+    names = sorted(set(_DECLARED.findall(text)))
+    if names:
+        old = draw(st.sampled_from(names))
+        new = draw(st.sampled_from(_RENAMES))(old)
+        text = re.sub(rf"(?<!\w){re.escape(old)}\b", lambda m: new, text)
+    return text
+
+
+@st.composite
+def _deep_nests(draw) -> str:
+    """A nest of up to `NEST_DEPTH` machines, maybe mutated."""
+    return mutate_statements(draw, _nest_text(draw(st.integers(1, NEST_DEPTH))))
+
+
+FUZZ_TEXTS = (
+    mutated_texts()
+    | st.lists(st.sampled_from(_SOUP), max_size=40).map("".join)
+    | _renamed_texts()
+    | _deep_nests()
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(FUZZ_TEXTS)
 def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, text):
     path = tmp_path_factory.getbasetemp() / "fuzz.tm"
     path.write_text(text, encoding="utf-8")

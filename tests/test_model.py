@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strategies import canonical_models, simplified_models
+import tmkit.model
+from strategies import canonical_models, documents, simplified_models
 from tmkit import (
     ActionKind,
     EmptyRegion,
@@ -28,7 +29,7 @@ from tmkit import (
     parse_or_raise,
     validate_static,
 )
-from tmkit.model import Region, check_model, natural_key
+from tmkit.model import Event, Problem, Region, check_events, check_model, natural_key
 
 C, P, R, T, V = ActionKind
 
@@ -225,6 +226,73 @@ def test_every_single_invariant_break_is_rejected(model, data):
         StaticModel.build(broken.machines, broken.flows, broken.triggers)
     errors = {(d.rule, d.subject) for d in validate_static(broken) if d.severity is Severity.ERROR}
     assert {(p.rule, p.subject) for p in problems} <= errors
+
+
+# -- one walk and one check per model ------------------------------------------
+
+
+def _assert_index_is_the_generator_preorder(model: StaticModel) -> None:
+    """`all_machines` and `all_stages` give the very objects, in the very
+    order, that `Machine.walk` from each root and then each machine's stages
+    give."""
+    machines = [m for root in model.machines for m in root.walk()]
+    stages = [s for m in machines for s in m.stages]
+    got_machines, got_stages = list(model.all_machines()), list(model.all_stages())
+    assert len(got_machines) == len(machines) and len(got_stages) == len(stages)
+    assert all(a is b for a, b in zip(got_machines, machines))
+    assert all(a is b for a, b in zip(got_stages, stages))
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents())
+def test_index_is_the_generator_preorder_on_documents(doc):
+    _assert_index_is_the_generator_preorder(doc[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplified_models(max_machines=8), st.data())
+def test_index_is_the_generator_preorder_on_raw_breaks(model, data):
+    broken = data.draw(st.sampled_from(_mutations(model)))(model)
+    _assert_index_is_the_generator_preorder(broken)
+
+
+def test_index_walks_a_5000_deep_nest_without_recursion():
+    model = StaticModel(machines=(nested(5000), nested(2)))
+    _assert_index_is_the_generator_preorder(model)
+    assert [m.id for m in model.all_machines()][4999:] == ["n4999", "n5000", "n0", "n1", "n2"]
+    assert [s.id for s in model.all_stages()] == ["n5000.process", "n2.process"]
+
+
+def test_a_built_model_is_checked_once_and_a_raw_one_on_first_use(monkeypatch):
+    checked = []
+
+    def counting_check(model):
+        checked.append(model)
+        return check_model(model)
+
+    monkeypatch.setattr(tmkit.model, "check_model", counting_check)
+    built = two_machine_chain()
+    assert len(checked) == 1 and checked[0] is built
+    for mode in ("full", "simplified"):
+        validate_static(built, mode=mode)
+    assert len(checked) == 1
+
+    raw = StaticModel(built.machines, built.flows + (Flow("bad", "A.create", "A.create"),))
+    assert len(checked) == 1
+    first = validate_static(raw)
+    assert validate_static(raw) == first
+    assert len(checked) == 2 and checked[1] is raw
+    assert raw.problems() == tuple(check_model(raw)) != ()
+    assert [(d.rule, d.subject) for d in first if d.severity is Severity.ERROR] == [("V2", "bad")]
+
+
+def test_check_events_reports_each_repeated_event_id():
+    region = Region(frozenset({"A.create"}))
+    events = [Event(eid, eid, "t", region) for eid in ("E1", "E2", "E1", "E1")]
+    assert check_events(events) == [
+        Problem("V8", "E1", "event id declared more than once")
+    ] * 2
+    assert check_events(events[:2]) == []
 
 
 # -- find_stage ---------------------------------------------------------------

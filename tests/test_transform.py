@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from tmkit import (
     NotSimplified,
     Stage,
     StaticModel,
+    Trigger,
     expand,
     format_text,
     model_isomorphic,
@@ -23,7 +26,7 @@ from tmkit import (
     simplify,
     validate_static,
 )
-from tmkit.model import CORE_KINDS, GATE_KINDS, natural_key
+from tmkit.model import CORE_KINDS, GATE_KINDS, build_trees, natural_key, submachines_of
 from tmkit.transform import _chain_map
 
 C, P, R, T, V = ActionKind
@@ -512,3 +515,109 @@ def test_a_5000_deep_nest_parses_formats_simplifies_and_expands():
     assert [(f.source, f.target) for f in simple.flows] == [(f"{leaf}.create", "a.process")]
     assert len(list(simple.all_machines())) == depth
     assert model_isomorphic(expand(simple), model)
+
+
+# -- fresh flow ids -----------------------------------------------------------
+
+# a root machine whose id is the first fresh flow id either transform makes
+MACHINE_NAMED_F1 = (
+    "machine f1 {\n  create;\n  release;\n  transfer;\n}\n"
+    "machine B {\n  process;\n  transfer;\n  receive;\n}\n"
+    "flow x1: f1.create -> f1.release;\n"
+    "flow x2: f1.release -> f1.transfer;\n"
+    "flow x3: f1.transfer -> B.transfer;\n"
+    "flow x4: B.transfer -> B.receive;\n"
+    "flow x5: B.receive -> B.process;\n"
+)
+SIMPLE_MACHINE_NAMED_F1 = (
+    "machine f1 {\n  create;\n}\nmachine B {\n  process;\n}\nflow x1: f1.create -> B.process;\n"
+)
+
+
+def test_simplify_gives_no_flow_an_id_a_machine_holds():
+    simple = simplify(parse_or_raise(MACHINE_NAMED_F1).model)
+    assert [(f.id, f.source, f.target) for f in simple.flows] == [("f2", "f1.create", "B.process")]
+
+
+def test_expand_gives_no_flow_an_id_a_machine_holds():
+    model = parse_or_raise(SIMPLE_MACHINE_NAMED_F1).model
+    full = expand(model)
+    assert [f.id for f in full.flows] == ["f2", "f3", "f4", "f5", "f6"]
+    assert model_isomorphic(simplify(full), model)
+
+
+def test_fresh_flow_ids_skip_stage_ids_of_raw_models():
+    a = Machine("A", "A", stages=(Stage("f1", C, "A"),))
+    b = Machine("B", "B", stages=(Stage("f2", P, "B"),))
+    full = expand(StaticModel.build((a, b), (Flow("x", "f1", "f2"),)))
+    assert [f.id for f in full.flows] == ["f3", "f4", "f5", "f6", "f7"]
+    assert [f.id for f in simplify(full).flows] == ["f8"]
+
+
+# -- rebuilt parts equal what dataclasses.replace gives ---------------------------
+
+
+@st.composite
+def gate_anchored_models(draw) -> StaticModel:
+    """Canonical models with storage moved onto some gate stages and
+    triggers added at gate stages, so that `simplify` migrates storage and
+    re-anchors triggers as well as dropping gates."""
+    model = draw(canonical_models())
+    gates = sorted((s.id for s in model.all_stages() if s.kind in GATE_KINDS), key=natural_key)
+    if not gates:
+        return model
+    stored = set(draw(st.lists(st.sampled_from(gates), max_size=2)))
+    ends = [s.id for s in model.all_stages()]
+    triggers = list(model.triggers)
+    for k in range(draw(st.integers(0, 3))):
+        gate, other = draw(st.sampled_from(gates)), draw(st.sampled_from(ends))
+        pair = (gate, other) if draw(st.booleans()) else (other, gate)
+        if pair[0] != pair[1]:
+            triggers.append(Trigger(f"g{k}", *pair, draw(st.sampled_from([None, "go"]))))
+
+    def store(machine, _parent, subs):
+        stages = tuple(replace(s, has_storage=s.has_storage or s.id in stored)
+                       for s in machine.stages)
+        return replace(machine, stages=stages, submachines=subs)
+
+    machines = build_trees(model.machines, submachines_of, store)
+    return StaticModel.build(machines, model.flows, triggers)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gate_anchored_models())
+def test_transforms_rebuild_parts_equal_to_what_replace_gives(model):
+    simple = simplify(model)
+    kept = simple.stages_by_id
+
+    def simplified(machine, _parent, subs):
+        stages = tuple(replace(s, has_storage=kept[s.id].has_storage)
+                       for s in machine.stages if s.kind in CORE_KINDS)
+        return replace(machine, stages=stages, submachines=subs)
+
+    assert simple.machines == build_trees(model.machines, submachines_of, simplified)
+    old = model.triggers_by_id
+    assert list(simple.triggers) == [
+        replace(old[t.id], source=t.source, target=t.target) for t in simple.triggers
+    ]
+
+    full = expand(simple)
+    added = {m.id: tuple(s for s in m.stages if s.kind in GATE_KINDS) for m in full.all_machines()}
+
+    def expanded(machine, _parent, subs):
+        return replace(machine, stages=machine.stages + added[machine.id], submachines=subs)
+
+    assert full.machines == build_trees(simple.machines, submachines_of, expanded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(canonical_models())
+def test_build_relinks_machines_equal_to_what_replace_gives(model):
+    unlinked = build_trees(model.machines, submachines_of,
+                           lambda m, _p, subs: replace(m, parent=None, submachines=subs))
+
+    def relinked(machine, parent, subs):
+        return replace(machine, parent=None if parent is None else parent.id, submachines=subs)
+
+    expected = build_trees(unlinked, submachines_of, relinked)
+    assert StaticModel.build(unlinked, model.flows, model.triggers).machines == expected == model.machines
