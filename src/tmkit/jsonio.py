@@ -168,6 +168,17 @@ def _opt_str(value, what: str) -> Optional[str]:
     return value
 
 
+def _decode(text: str, error: type[TmError], too_deep: str):
+    """``json.loads``, raising ``error`` on text it cannot read: ``too_deep``
+    for nesting past the decoder's recursion limit."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise error(too_deep) from exc
+    except ValueError as exc:  # covers JSONDecodeError
+        raise error(f"not valid JSON: {exc}") from exc
+
+
 _JSON_NAMES = {dict: "an object", list: "an array"}
 
 
@@ -219,15 +230,8 @@ def _machine_from(raw: dict, _parent: Optional[dict], submachines: tuple[Machine
 def document_from_json(
     text: str,
 ) -> tuple[StaticModel, tuple[Event, ...], BehavioralModel]:
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise JsonFormatError(
-            "the document nests deeper than this Python's JSON decoder reads"
-            " (model text has no such limit)"
-        ) from exc
-    except ValueError as exc:  # covers JSONDecodeError
-        raise JsonFormatError(f"not valid JSON: {exc}") from exc
+    doc = _decode(text, JsonFormatError, "the document nests deeper than this Python's JSON"
+                  " decoder reads (model text has no such limit)")
     if not isinstance(doc, dict):
         raise JsonFormatError("expected a JSON object")
     try:

@@ -16,13 +16,14 @@ built model is not checked again.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 
 T = TypeVar("T")
@@ -272,6 +273,54 @@ def _relink(machine: Machine, parent: Optional[Machine], kids: tuple[Machine, ..
         return Machine(machine.id, machine.name, machine.is_constraint, machine.stages,
                        kids, parent_id)
     return machine
+
+
+_CLOSED = sys.maxsize  # the number of a node whose component is already out
+
+
+def strong_components(roots: Iterable[T], successors: Callable[[T], Iterable[T]]) -> list[list[T]]:
+    """Every strongly connected component reachable from ``roots``, each one
+    listed after every component it leads to.  ``successors`` is called once
+    per node.  Tarjan's pass (SIAM J. Comput., 1972) from an explicit stack,
+    so neither path length nor component size is bounded by the recursion
+    limit."""
+    number: dict = {}  # node -> discovery number, or _CLOSED
+    low: list[int] = []  # per discovery number: the least open number it reaches
+    seat: list[int] = []  # per discovery number: its place on the open stack
+    open_nodes: list = []
+    components: list[list[T]] = []
+
+    def enter(node: T) -> tuple[int, Iterator[T]]:
+        i = number[node] = len(low)
+        low.append(i)
+        seat.append(len(open_nodes))
+        open_nodes.append(node)
+        return i, iter(successors(node))
+
+    for root in roots:
+        if root in number:
+            continue
+        work = [enter(root)]
+        while work:
+            i, pending = work[-1]
+            for nxt in pending:
+                j = number.get(nxt)
+                if j is None:
+                    work.append(enter(nxt))
+                    break
+                if j < low[i]:  # an open node: the same component
+                    low[i] = j
+            else:
+                work.pop()
+                if low[i] == i:
+                    members = open_nodes[seat[i]:]
+                    del open_nodes[seat[i]:]
+                    for node in members:
+                        number[node] = _CLOSED
+                    components.append(members)
+                elif low[i] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[i]
+    return components
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ a state more than once: in a gate cycle such as two relay machines feeding
 each other, every gate that some walk from a surviving stage carries on to
 a surviving stage is covered, and `DanglingChain` names only gates on no
 such walk.  On an acyclic state graph this is the same as asking for a
-simple path.  Contraction visits each state and routed flow once and merges
-target sets as it goes, so its cost is linear in the gate stages and flows
-times at most the number of targets a chain delivers to, however many
-distinct paths the gates form.
+simple path.  Contraction visits each state and routed flow once, in the
+strongly connected components that `model.strong_components` (the pass
+behind V9's cycle warnings too) finds, and merges target sets as it goes, so
+its cost is linear in the gate stages and flows times at most the number of
+targets a chain delivers to, however many distinct paths the gates form.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .model import (
     Trigger,
     natural_key,
     build_trees,
+    strong_components,
     submachines_of,
 )
 
@@ -71,6 +73,13 @@ class DanglingChain(TmError):
 
 class NotSimplified(TmError):
     """Expansion requires a model without gate stages."""
+
+
+def _require_simplified(model: StaticModel) -> None:
+    """Raise NotSimplified, naming them, if the model has gate stages."""
+    gates = sorted((s.id for s in model.all_stages() if s.kind in GATE_KINDS), key=natural_key)
+    if gates:
+        raise NotSimplified("model still contains gate stages: " + ", ".join(gates))
 
 
 def _implicit_anchor(model: StaticModel, release: Stage) -> Optional[Stage]:
@@ -124,13 +133,13 @@ def _chain_map(model: StaticModel) -> tuple[dict[str, set[str]], set[str]]:
     deliver to, and return the gate stages on some walk from a surviving
     stage to a surviving stage.
 
-    Walks the graph of (gate stage, routing mode) states once: an iterative
-    Tarjan pass from the entry states closes each strongly connected
-    component after every component it leads to, so the targets reachable
-    from a state are its component's direct targets plus the sets already
-    found for the components one step on.  A relay machine passes its
-    shared transfer gate once inbound and once outbound, which is why
-    states key on the routing mode as well as the stage."""
+    Walks the graph of (gate stage, routing mode) states once:
+    `strong_components` closes each strongly connected component after every
+    component it leads to, so the targets reachable from a state are its
+    component's direct targets plus the sets already found for the
+    components one step on.  A relay machine passes its shared transfer gate
+    once inbound and once outbound, which is why states key on the routing
+    mode as well as the stage."""
     entries: list[tuple[Stage, State]] = []
     for stage in model.all_stages():
         if stage.kind is R:
@@ -144,65 +153,34 @@ def _chain_map(model: StaticModel) -> tuple[dict[str, set[str]], set[str]]:
                 if nxt.kind in GATE_KINDS:
                     entries.append((stage, _entry_state(nxt)))
 
-    # Per state, numbered in discovery order: its Tarjan lowlink, its
-    # direct targets and successor states, and, once its component closes,
-    # every target reachable from it.
-    number: dict[State, int] = {}
-    low: list[int] = []
-    steps: list[tuple[list[str], list[State]]] = []
-    reach: list[Optional[frozenset[str]]] = []
-    stack: list[int] = []  # Tarjan's stack of open states
+    # Per state: its direct targets and successor states, and, once its
+    # component closes, every target reachable from it.
+    steps: dict[State, tuple[list[str], list[State]]] = {}
+    reach: dict[State, frozenset[str]] = {}
 
-    def discover(state: State) -> int:
-        i = number[state] = len(low)
-        low.append(i)
-        steps.append(_routed_step(model, state))
-        reach.append(None)
-        stack.append(i)
-        return i
+    def successors(state: State) -> list[State]:
+        step = steps[state] = _routed_step(model, state)
+        return step[1]
 
-    for _, root in entries:
-        if root in number:
-            continue
-        i = discover(root)
-        work = [(i, iter(steps[i][1]))]
-        while work:
-            i, pending = work[-1]
-            for nxt in pending:
-                j = number.get(nxt)
-                if j is None:
-                    j = discover(nxt)
-                    work.append((j, iter(steps[j][1])))
-                    break
-                if reach[j] is None and j < low[i]:  # j is open: same component
-                    low[i] = j
-            else:
-                work.pop()
-                if work and low[i] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[i]
-                if low[i] != i:
-                    continue
-                members = [stack.pop()]
-                while members[-1] != i:
-                    members.append(stack.pop())
-                found = _NOTHING
-                for m in members:
-                    targets, nexts = steps[m]
-                    if targets:
-                        found = found.union(targets)
-                    for nxt in nexts:
-                        more = reach[number[nxt]]
-                        if more and not more <= found:
-                            found = found | more if found else more
-                for m in members:
-                    reach[m] = found
+    for members in strong_components([root for _, root in entries], successors):
+        found = _NOTHING
+        for m in members:
+            targets, nexts = steps[m]
+            if targets:
+                found = found.union(targets)
+            for nxt in nexts:
+                more = reach.get(nxt)  # None within the component
+                if more and not more <= found:
+                    found = found | more if found else more
+        for m in members:
+            reach[m] = found
 
     delivered: dict[str, set[str]] = {}
     for anchor, root in entries:
-        found = reach[number[root]]
+        found = reach[root]
         if found:
             delivered.setdefault(anchor.id, set()).update(found)
-    covered = {state[0] for state, i in number.items() if reach[i]}
+    covered = {state[0] for state, found in reach.items() if found}
     return delivered, covered
 
 
@@ -335,14 +313,7 @@ def simplify(model: StaticModel) -> StaticModel:
 
 def expand(model: StaticModel) -> StaticModel:
     """Reintroduce canonical gate chains for every inter-machine flow."""
-    leftover = sorted(
-        (s.id for s in model.all_stages() if s.kind in GATE_KINDS), key=natural_key
-    )
-    if leftover:
-        raise NotSimplified(
-            "model still contains gate stages: " + ", ".join(leftover)
-        )
-
+    _require_simplified(model)
     inter = []
     intra_flows = []
     for flow in model.flows:

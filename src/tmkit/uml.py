@@ -18,7 +18,6 @@ round-trip contract and are interpretation.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 from .model import (
     ActionKind,
     Flow,
-    GATE_KINDS,
     Machine,
     Stage,
     StaticModel,
@@ -37,8 +35,8 @@ from .model import (
     natural_key,
 )
 from .dsl import RESERVED
-from .jsonio import _canonical_json, _shaped
-from .transform import NotSimplified
+from .jsonio import _canonical_json, _decode, _shaped
+from .transform import _require_simplified
 
 NODE_KINDS = ("Initial", "Final", "Action", "Decision", "Merge")
 
@@ -166,14 +164,8 @@ def activity_to_json(graph: ActivityGraph) -> str:
 
 
 def activity_from_json(text: str) -> ActivityGraph:
-    try:
-        doc = json.loads(text)
-    except RecursionError as exc:
-        raise ActivityError(
-            "the activity graph nests deeper than this Python's JSON decoder reads"
-        ) from exc
-    except ValueError as exc:  # covers JSONDecodeError
-        raise ActivityError(f"not valid JSON: {exc}") from exc
+    doc = _decode(text, ActivityError,
+                  "the activity graph nests deeper than this Python's JSON decoder reads")
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ActivityError("expected an object with 'nodes' and 'edges'")
     nodes = []
@@ -282,9 +274,8 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
         flow_n += 1
         flows.append(Flow(f"f{flow_n}", src, dst))
 
-    if entry_id is not None:
-        token = tokens[entry_id]
-        add_flow(f"{token}.create", f"{token}.process")
+    token = tokens[entry_id]
+    add_flow(f"{token}.create", f"{token}.process")
 
     ordered_nodes = sorted(graph.nodes, key=lambda n: natural_key(n.id))
     for node in ordered_nodes:
@@ -320,10 +311,6 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
             for edge in sorted(
                 graph.out_edges(node.id), key=lambda e: (e.guard or "", natural_key(e.target))
             ):
-                if edge.guard is None:
-                    raise MalformedDecision(
-                        f"decision {node.id!r} has an unguarded edge to {edge.target!r}"
-                    )
                 succ = graph.node(resolve(edge.target))
                 if succ.kind != "Action":
                     raise UnsupportedConstruct(
@@ -340,9 +327,7 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
 
 def export_activity(model: StaticModel) -> ActivityGraph:
     """Rebuild an activity graph from a simplified model."""
-    gates = sorted((s.id for s in model.all_stages() if s.kind in GATE_KINDS), key=natural_key)
-    if gates:
-        raise NotSimplified("model still contains gate stages: " + ", ".join(gates))
+    _require_simplified(model)
     for machine in model.all_machines():
         if sum(1 for s in machine.stages if s.kind is ActionKind.PROCESS) > 1:
             raise ActivityError(f"machine {machine.id!r} has several process stages")

@@ -10,13 +10,17 @@ Rule codes are stable public identifiers:
     V6  orphan stage (warning): no incident edge and no storage
     V7  constraint machines carry a process stage and a guarded out-trigger
     V8  event regions resolve and stay closed
-    V9  behavior graphs reference declared events; cycles and unreachable
-        events are warnings
+    V9  behavior graphs reference declared events; every event on a cycle
+        and every unreachable event is a warning
 
 The model invariants (V1, V5, self-loops, V7's process stage, V8's event
 ids, V9's edges) come from `check_model`, `check_events` and `check_behavior`.
 A model keeps what `check_model` found (`StaticModel.problems`), so
 `validate_static` reports a built model's problems without checking it again.
+
+V9's cycle and reachability warnings read the strongly connected components
+that `model.strong_components` finds, the pass `transform.simplify` contracts
+gate chains with.
 
 The intra-machine adjacency table is a reading of the five-stage diagram, not
 a set the source material enumerates, so `validate_static` accepts a custom
@@ -40,6 +44,7 @@ from .model import (
     check_behavior,
     check_events,
     natural_key,
+    strong_components,
 )
 
 C, P, R, T, V = (
@@ -187,8 +192,8 @@ def validate_behavior(
     model: StaticModel, events: Sequence[Event], behavior: BehavioralModel
 ) -> list[Diagnostic]:
     """Check V9: `check_behavior`'s edge rules, and every event the behavior
-    names is declared; warn on cycles and on events unreachable from every
-    source."""
+    names is declared; warn on every event on a cycle and on events
+    unreachable from every source."""
     diags = _errors(check_behavior(behavior.event_ids, behavior.edges))
     declared = {e.id for e in events}
 
@@ -201,46 +206,18 @@ def validate_behavior(
     for edge in behavior.edges:
         adjacency.setdefault(edge.source, []).append(edge.target)
 
-    # cycle detection (iterative DFS, deterministic order)
-    color: dict[str, int] = {}
-    on_cycle: set[str] = set()
+    def successors(eid: str) -> list[str]:
+        return adjacency.get(eid, [])
 
-    def visit(start: str) -> None:
-        stack = [(start, iter(sorted(adjacency.get(start, ()), key=natural_key)))]
-        color[start] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt, 0) == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, iter(sorted(adjacency.get(nxt, ()), key=natural_key))))
-                    advanced = True
-                    break
-                if color.get(nxt) == 1:
-                    on_cycle.add(nxt)  # back edge: nxt is still on the stack
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+    # a cycle is a component of two or more events, or one with a self-edge
+    for members in strong_components(behavior.event_ids, successors):
+        if len(members) > 1 or members[0] in successors(members[0]):
+            for eid in members:
+                diags.append(Diagnostic(Severity.WARNING, "V9", eid, "event lies on a cycle"))
 
-    for eid in sorted(behavior.event_ids, key=natural_key):
-        if color.get(eid, 0) == 0:
-            visit(eid)
-    for eid in sorted(on_cycle, key=natural_key):
-        diags.append(Diagnostic(Severity.WARNING, "V9", eid, "event lies on a cycle"))
-
-    # reachability from source events
-    sources = behavior.sources()
-    reached = set(sources)
-    frontier = sorted(sources, key=natural_key)
-    while frontier:
-        nxt: list[str] = []
-        for node in frontier:
-            for succ in adjacency.get(node, ()):
-                if succ not in reached:
-                    reached.add(succ)
-                    nxt.append(succ)
-        frontier = sorted(nxt, key=natural_key)
+    # an event is reached iff it is in a component found from the sources
+    reached = {eid for members in strong_components(behavior.sources(), successors)
+               for eid in members}
     for eid in sorted(behavior.event_ids - reached, key=natural_key):
         diags.append(
             Diagnostic(Severity.WARNING, "V9", eid, "event is unreachable from any source event")

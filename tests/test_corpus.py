@@ -21,15 +21,29 @@ from tmkit import (
     print_model,
     simplify,
 )
-from tmkit.corpus import (
-    CONSTRAINT_GUARD,
-    RECEPTIONIST_FUNCTIONS,
-    corpus_dir,
-    corpus_integrity,
-    load_mentcare,
-    mentcare_path,
-)
+from tmkit.corpus import corpus_dir, load_mentcare, mentcare_path
 from tmkit.model import CORE_KINDS
+
+#: Machines realizing the detention walkthrough (circles 1-19).
+DETENTION_MACHINES = (
+    "Person",
+    "DetentionDecision",
+    "Rights",
+    "DangerAssessment",
+    "PoliceStation",
+    "SecureLocation",
+    "PatientAdmission",
+    "DetaineeInfo",
+    "SocialServices",
+    "NextOfKin",
+    "InfoSystem",
+)
+
+#: Receptionist function machines (circles 26-30).
+RECEPTIONIST_FUNCTIONS = ("Register", "Unregister", "View", "TransferData", "Contact")
+
+#: Guard on the record-uniqueness constraint (circle 51), asserted verbatim.
+CONSTRAINT_GUARD = "the record is not in the file"
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +61,30 @@ def test_missing_corpus_directory_is_a_tm_error(tmp_path, monkeypatch):
         load_mentcare()
 
 
-def test_integrity_report_is_clean():
-    report = corpus_integrity()
-    assert report.ok, str(report)
+def test_detention_walkthrough_machines_are_roots(mentcare):
+    roots = {m.id for m in mentcare.model.machines}
+    assert set(DETENTION_MACHINES) <= roots
+
+
+def test_dangerousness_check_branches_on_three_guarded_triggers(mentcare):
+    branches = [t for t in mentcare.model.triggers
+                if t.source == "DangerAssessment.process" and t.guard is not None]
+    assert sorted(t.target for t in branches) == [
+        "PatientAdmission.process", "PoliceStation.process", "SecureLocation.process"
+    ]
+
+
+def test_authorization_request_is_answered_by_a_permission(mentcare):
+    model = mentcare.model
+    assert {"InfoSystem.Authorization", "InfoSystem.Permission"} <= model.machines_by_id.keys()
+    assert any(t.source == "InfoSystem.Authorization.process"
+               and t.target == "InfoSystem.Permission.create" for t in model.triggers)
+
+
+def test_record_constraint_is_a_constraint_machine_with_a_process_stage(mentcare):
+    constraint = mentcare.model.machines_by_id["InfoSystem.RecordConstraint"]
+    assert constraint.is_constraint
+    assert constraint.stage_of(ActionKind.PROCESS) is not None
 
 
 def test_event_names_match_the_narrative(mentcare):

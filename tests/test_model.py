@@ -29,7 +29,15 @@ from tmkit import (
     parse_or_raise,
     validate_static,
 )
-from tmkit.model import Event, Problem, Region, check_events, check_model, natural_key
+from tmkit.model import (
+    Event,
+    Problem,
+    Region,
+    check_events,
+    check_model,
+    natural_key,
+    strong_components,
+)
 
 C, P, R, T, V = ActionKind
 
@@ -606,6 +614,42 @@ def test_isomorphism_on_many_roots_and_long_chains_does_not_recurse():
     backwards = StaticModel.build(renamed.machines[::-1], renamed.flows[::-1])
     assert model_isomorphic(chain, backwards)
     assert not model_isomorphic(chain, roots)
+
+
+def test_strong_components_on_long_chains_and_cycles_do_not_recurse():
+    n = 100_000
+    chain = strong_components([0], lambda i: [i + 1] if i + 1 < n else [])
+    assert chain == [[i] for i in reversed(range(n))]
+    cycle = strong_components([0], lambda i: [(i + 1) % n])
+    assert len(cycle) == 1 and sorted(cycle[0]) == list(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20),
+    st.lists(st.integers(0, n - 1), min_size=1, max_size=3),
+)))
+def test_strong_components_agree_with_networkx(graph):
+    nx = pytest.importorskip("networkx")
+    edges, roots = graph
+    g = nx.DiGraph(edges)
+    g.add_nodes_from(roots)
+    reachable = set(roots).union(*(nx.descendants(g, r) for r in roots))
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return sorted(g.successors(node))
+
+    components = strong_components(roots, successors)
+    assert sorted(calls) == sorted(reachable)  # once per node
+    assert sorted(map(frozenset, components), key=sorted) == sorted(
+        (frozenset(c) for c in nx.strongly_connected_components(g.subgraph(reachable))),
+        key=sorted,
+    )
+    # each component comes after every component it leads to
+    position = {node: k for k, members in enumerate(components) for node in members}
+    assert all(position[u] >= position[v] for u, v in g.subgraph(reachable).edges)
 
 
 def stage_multigraph(model: StaticModel):

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import simplified_models
 from tmkit import (
@@ -308,6 +309,22 @@ def test_cycle_is_a_warning():
     assert any("cycle" in d.message for d in diags)
 
 
+def test_every_event_on_a_cycle_is_warned():
+    # E1 closes the cycle that a depth-first search enters from E0
+    model = simple_event_model()
+    events = make_events("E0", "E1", "E2", "E3")
+    behavior = BehavioralModel.build(
+        ["E0", "E1", "E2", "E3"],
+        [BehaviorEdge("E0", "E1"), BehaviorEdge("E1", "E2"), BehaviorEdge("E2", "E3"),
+         BehaviorEdge("E3", "E1")],
+    )
+    assert [str(d) for d in validate_behavior(model, events, behavior)] == [
+        "WARNING V9 E1: event lies on a cycle",
+        "WARNING V9 E2: event lies on a cycle",
+        "WARNING V9 E3: event lies on a cycle",
+    ]
+
+
 def test_unreachable_event_is_a_warning():
     model = simple_event_model()
     events = make_events("E1", "E2", "E3")
@@ -342,3 +359,48 @@ def test_diagnostics_are_sorted_and_stable():
 @given(simplified_models())
 def test_generated_simplified_models_are_clean(model):
     assert not has_errors(validate_static(model, mode="simplified"))
+
+
+@st.composite
+def raw_behaviors(draw) -> BehavioralModel:
+    """Behavior graphs the constructor would reject as well as accept: any
+    edges among a few events, self-edges and undeclared targets included."""
+    declared = [f"E{i}" for i in range(draw(st.integers(1, 7)))]
+    ends = st.sampled_from(declared + ["X1", "X2"])
+    edges = draw(st.lists(st.tuples(st.sampled_from(declared), ends), max_size=14))
+    edges += draw(st.lists(st.tuples(st.sampled_from(["X1", "X2"]), ends), max_size=3))
+    return BehavioralModel(frozenset(declared), tuple(BehaviorEdge(a, b) for a, b in edges))
+
+
+def networkx_v9_warnings(behavior: BehavioralModel) -> set[tuple[str, str]]:
+    """V9's cycle and unreachable warnings, read off networkx: every node on
+    a cycle that an event leads to, and every event no source leads to."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(behavior.event_ids)
+    g.add_edges_from((e.source, e.target) for e in behavior.edges)
+    seen = set(behavior.event_ids).union(*(nx.descendants(g, e) for e in behavior.event_ids))
+    looped = {u for u, _ in nx.selfloop_edges(g)}
+    warnings = {
+        ("event lies on a cycle", node)
+        for component in nx.strongly_connected_components(g)
+        if len(component) > 1 or component & looped
+        for node in component & seen
+    }
+    sources = behavior.sources()
+    reached = set(sources).union(*(nx.descendants(g, e) for e in sources))
+    warnings |= {("event is unreachable from any source event", e)
+                 for e in behavior.event_ids - reached}
+    return warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_behaviors())
+def test_cycle_and_unreachable_warnings_agree_with_networkx(behavior):
+    expected = networkx_v9_warnings(behavior)
+    events = make_events(*behavior.event_ids)
+    warnings = [(d.message, d.subject) for d in validate_behavior(simple_event_model(), events,
+                                                                  behavior)
+                if d.severity is Severity.WARNING]
+    assert len(warnings) == len(set(warnings))
+    assert set(warnings) == expected
