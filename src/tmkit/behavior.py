@@ -10,13 +10,13 @@ only when the trace itself connects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .model import (
     BehavioralModel,
     EmptyRegion,
     Event,
+    Record,
     StaticModel,
     TmError,
     UnknownStage,
@@ -35,15 +35,16 @@ class UnknownEvent(TmError):
     pass
 
 
-@dataclass(frozen=True)
-class Verdict:
-    conforms: bool
-    violation_index: Optional[int]
-    reason: str
+class Verdict(Record):
+    __slots__ = ("conforms", "violation_index", "reason")
 
-    def __post_init__(self):
-        if self.conforms == (self.violation_index is not None):
+    def __init__(self, conforms: bool, violation_index: Optional[int], reason: str) -> None:
+        if conforms == (violation_index is not None):
             raise ValueError("violation_index must be present exactly when not conforming")
+        set_conforms, set_violation_index, set_reason = self._setters
+        set_conforms(self, conforms)
+        set_violation_index(self, violation_index)
+        set_reason(self, reason)
 
 
 def eventize(model: StaticModel, event: Event) -> Event:
@@ -60,7 +61,7 @@ def eventize(model: StaticModel, event: Event) -> Event:
             f"event {event.id!r} lists edges outside the model or region: "
             + ", ".join(sorted(missing, key=natural_key))
         )
-    return replace(event, region=region)
+    return event.replace(region=region)
 
 
 def coverage(model: StaticModel, events: Sequence[Event]) -> tuple[str, ...]:

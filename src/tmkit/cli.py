@@ -32,6 +32,9 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _Failure(2, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        message = f"cannot read {path}: not UTF-8: {exc.reason} at offset {exc.start}"
+        raise _Failure(2, message) from exc
 
 
 def _write_out(text: str, out: Optional[str]) -> None:

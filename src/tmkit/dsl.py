@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .model import (
@@ -67,11 +66,13 @@ from .model import (
     Flow,
     KIND_ORDER,
     Machine,
+    Record,
     Region,
     Stage,
     StaticModel,
     TmError,
     Trigger,
+    _require_well_formed,
     natural_key,
 )
 
@@ -96,38 +97,51 @@ RESERVED = frozenset(KIND_WORDS) | {
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-    length: int = 1
+class SourceSpan(Record):
+    __slots__ = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int = 1) -> None:
+        set_line, set_column, set_length = self._setters
+        set_line(self, line)
+        set_column(self, column)
+        set_length(self, length)
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    span: SourceSpan
-    code: str  # "syntax" | "duplicate-id" | "unresolved-ref" | "invalid"
-    message: str
+class ParseDiagnostic(Record):
+    __slots__ = ("span", "code", "message")
+
+    def __init__(self, span: SourceSpan, code: str, message: str) -> None:
+        set_span, set_code, set_message = self._setters
+        set_span(self, span)
+        set_code(self, code)  # "syntax" | "duplicate-id" | "unresolved-ref" | "invalid"
+        set_message(self, message)
 
     def __str__(self) -> str:
         return f"{self.span.line}:{self.span.column}: {self.code}: {self.message}"
 
 
-@dataclass
-class CommentMap:
+class CommentMap(Record, frozen=False):
     """Comment text attached to elements, keyed by element id."""
 
-    header: tuple[str, ...] = ()
-    items: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    __slots__ = ("header", "items")
+
+    def __init__(self, header: tuple[str, ...] = (),
+                 items: Optional[dict[str, tuple[str, ...]]] = None) -> None:
+        self.header = header
+        self.items = {} if items is None else items
 
 
-@dataclass
-class ParseResult:
-    model: Optional[StaticModel]
-    events: tuple[Event, ...]
-    behavior: Optional[BehavioralModel]
-    comments: CommentMap
-    diagnostics: tuple[ParseDiagnostic, ...]
+class ParseResult(Record, frozen=False):
+    __slots__ = ("model", "events", "behavior", "comments", "diagnostics")
+
+    def __init__(self, model: Optional[StaticModel], events: tuple[Event, ...],
+                 behavior: Optional[BehavioralModel], comments: CommentMap,
+                 diagnostics: tuple[ParseDiagnostic, ...]) -> None:
+        self.model = model
+        self.events = events
+        self.behavior = behavior
+        self.comments = comments
+        self.diagnostics = diagnostics
 
     @property
     def ok(self) -> bool:
@@ -399,21 +413,26 @@ def _lex(
 # -- raw syntax tree ----------------------------------------------------------
 
 
-@dataclass
 class _RawStage:
-    kind: ActionKind
-    store: bool
-    label: Optional[str]
-    tok: _Token
+    __slots__ = ("kind", "store", "label", "tok")
+
+    def __init__(self, kind: ActionKind, store: bool, label: Optional[str], tok: _Token) -> None:
+        self.kind = kind
+        self.store = store
+        self.label = label
+        self.tok = tok
 
 
-@dataclass
 class _RawMachine:
-    name_tok: _Token
-    display: Optional[str]
-    constraint: bool
-    stages: list[_RawStage]
-    children: list["_RawMachine"]
+    __slots__ = ("name_tok", "display", "constraint", "stages", "children")
+
+    def __init__(self, name_tok: _Token, display: Optional[str], constraint: bool,
+                 stages: list[_RawStage], children: list[_RawMachine]) -> None:
+        self.name_tok = name_tok
+        self.display = display
+        self.constraint = constraint
+        self.stages = stages
+        self.children = children
 
 
 class _RawRef(NamedTuple):
@@ -422,31 +441,40 @@ class _RawRef(NamedTuple):
     last: _Token
 
 
-@dataclass
 class _RawEdge:
-    label_tok: Optional[_Token]
-    source: _RawRef
-    target: _RawRef
-    guard: Optional[str]
-    dashed: bool
-    tok: _Token
+    __slots__ = ("label_tok", "source", "target", "guard", "dashed", "tok")
+
+    def __init__(self, label_tok: Optional[_Token], source: _RawRef, target: _RawRef,
+                 guard: Optional[str], dashed: bool, tok: _Token) -> None:
+        self.label_tok = label_tok
+        self.source = source
+        self.target = target
+        self.guard = guard
+        self.dashed = dashed
+        self.tok = tok
 
 
-@dataclass
 class _RawEvent:
-    id_tok: _Token
-    display: Optional[str]
-    time: str
-    stage_refs: list[_RawRef]
-    edge_refs: list[_Token]
-    intensity: Optional[str]
+    __slots__ = ("id_tok", "display", "time", "stage_refs", "edge_refs", "intensity")
+
+    def __init__(self, id_tok: _Token, display: Optional[str], time: str,
+                 stage_refs: list[_RawRef], edge_refs: list[_Token],
+                 intensity: Optional[str]) -> None:
+        self.id_tok = id_tok
+        self.display = display
+        self.time = time
+        self.stage_refs = stage_refs
+        self.edge_refs = edge_refs
+        self.intensity = intensity
 
 
-@dataclass
 class _RawBehaviorEdge:
-    from_tok: _Token
-    to_tok: _Token
-    group: Optional[str]
+    __slots__ = ("from_tok", "to_tok", "group")
+
+    def __init__(self, from_tok: _Token, to_tok: _Token, group: Optional[str]) -> None:
+        self.from_tok = from_tok
+        self.to_tok = to_tok
+        self.group = group
 
 
 class _Skip(Exception):
@@ -1022,6 +1050,7 @@ def print_model(
 ) -> str:
     """Render the canonical text form: deterministic, sorted by id."""
     model = model or StaticModel()
+    _require_well_formed(model)
     comments = comments or CommentMap()
     table = _RefTable(model)
     chunks: list[str] = []

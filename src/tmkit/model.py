@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import filterfalse
@@ -101,23 +100,85 @@ def _ascii_digits(digits: str) -> str:
     return "".join([str(unicodedata.decimal(c)) for c in digits])
 
 
-@dataclass(frozen=True)
-class Stage:
-    id: str
-    kind: ActionKind
-    owner: str
-    has_storage: bool = False
-    label: Optional[str] = None
+class Record:
+    """Base of tmkit's record types: a fixed tuple of fields, named by the
+    class's ``__slots__``, with equality, hashing, ``repr`` and ``replace``
+    read from it.  Records compare equal only to records of the same class
+    with equal fields, hash as the tuple of their fields and cannot be
+    changed: assigning or deleting an attribute raises ``AttributeError``.
+    A class made with ``frozen=False`` can be changed and is not hashable.
+
+    Each record class writes its own ``__init__``, which stores its arguments
+    through ``_setters``, the slots' own setters in field order; a class
+    whose slots include ``__dict__`` also has a dict for cached derived
+    state.  Every record has two fields or more, so ``_values`` gives a tuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def replace(self, **changes):
+        """A record of the same class with the named fields changed; an
+        unknown name is a ``TypeError``."""
+        return self.__class__(**dict(zip(self._fields, self._values(self)), **changes))
 
 
-@dataclass(frozen=True)
-class Machine:
-    id: str
-    name: str
-    is_constraint: bool = False
-    stages: tuple[Stage, ...] = ()
-    submachines: tuple["Machine", ...] = ()
-    parent: Optional[str] = None
+class Stage(Record):
+    __slots__ = ("id", "kind", "owner", "has_storage", "label")
+
+    def __init__(self, id: str, kind: ActionKind, owner: str, has_storage: bool = False,
+                 label: Optional[str] = None) -> None:
+        set_id, set_kind, set_owner, set_storage, set_label = self._setters
+        set_id(self, id)
+        set_kind(self, kind)
+        set_owner(self, owner)
+        set_storage(self, has_storage)
+        set_label(self, label)
+
+
+class Machine(Record):
+    __slots__ = ("id", "name", "is_constraint", "stages", "submachines", "parent")
+
+    def __init__(self, id: str, name: str, is_constraint: bool = False,
+                 stages: tuple[Stage, ...] = (), submachines: tuple[Machine, ...] = (),
+                 parent: Optional[str] = None) -> None:
+        set_id, set_name, set_constraint, set_stages, set_subs, set_parent = self._setters
+        set_id(self, id)
+        set_name(self, name)
+        set_constraint(self, is_constraint)
+        set_stages(self, stages)
+        set_subs(self, submachines)
+        set_parent(self, parent)
 
     def stage_of(self, kind: ActionKind) -> Optional[Stage]:
         for stage in self.stages:
@@ -134,26 +195,36 @@ class Machine:
             stack += machine.submachines[::-1]
 
 
-@dataclass(frozen=True)
-class Flow:
-    id: str
-    source: str
-    target: str
+class Flow(Record):
+    __slots__ = ("id", "source", "target")
+
+    def __init__(self, id: str, source: str, target: str) -> None:
+        set_id, set_source, set_target = self._setters
+        set_id(self, id)
+        set_source(self, source)
+        set_target(self, target)
 
 
-@dataclass(frozen=True)
-class Trigger:
-    id: str
-    source: str
-    target: str
-    guard: Optional[str] = None
+class Trigger(Record):
+    __slots__ = ("id", "source", "target", "guard")
+
+    def __init__(self, id: str, source: str, target: str, guard: Optional[str] = None) -> None:
+        set_id, set_source, set_target, set_guard = self._setters
+        set_id(self, id)
+        set_source(self, source)
+        set_target(self, target)
+        set_guard(self, guard)
 
 
-@dataclass(frozen=True)
-class StaticModel:
-    machines: tuple[Machine, ...] = ()
-    flows: tuple[Flow, ...] = ()
-    triggers: tuple[Trigger, ...] = ()
+class StaticModel(Record):
+    __slots__ = ("machines", "flows", "triggers", "__dict__")
+
+    def __init__(self, machines: tuple[Machine, ...] = (), flows: tuple[Flow, ...] = (),
+                 triggers: tuple[Trigger, ...] = ()) -> None:
+        set_machines, set_flows, set_triggers = self._setters
+        set_machines(self, machines)
+        set_flows(self, flows)
+        set_triggers(self, triggers)
 
     @classmethod
     def build(
@@ -323,14 +394,17 @@ def strong_components(roots: Iterable[T], successors: Callable[[T], Iterable[T]]
     return components
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Record):
     """One broken model invariant: ``rule`` is the validator's public rule
     code, ``subject`` the id the problem is reported on."""
 
-    rule: str
-    subject: str
-    message: str
+    __slots__ = ("rule", "subject", "message")
+
+    def __init__(self, rule: str, subject: str, message: str) -> None:
+        set_rule, set_subject, set_message = self._setters
+        set_rule(self, rule)
+        set_subject(self, subject)
+        set_message(self, message)
 
 
 def check_model(model: StaticModel) -> list[Problem]:
@@ -385,37 +459,59 @@ def check_model(model: StaticModel) -> list[Problem]:
     return problems
 
 
-def _raise_problems(problems: list[Problem]) -> None:
+def _raise_problems(problems: Sequence[Problem]) -> None:
     if problems:
         raise ModelError("; ".join(p.message for p in problems))
 
 
-@dataclass(frozen=True)
-class Region:
-    stage_ids: frozenset[str]
-    edge_ids: frozenset[str] = frozenset()
+def _require_well_formed(model: StaticModel) -> None:
+    """Raise ModelError if the model breaks an invariant: the guard of the
+    functions that would otherwise fail on an unknown id in a model made
+    without `StaticModel.build`.  A built model's problems are known, so
+    this costs it nothing."""
+    _raise_problems(model.problems())
 
 
-@dataclass(frozen=True)
-class Event:
-    id: str
-    name: str
-    time: str
-    region: Region
-    intensity: Optional[str] = None
+class Region(Record):
+    __slots__ = ("stage_ids", "edge_ids")
+
+    def __init__(self, stage_ids: frozenset[str], edge_ids: frozenset[str] = frozenset()) -> None:
+        set_stage_ids, set_edge_ids = self._setters
+        set_stage_ids(self, stage_ids)
+        set_edge_ids(self, edge_ids)
 
 
-@dataclass(frozen=True)
-class BehaviorEdge:
-    source: str
-    target: str
-    exclusive_group: Optional[str] = None
+class Event(Record):
+    __slots__ = ("id", "name", "time", "region", "intensity")
+
+    def __init__(self, id: str, name: str, time: str, region: Region,
+                 intensity: Optional[str] = None) -> None:
+        set_id, set_name, set_time, set_region, set_intensity = self._setters
+        set_id(self, id)
+        set_name(self, name)
+        set_time(self, time)
+        set_region(self, region)
+        set_intensity(self, intensity)
 
 
-@dataclass(frozen=True)
-class BehavioralModel:
-    event_ids: frozenset[str] = frozenset()
-    edges: tuple[BehaviorEdge, ...] = ()
+class BehaviorEdge(Record):
+    __slots__ = ("source", "target", "exclusive_group")
+
+    def __init__(self, source: str, target: str, exclusive_group: Optional[str] = None) -> None:
+        set_source, set_target, set_group = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_group(self, exclusive_group)
+
+
+class BehavioralModel(Record):
+    __slots__ = ("event_ids", "edges")
+
+    def __init__(self, event_ids: frozenset[str] = frozenset(),
+                 edges: tuple[BehaviorEdge, ...] = ()) -> None:
+        set_event_ids, set_edges = self._setters
+        set_event_ids(self, event_ids)
+        set_edges(self, edges)
 
     @classmethod
     def build(
@@ -525,6 +621,8 @@ def model_isomorphic(a: StaticModel, b: StaticModel) -> bool:
     cost quadratic time on long chains and nests, where its search is linear
     anyway; it backtracks exponentially only on highly symmetric inputs.
     """
+    _require_well_formed(a)
+    _require_well_formed(b)
     return _digraph_isomorphic(_machine_digraph(a), _machine_digraph(b))
 
 

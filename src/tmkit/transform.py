@@ -45,6 +45,7 @@ from .model import (
     StaticModel,
     TmError,
     Trigger,
+    _require_well_formed,
     natural_key,
     build_trees,
     strong_components,
@@ -76,7 +77,9 @@ class NotSimplified(TmError):
 
 
 def _require_simplified(model: StaticModel) -> None:
-    """Raise NotSimplified, naming them, if the model has gate stages."""
+    """Raise ModelError if the model is not well-formed, and NotSimplified,
+    naming them, if it has gate stages."""
+    _require_well_formed(model)
     gates = sorted((s.id for s in model.all_stages() if s.kind in GATE_KINDS), key=natural_key)
     if gates:
         raise NotSimplified("model still contains gate stages: " + ", ".join(gates))
@@ -261,6 +264,7 @@ def simplify(model: StaticModel) -> StaticModel:
     stage (upstream for sources, downstream for targets); storage markers on
     removed stages migrate to the nearest surviving upstream stage.
     """
+    _require_well_formed(model)
     delivered, covered = _chain_map(model)
     gate_ids = {s.id for s in model.all_stages() if s.kind in GATE_KINDS}
     uncovered = gate_ids - covered

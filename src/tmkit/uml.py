@@ -19,7 +19,6 @@ round-trip contract and are interpretation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .model import (
     ActionKind,
     Flow,
     Machine,
+    Record,
     Stage,
     StaticModel,
     TmError,
@@ -62,29 +62,48 @@ class AmbiguousInitial(ActivityError):
         super().__init__(f"initial machine candidates: {listing}")
 
 
-@dataclass(frozen=True)
-class ActivityNode:
-    id: str
-    kind: str
-    label: str = ""
+class ActivityNode(Record):
+    __slots__ = ("id", "kind", "label")
+
+    def __init__(self, id: str, kind: str, label: str = "") -> None:
+        set_id, set_kind, set_label = self._setters
+        set_id(self, id)
+        set_kind(self, kind)
+        set_label(self, label)
 
 
-@dataclass(frozen=True)
-class ActivityEdge:
-    source: str
-    target: str
-    guard: Optional[str] = None
+class ActivityEdge(Record):
+    __slots__ = ("source", "target", "guard")
+
+    def __init__(self, source: str, target: str, guard: Optional[str] = None) -> None:
+        set_source, set_target, set_guard = self._setters
+        set_source(self, source)
+        set_target(self, target)
+        set_guard(self, guard)
 
 
-@dataclass(frozen=True)
-class ActivityGraph:
-    nodes: tuple[ActivityNode, ...] = ()
-    edges: tuple[ActivityEdge, ...] = ()
+class ActivityGraph(Record):
+    __slots__ = ("nodes", "edges", "__dict__")
+
+    def __init__(self, nodes: tuple[ActivityNode, ...] = (),
+                 edges: tuple[ActivityEdge, ...] = ()) -> None:
+        set_nodes, set_edges = self._setters
+        set_nodes(self, nodes)
+        set_edges(self, edges)
 
     @classmethod
     def build(
         cls, nodes: Sequence[ActivityNode], edges: Sequence[ActivityEdge]
     ) -> "ActivityGraph":
+        return cls(nodes=tuple(nodes), edges=tuple(edges))._checked()
+
+    def _checked(self) -> "ActivityGraph":
+        """This graph, once its invariants hold; raises the first that does
+        not.  A graph is checked once: `build` checks it, and `import_activity`
+        checks only a graph made without `build`."""
+        if "_ok" in self.__dict__:
+            return self
+        nodes, edges = self.nodes, self.edges
         by_id: dict[str, ActivityNode] = {}
         for node in nodes:
             if node.kind not in NODE_KINDS:
@@ -114,7 +133,8 @@ class ActivityGraph:
                 raise ActivityError(f"decision {node.id!r} needs at least two outgoing edges")
             if node.kind == "Merge" and in_deg.get(node.id, 0) < 2:
                 raise ActivityError(f"merge {node.id!r} needs at least two incoming edges")
-        return cls(nodes=tuple(nodes), edges=tuple(edges))
+        self.__dict__["_ok"] = True
+        return self
 
     # lookups indexed once per graph (the graph is immutable, so caching is safe)
 
@@ -217,7 +237,7 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
 
     Apply `transform.expand` afterwards for the full five-stage form.
     """
-    graph = ActivityGraph.build(graph.nodes, graph.edges)  # revalidate invariants
+    graph._checked()
 
     # merges vanish: route their in-edges straight to the merge's successor
     resolved: dict[str, str] = {}

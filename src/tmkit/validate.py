@@ -30,7 +30,6 @@ between create/process stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -40,6 +39,7 @@ from .model import (
     CORE_KINDS,
     Event,
     Problem,
+    Record,
     StaticModel,
     check_behavior,
     check_events,
@@ -79,12 +79,15 @@ class Severity(Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Severity
-    rule: str
-    subject: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("severity", "rule", "subject", "message")
+
+    def __init__(self, severity: Severity, rule: str, subject: str, message: str) -> None:
+        set_severity, set_rule, set_subject, set_message = self._setters
+        set_severity(self, severity)
+        set_rule(self, rule)
+        set_subject(self, subject)
+        set_message(self, message)
 
     def __str__(self) -> str:
         return f"{self.severity.value.upper()} {self.rule} {self.subject}: {self.message}"

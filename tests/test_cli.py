@@ -92,6 +92,42 @@ def test_unreadable_file_is_status_two(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+# a model file, an activity graph and a trace file: every path `cli._read` serves
+_READ_PATHS = {"model": ["check", "{f}"], "activity": ["import-uml", "{f}"],
+               "trace": ["trace", str(mentcare_path()), "--trace", "@{f}"]}
+
+
+@pytest.mark.parametrize("argv", _READ_PATHS.values(), ids=_READ_PATHS)
+@pytest.mark.parametrize("data, reason, offset", [
+    (b"\xff", "invalid start byte", 0),
+    (b'machine A "\xed\xa0\x80" { create; }\n', "invalid continuation byte", 11),  # a surrogate
+    (b'["E1", "\xc3', "unexpected end of data", 8),
+], ids=["0xff", "surrogate", "cut-off"])
+def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, argv, data, reason, offset):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert run([a.format(f=path) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"cannot read {path}: not UTF-8: {reason} at offset {offset}\n")
+
+
+@pytest.mark.parametrize("argv, content, status, message", [
+    (_READ_PATHS["model"], "machine A { create; process; }\n", 1,
+     "{f}:1:1: syntax: unexpected character '\\ufeff'"),
+    (_READ_PATHS["activity"], '{"nodes": [], "edges": []}', 1,
+     "not valid JSON: Unexpected UTF-8 BOM"),
+    (_READ_PATHS["trace"], '["E1"]', 2, "trace file is not valid JSON: Unexpected UTF-8 BOM"),
+], ids=_READ_PATHS)
+def test_a_byte_order_mark_is_not_skipped(tmp_path, capsys, argv, content, status, message):
+    """Input is read as UTF-8 without a byte order mark: a leading U+FEFF is
+    reported as what it is, in one line."""
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf" + content.encode())
+    assert run([a.format(f=path) for a in argv]) == status
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith(message.format(f=path))
+
+
 def test_parse_failure_is_status_one(tmp_path, capsys):
     bad = tmp_path / "broken.tm"
     bad.write_text("machine {", encoding="utf-8")
@@ -431,11 +467,26 @@ FUZZ_TEXTS = (
 )
 
 
-@settings(max_examples=120, deadline=None)
-@given(FUZZ_TEXTS)
-def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, text):
+@st.composite
+def _spliced_bytes(draw) -> bytes:
+    """A fuzz text as UTF-8 with bytes spliced in: a byte order mark, bytes
+    that are not UTF-8 (a byte no sequence starts with, a cut-off sequence,
+    an encoded surrogate), or any bytes at all."""
+    data = draw(FUZZ_TEXTS).encode()
+    at = draw(st.integers(0, len(data)))
+    junk = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\xed\xa0\x80"])
+                | st.binary(min_size=1, max_size=8))
+    return data[:at] + junk + data[at:]
+
+
+FUZZ_INPUTS = FUZZ_TEXTS.map(str.encode) | _spliced_bytes()
+
+
+@settings(max_examples=160, deadline=None)
+@given(FUZZ_INPUTS)
+def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzz.tm"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     # stderr holds diagnostics, one a line, or one line of another message
     diagnostic = re.compile(
         rf"{re.escape(str(path))}:\d+:\d+: (syntax|duplicate-id|unresolved-ref|invalid): \S"

@@ -18,12 +18,15 @@ from tmkit.corpus import corpus_dir, mentcare_path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs one command line through `cli.run`, output to a file, and prints its
-# status, whether `json` was imported, and every tmkit module loaded.
+# status, whether `json` was imported, which of `dataclasses` and `inspect`
+# were ("-" for neither; a cold start pays milliseconds for each), and every
+# tmkit module loaded.
 _PROBE = (
     "import sys\n"
     "from tmkit.cli import run\n"
     "status = run(sys.argv[1:])\n"
-    "print(status, 'json' in sys.modules,"
+    "slow = ','.join(sorted({'dataclasses', 'inspect'} & sys.modules.keys())) or '-'\n"
+    "print(status, 'json' in sys.modules, slow,"
     " *sorted(m for m in sys.modules if m.split('.')[0] == 'tmkit'))\n"
 )
 
@@ -78,9 +81,15 @@ def test_each_command_loads_only_the_modules_it_runs(
     inputs, tmp_path, argv, status, extra, json_loaded
 ):
     argv = [a.format(**inputs) for a in argv] + ["-o", str(tmp_path / "out")]
-    got_status, got_json, *modules = _fresh("-c", _PROBE, *argv).split()
-    assert (int(got_status), got_json) == (status, str(json_loaded))
+    got_status, got_json, slow, *modules = _fresh("-c", _PROBE, *argv).split()
+    assert (int(got_status), got_json, slow) == (status, str(json_loaded), "-")
     assert set(modules) == BASE | extra
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    out = _fresh("-c", "import sys, tmkit.cli\n"
+                       "print({'dataclasses', 'inspect'} & sys.modules.keys())")
+    assert out == "set()\n"
 
 
 def test_import_tmkit_loads_no_submodule():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
+import contextlib
+import copy
+import inspect
+import pickle
 from itertools import permutations
 
 import pytest
@@ -13,6 +16,7 @@ import tmkit.model
 from strategies import canonical_models, documents, simplified_models
 from tmkit import (
     ActionKind,
+    BehavioralModel,
     EmptyRegion,
     Flow,
     Machine,
@@ -20,6 +24,7 @@ from tmkit import (
     Severity,
     Stage,
     StaticModel,
+    TmError,
     Trigger,
     UnknownMachine,
     UnknownStage,
@@ -29,15 +34,21 @@ from tmkit import (
     parse_or_raise,
     validate_static,
 )
+from tmkit.behavior import Verdict
+from tmkit.dsl import CommentMap, ParseDiagnostic, ParseResult, SourceSpan
 from tmkit.model import (
+    BehaviorEdge,
     Event,
     Problem,
+    Record,
     Region,
     check_events,
     check_model,
     natural_key,
     strong_components,
 )
+from tmkit.uml import ActivityEdge, ActivityGraph, ActivityNode
+from tmkit.validate import Diagnostic
 
 C, P, R, T, V = ActionKind
 
@@ -183,14 +194,14 @@ def _mutations(model: StaticModel):
                 subs = tuple(patch(s) for s in machine.submachines)
                 if machine.id == victim.owner:
                     own = tuple(
-                        replace(s, owner=owner) if s is victim else s for s in machine.stages
+                        s.replace(owner=owner) if s is victim else s for s in machine.stages
                     )
-                    return replace(machine, stages=own + extra, submachines=subs)
-                return replace(machine, submachines=subs)
+                    return machine.replace(stages=own + extra, submachines=subs)
+                return machine.replace(submachines=subs)
 
             return lambda m: StaticModel(tuple(patch(r) for r in m.machines), m.flows, m.triggers)
 
-        muts.append(patch_victim((replace(victim, id=victim.id + "_dup"),), victim.owner))
+        muts.append(patch_victim((victim.replace(id=victim.id + "_dup"),), victim.owner))
         muts.append(patch_victim((), victim.owner + "_elsewhere"))
         muts.append(
             lambda m: StaticModel(
@@ -215,7 +226,7 @@ def _mutations(model: StaticModel):
     if machines:
         muts.append(
             lambda m: StaticModel(
-                m.machines + (replace(machines[0], submachines=(), stages=()),),
+                m.machines + (machines[0].replace(submachines=(), stages=()),),
                 m.flows,
                 m.triggers,
             )
@@ -234,6 +245,54 @@ def test_every_single_invariant_break_is_rejected(model, data):
         StaticModel.build(broken.machines, broken.flows, broken.triggers)
     errors = {(d.rule, d.subject) for d in validate_static(broken) if d.severity is Severity.ERROR}
     assert {(p.rule, p.subject) for p in problems} <= errors
+
+
+
+def _model_takers(model: StaticModel) -> dict:
+    """A call on ``model`` of each public function that takes a StaticModel."""
+    stage = next(model.all_stages(), None)
+    event = Event("E1", "E1", "t", Region(frozenset({"x" if stage is None else stage.id})))
+    path = [model.machines[0].name] if model.machines else ["x"]
+    return {
+        "coverage": lambda: tmkit.coverage(model, (event,)),
+        "document_to_json": lambda: tmkit.document_to_json(model, (event,)),
+        "eventize": lambda: tmkit.eventize(model, event),
+        "expand": lambda: tmkit.expand(model),
+        "export_activity": lambda: tmkit.export_activity(model),
+        "find_stage": lambda: find_stage(model, path, ActionKind.PROCESS),
+        "induced_region": lambda: induced_region(model, event.region.stage_ids),
+        "model_isomorphic": lambda: model_isomorphic(model, model),
+        "print_model": lambda: tmkit.print_model(model, (event,)),
+        "render_static": lambda: tmkit.render_static(model, event.region),
+        "simplify": lambda: tmkit.simplify(model),
+        "validate_behavior": lambda: tmkit.validate_behavior(model, (event,), BehavioralModel()),
+        "validate_document": lambda: tmkit.validate_document(model, (event,)),
+        "validate_events": lambda: tmkit.validate_events(model, (event,)),
+        "validate_static": lambda: validate_static(model),
+    }
+
+
+def test_the_raw_break_table_calls_every_public_function_taking_a_model():
+    takers = {
+        name for name in tmkit.__all__
+        if inspect.isfunction(function := getattr(tmkit, name))
+        and any("StaticModel" in str(p.annotation)
+                for p in inspect.signature(function).parameters.values())
+    }
+    assert takers == set(_model_takers(StaticModel()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplified_models() | canonical_models(), st.data())
+def test_every_public_function_returns_or_raises_a_tmerror_on_raw_breaks(model, data):
+    broken = data.draw(st.sampled_from(_mutations(model)))(model)
+    for name, call in _model_takers(broken).items():
+        try:
+            call()
+        except TmError:
+            pass
+    with pytest.raises(ModelError):
+        model_isomorphic(model, broken)
 
 
 # -- one walk and one check per model ------------------------------------------
@@ -458,7 +517,7 @@ def rename_everything(model: StaticModel) -> StaticModel:
         for s in machine.stages:
             sid = f"{new_id}.{s.kind.value}"
             stage_names[s.id] = sid
-            stages.append(replace(s, id=sid, owner=new_id))
+            stages.append(s.replace(id=sid, owner=new_id))
         subs = tuple(rebuild(sub) for sub in machine.submachines)
         return Machine(
             id=new_id,
@@ -691,3 +750,130 @@ def test_isomorphism_agrees_with_networkx(a, b, renamed):
     expected = networkx_isomorphic(stage_multigraph(a), stage_multigraph(b))
     assert model_isomorphic(a, b) == expected
     assert expected or not renamed
+
+
+
+# -- the record contract -----------------------------------------------------------
+
+_STAGE = ("A.create", ActionKind.CREATE, "A", True, "make")
+_STAGE_REPR = ("Stage(id='A.create', kind=<ActionKind.CREATE: 'create'>, owner='A',"
+               " has_storage=True, label='make')")
+_REGION_REPR = "Region(stage_ids=frozenset({'A.create'}), edge_ids=frozenset())"
+
+# each public record type: its fields and values in order, its repr as the
+# dataclass it replaced printed it, and the defaults of its trailing fields
+RECORDS = [
+    (Stage, ("id", "kind", "owner", "has_storage", "label"), _STAGE, _STAGE_REPR,
+     {"has_storage": False, "label": None}),
+    (Machine, ("id", "name", "is_constraint", "stages", "submachines", "parent"),
+     ("A", "A", True, (Stage(*_STAGE),), (), "P"),
+     f"Machine(id='A', name='A', is_constraint=True, stages=({_STAGE_REPR},), submachines=(),"
+     " parent='P')", {"is_constraint": False, "stages": (), "submachines": (), "parent": None}),
+    (Flow, ("id", "source", "target"), ("f1", "A.create", "B.process"),
+     "Flow(id='f1', source='A.create', target='B.process')", {}),
+    (Trigger, ("id", "source", "target", "guard"), ("t1", "A.create", "B.process", "go"),
+     "Trigger(id='t1', source='A.create', target='B.process', guard='go')", {"guard": None}),
+    (StaticModel, ("machines", "flows", "triggers"), ((), (Flow("f1", "a", "b"),), ()),
+     "StaticModel(machines=(), flows=(Flow(id='f1', source='a', target='b'),), triggers=())",
+     {"machines": (), "flows": (), "triggers": ()}),
+    (Problem, ("rule", "subject", "message"),
+     ("V1", "f1", "flow 'f1' references unknown stage 'x'"),
+     "Problem(rule='V1', subject='f1', message=\"flow 'f1' references unknown stage 'x'\")", {}),
+    (Region, ("stage_ids", "edge_ids"), (frozenset({"A.create"}), frozenset()), _REGION_REPR,
+     {"edge_ids": frozenset()}),
+    (Event, ("id", "name", "time", "region", "intensity"),
+     ("E1", "Start", "t1", Region(frozenset({"A.create"})), "high"),
+     f"Event(id='E1', name='Start', time='t1', region={_REGION_REPR}, intensity='high')",
+     {"intensity": None}),
+    (BehaviorEdge, ("source", "target", "exclusive_group"), ("E1", "E2", "g"),
+     "BehaviorEdge(source='E1', target='E2', exclusive_group='g')", {"exclusive_group": None}),
+    (BehavioralModel, ("event_ids", "edges"), (frozenset({"E1"}), ()),
+     "BehavioralModel(event_ids=frozenset({'E1'}), edges=())",
+     {"event_ids": frozenset(), "edges": ()}),
+    (SourceSpan, ("line", "column", "length"), (3, 7, 2), "SourceSpan(line=3, column=7, length=2)",
+     {"length": 1}),
+    (ParseDiagnostic, ("span", "code", "message"), (SourceSpan(1, 1), "syntax", "unexpected"),
+     "ParseDiagnostic(span=SourceSpan(line=1, column=1, length=1), code='syntax',"
+     " message='unexpected')", {}),
+    (CommentMap, ("header", "items"), (("head",), {"A": ("note",)}),
+     "CommentMap(header=('head',), items={'A': ('note',)})", {"header": (), "items": {}}),
+    (ParseResult, ("model", "events", "behavior", "comments", "diagnostics"),
+     (None, (), None, CommentMap(), ()),
+     "ParseResult(model=None, events=(), behavior=None, comments=CommentMap(header=(), items={}),"
+     " diagnostics=())", {}),
+    (Diagnostic, ("severity", "rule", "subject", "message"), (Severity.ERROR, "V1", "f1", "bad"),
+     "Diagnostic(severity=<Severity.ERROR: 'error'>, rule='V1', subject='f1', message='bad')", {}),
+    (Verdict, ("conforms", "violation_index", "reason"), (False, 2, "no edge"),
+     "Verdict(conforms=False, violation_index=2, reason='no edge')", {}),
+    (ActivityNode, ("id", "kind", "label"), ("a", "Action", "Do it"),
+     "ActivityNode(id='a', kind='Action', label='Do it')", {"label": ""}),
+    (ActivityEdge, ("source", "target", "guard"), ("d", "a", "yes"),
+     "ActivityEdge(source='d', target='a', guard='yes')", {"guard": None}),
+    (ActivityGraph, ("nodes", "edges"),
+     ((ActivityNode("i", "Initial"),), (ActivityEdge("i", "a"),)),
+     "ActivityGraph(nodes=(ActivityNode(id='i', kind='Initial', label=''),),"
+     " edges=(ActivityEdge(source='i', target='a', guard=None),))", {"nodes": (), "edges": ()}),
+]
+
+
+def test_the_contract_table_covers_every_record_type():
+    assert {cls for cls, *_ in RECORDS} == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("cls, names, values, text, defaults", RECORDS,
+                         ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_records_keep_the_dataclass_contract(cls, names, values, text, defaults):
+    record = cls(*values)
+    assert repr(record) == text
+    assert tuple(getattr(record, name) for name in names) == values
+    assert cls.__match_args__ == names
+
+    # equal fields give equal records, by keyword or with the defaults too
+    twin = cls(**dict(zip(names, values)))
+    assert twin == record and not twin != record and twin is not record
+    required = len(names) - len(defaults)
+    assert cls(*values[:required]) == cls(*values[:required], *defaults.values())
+    assert {name: getattr(cls(*values[:required]), name) for name in defaults} == defaults
+    if cls is CommentMap:
+        assert cls().items is not cls().items
+
+    # a tuple or a record of another type with the same fields is not equal
+    assert record != values and values != record
+    for other, *_ in RECORDS:
+        if other is not cls:
+            with contextlib.suppress(TypeError, ValueError):
+                assert record != other(*values) and other(*values) != record
+
+    if cls in (CommentMap, ParseResult):  # the mutable records
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+        setattr(twin, names[-1], "changed")
+        assert twin != record
+    else:
+        assert hash(twin) == hash(record) == hash(values)
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "changed")
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+
+    # replace changes one field and leaves the record as it was
+    assert record.replace(**{names[-1]: "changed"}) == cls(*values[:-1], "changed")
+    assert record.replace() == record and repr(record) == text
+    with pytest.raises(TypeError):
+        record.replace(other="changed")
+
+    # copies and pickles are equal records of the same type
+    for copied in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is cls and copied == record
+
+
+def test_a_verdict_has_a_violation_index_exactly_when_it_does_not_conform():
+    assert Verdict(True, None, "ok").conforms and Verdict(False, 0, "no").violation_index == 0
+    for conforms, index in ((True, 0), (False, None)):
+        with pytest.raises(ValueError, match="violation_index"):
+            Verdict(conforms, index, "")
+    with pytest.raises(ValueError, match="violation_index"):
+        Verdict(False, 2, "no edge").replace(conforms=True)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -554,7 +552,7 @@ def test_fresh_flow_ids_skip_stage_ids_of_raw_models():
     assert [f.id for f in simplify(full).flows] == ["f8"]
 
 
-# -- rebuilt parts equal what dataclasses.replace gives ---------------------------
+# -- rebuilt parts equal what Record.replace gives --------------------------------
 
 
 @st.composite
@@ -576,9 +574,9 @@ def gate_anchored_models(draw) -> StaticModel:
             triggers.append(Trigger(f"g{k}", *pair, draw(st.sampled_from([None, "go"]))))
 
     def store(machine, _parent, subs):
-        stages = tuple(replace(s, has_storage=s.has_storage or s.id in stored)
+        stages = tuple(s.replace(has_storage=s.has_storage or s.id in stored)
                        for s in machine.stages)
-        return replace(machine, stages=stages, submachines=subs)
+        return machine.replace(stages=stages, submachines=subs)
 
     machines = build_trees(model.machines, submachines_of, store)
     return StaticModel.build(machines, model.flows, triggers)
@@ -591,21 +589,21 @@ def test_transforms_rebuild_parts_equal_to_what_replace_gives(model):
     kept = simple.stages_by_id
 
     def simplified(machine, _parent, subs):
-        stages = tuple(replace(s, has_storage=kept[s.id].has_storage)
+        stages = tuple(s.replace(has_storage=kept[s.id].has_storage)
                        for s in machine.stages if s.kind in CORE_KINDS)
-        return replace(machine, stages=stages, submachines=subs)
+        return machine.replace(stages=stages, submachines=subs)
 
     assert simple.machines == build_trees(model.machines, submachines_of, simplified)
     old = model.triggers_by_id
     assert list(simple.triggers) == [
-        replace(old[t.id], source=t.source, target=t.target) for t in simple.triggers
+        old[t.id].replace(source=t.source, target=t.target) for t in simple.triggers
     ]
 
     full = expand(simple)
     added = {m.id: tuple(s for s in m.stages if s.kind in GATE_KINDS) for m in full.all_machines()}
 
     def expanded(machine, _parent, subs):
-        return replace(machine, stages=machine.stages + added[machine.id], submachines=subs)
+        return machine.replace(stages=machine.stages + added[machine.id], submachines=subs)
 
     assert full.machines == build_trees(simple.machines, submachines_of, expanded)
 
@@ -614,10 +612,10 @@ def test_transforms_rebuild_parts_equal_to_what_replace_gives(model):
 @given(canonical_models())
 def test_build_relinks_machines_equal_to_what_replace_gives(model):
     unlinked = build_trees(model.machines, submachines_of,
-                           lambda m, _p, subs: replace(m, parent=None, submachines=subs))
+                           lambda m, _p, subs: m.replace(parent=None, submachines=subs))
 
     def relinked(machine, parent, subs):
-        return replace(machine, parent=None if parent is None else parent.id, submachines=subs)
+        return machine.replace(parent=None if parent is None else parent.id, submachines=subs)
 
     expected = build_trees(unlinked, submachines_of, relinked)
     assert StaticModel.build(unlinked, model.flows, model.triggers).machines == expected == model.machines

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 
@@ -25,6 +27,7 @@ from tmkit import (
     validate_static,
 )
 from tmkit.cli import run
+from tmkit import uml
 from tmkit.uml import ActivityError
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
@@ -116,6 +119,39 @@ def test_unguarded_decision_edge_raises():
                 ActivityEdge("c", "f"),
             ],
         )
+
+
+
+_I, _A, _F = (ActivityNode("i", "Initial"), ActivityNode("a", "Action", "a"),
+              ActivityNode("f", "Final"))
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    ((_I, _A, _F, ActivityNode("d", "Decision")),
+     (ActivityEdge("i", "a"), ActivityEdge("a", "d"), ActivityEdge("d", "f"),
+      ActivityEdge("d", "a", "again"))),
+    ((_I, _A, _F, _A), (ActivityEdge("i", "a"), ActivityEdge("a", "f"))),
+    ((_I, _A, _F), (ActivityEdge("i", "a"), ActivityEdge("a", "nowhere"))),
+    ((_A, _F), (ActivityEdge("a", "f"),)),
+    ((_I, _A, _F, ActivityNode("m", "Merge")),
+     (ActivityEdge("i", "a"), ActivityEdge("a", "m"), ActivityEdge("m", "f"))),
+    ((_I, ActivityNode("x", "Fork"), _F), ()),
+], ids=["unguarded", "duplicate", "endpoint", "no-initial", "merge", "kind"])
+def test_import_checks_a_graph_made_without_build(nodes, edges):
+    with pytest.raises(ActivityError) as built:
+        ActivityGraph.build(nodes, edges)
+    with pytest.raises(built.type, match=re.escape(str(built.value))):
+        import_activity(ActivityGraph(nodes, edges))
+
+
+def test_import_does_not_check_a_built_graph_again(monkeypatch):
+    graph = linear("one", "two")
+    raw = ActivityGraph(graph.nodes, graph.edges)
+    assert import_activity(raw) == import_activity(graph)
+    monkeypatch.setattr(uml, "NODE_KINDS", ())  # any check from here on fails
+    assert import_activity(graph) == import_activity(raw)
+    with pytest.raises(UnsupportedConstruct):
+        import_activity(ActivityGraph(graph.nodes, graph.edges))
 
 
 def test_smallest_model_exports_to_initial_action_final():

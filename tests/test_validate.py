@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -149,7 +148,7 @@ _CREATE = Stage("M.create", C, "M")
     [
         (_raw([_CREATE], flows=[Flow("f1", "M.create", "nowhere")]), "V1", "f1"),
         (_raw([_CREATE], triggers=[Trigger("t1", "nowhere", "M.create")]), "V1", "t1"),
-        (_raw([replace(_CREATE, owner="N")]), "V5", "M.create"),
+        (_raw([_CREATE.replace(owner="N")]), "V5", "M.create"),
         (_raw([_CREATE], constraint=True), "V7", "M"),
         (_raw([_CREATE], flows=[Flow("f1", "M.create", "M.create")]), "V2", "f1"),
         (_raw([_CREATE], triggers=[Trigger("t1", "M.create", "M.create")]), "V4", "t1"),
