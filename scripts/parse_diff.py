@@ -1,0 +1,254 @@
+#!/usr/bin/env python3
+"""Differential of the text parser against another revision.
+
+Parses the same seeded texts with this tree's `tmkit.dsl` and with the one
+of revision REV, and prints one JSON line that counts each text under one
+class:
+
+    same          equal parse results (for an accepted text, also the same
+                  `print_model` output)
+    only_order    the same diagnostics in another order
+    span          the same codes and messages, some at other positions
+    code_message  as many diagnostics, some with another code or message
+    count         another number of diagnostics
+    ok_flipped    one side accepts the text and the other rejects it
+    valid_differs both accept the text but disagree on the parse result or
+                  on its `print_model` output
+
+It exits 1 if any text is counted as `ok_flipped` or `valid_differs`.  The
+texts are small documents whose names come from small pools, so machines,
+stages, edge labels and events repeat and share ids; edges loop and dangle,
+constraint machines lack a process stage, behavior edges repeat, loop and
+name undeclared events, and some texts get a syntax error spliced in.  Run
+from a git checkout; REV's sources are read with `git show`:
+
+    python3 scripts/parse_diff.py --against HEAD~1 [--count 20000]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from enum import Enum
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+KINDS = ("create", "process", "release", "transfer", "receive")
+NAMES = ("A", "B", "C")
+LABELS = ("f1", "f2", "t1", "A", "E1", "x")
+EVENTS = ("E1", "E2", "E3", "A", "f1", "t1")
+
+
+def load_revision(rev: str, into: Path):
+    """The `dsl` module of ``rev``, imported as package ``tmkit_against``."""
+    package = into / "tmkit_against"
+    package.mkdir()
+    names = subprocess.run(
+        ["git", "-C", str(ROOT), "ls-tree", "--name-only", f"{rev}:src/tmkit"],
+        check=True, capture_output=True, text=True,
+    ).stdout.split()
+    for name in names:
+        if name.endswith(".py"):
+            source = subprocess.run(
+                ["git", "-C", str(ROOT), "show", f"{rev}:src/tmkit/{name}"],
+                check=True, capture_output=True,
+            ).stdout
+            (package / name).write_bytes(source)
+    sys.path.insert(0, str(into))
+    return importlib.import_module("tmkit_against.dsl")
+
+
+def plain(value):
+    """A record tree as tuples, the same for both revisions' classes."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (frozenset, set)):
+        return tuple(sorted(map(plain, value), key=repr))
+    if isinstance(value, dict):
+        return tuple(sorted((key, plain(item)) for key, item in value.items()))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(plain, value))
+    if dataclasses.is_dataclass(value):
+        fields = [f.name for f in dataclasses.fields(value)]
+    else:
+        fields = getattr(type(value), "_fields", None)
+        if fields is None:
+            return value
+    return (type(value).__name__, *(plain(getattr(value, name)) for name in fields))
+
+
+def diagnostics(result) -> list[tuple]:
+    return [(d.span.line, d.span.column, d.span.length, d.code, d.message)
+            for d in result.diagnostics]
+
+
+def classify(new, old, print_new, print_old) -> str:
+    if new.ok != old.ok:
+        return "ok_flipped"
+    if new.ok:
+        same = plain(new) == plain(old) and print_new(new) == print_old(old)
+        return "same" if same else "valid_differs"
+    a, b = diagnostics(new), diagnostics(old)
+    if a == b:
+        return "same"
+    if sorted(a) == sorted(b):
+        return "only_order"
+    if len(a) != len(b):
+        return "count"
+    if sorted(d[3:] for d in a) == sorted(d[3:] for d in b):
+        return "span"
+    return "code_message"
+
+
+# -- texts ---------------------------------------------------------------------
+
+
+def document(rng: random.Random) -> str:
+    """One document text.  A clean one keeps names apart and references
+    right; a noisy one draws every name from the shared pools."""
+    clean = rng.random() < 0.4
+
+    def pick(pool, taken):
+        free = [name for name in pool if not clean or name not in taken]
+        return rng.choice(free) if free else None
+
+    statements, refs, ids = [], [], set()
+
+    def machine(path: str, depth: int) -> list[str]:
+        name = pick(NAMES, {mid.rpartition(".")[2] for mid in ids if mid.rpartition(".")[0] == path})
+        if name is None:
+            return []
+        mid = f"{path}.{name}" if path else name
+        ids.add(mid)
+        if clean:
+            kinds = rng.sample(KINDS, rng.randint(1, 3))
+        else:
+            kinds = [rng.choice(KINDS) for _ in range(rng.randint(1, 3))]
+        constraint = rng.random() < 0.15 and (not clean or "process" in kinds)
+        head = f"machine {name}{' constraint' if constraint else ''}"
+        if rng.random() < 0.2:
+            head += ' : "shown"'
+        lines = [head + " {"]
+        for kind in kinds:
+            refs.append(f"{mid}.{kind}")
+            lines.append(f"  {kind}{' store' if rng.random() < 0.2 else ''};")
+        if depth < 2 and rng.random() < 0.3:
+            lines += ["  " + line for line in machine(mid, depth + 1)]
+        return lines + ["}"]
+
+    for _ in range(rng.randint(1, 3)):
+        body = machine("", 0)
+        if body:
+            statements.append("\n".join(body))
+
+    def ref() -> str:
+        if not clean and rng.random() < 0.1:  # a reference that names nothing
+            return rng.choice(("Z.create", "A.receive", "A.B.process", "C.D.transfer"))
+        return rng.choice(refs)
+
+    labeled = []  # (label, source, target)
+    for _ in range(rng.randint(0, 4)):
+        dashed = rng.random() < 0.3
+        source, target = ref(), ref()
+        if clean and source == target:
+            continue
+        label = None
+        if rng.random() < 0.5:
+            label = pick(LABELS, ids | {edge[0] for edge in labeled})
+        if label is not None:
+            labeled.append((label, source, target))
+        keyword, arrow = ("trigger", "=>") if dashed else ("flow", "->")
+        guard = ' if "g"' if dashed and rng.random() < 0.5 else ""
+        statements.append(f"{keyword} {label + ': ' if label else ''}{source} {arrow} {target}{guard};")
+    edge_ids = {edge[0] for edge in labeled} | {"f1", "f2", "f3", "t1", "t2"}  # and auto ids
+
+    declared = []
+    for _ in range(rng.randint(0, 3)):
+        eid = pick(EVENTS, ids | edge_ids | set(declared))
+        if eid is None:
+            continue
+        declared.append(eid)
+        region = [rng.choice(refs) for _ in range(rng.randint(1, 3))]
+        if labeled and rng.random() < 0.3:
+            label, source, target = rng.choice(labeled)
+            region += [source, target, f"edge {label}"]
+        if not clean and rng.random() < 0.3:
+            region.append(f"edge {rng.choice(sorted(edge_ids))}")
+        intensity = ' intensity "low";' if rng.random() < 0.2 else ""
+        statements.append(f'event {eid} {{ time "t"; region {{ {" ".join(region)} }}{intensity} }}')
+
+    pool = declared if clean else declared + ["E9"]  # E9 is never declared
+    pairs = []
+    for _ in range(rng.randint(0, 4) if len(pool) > 1 else 0):
+        pair = rng.choice(pool), rng.choice(pool)
+        if not clean or (pair[0] != pair[1] and pair not in pairs):
+            pairs.append(pair)
+    if pairs:
+        group = ' excl "g"'
+        edges = [f"{s} -> {t}{group if rng.random() < 0.2 else ''};" for s, t in pairs]
+        if rng.random() < 0.5:  # one edge a line, each of which a comment may precede
+            statements.append("behavior {\n  " + "\n  ".join(edges) + "\n}")
+        else:
+            statements.append(f"behavior {{ {' '.join(edges)} }}")
+
+    if rng.random() < 0.3:
+        rng.shuffle(statements)
+    text = "\n".join(statements) + "\n"
+    if rng.random() < 0.15:
+        text = splice(rng, text)
+    if rng.random() < 0.3:
+        lines = text.split("\n")
+        for _ in range(rng.randint(1, 3)):
+            lines.insert(rng.randrange(len(lines)), "# a comment")
+        text = "\n".join(lines)
+    return text
+
+
+def splice(rng: random.Random, text: str) -> str:
+    """The text with a syntax error: a character dropped or a piece put in."""
+    at = rng.randrange(len(text))
+    if rng.random() < 0.5:
+        return text[:at] + text[at + 1:]
+    return text[:at] + rng.choice((";", "{", "}", " machine ", " -> ", '"', " flow ", ".")) + text[at:]
+
+
+def main(argv=None) -> int:
+    args = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    args.add_argument("--against", required=True, metavar="REV", help="the git revision to compare with")
+    args.add_argument("--count", type=int, default=20000, help="the number of texts (20000)")
+    opts = args.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from tmkit import dsl
+
+    with tempfile.TemporaryDirectory() as tmp:
+        old_dsl = load_revision(opts.against, Path(tmp))
+        rng = random.Random(0)  # the first n texts are the same for every count n
+        printers = _printer(dsl), _printer(old_dsl)
+        counts: Counter = Counter()
+        valid = 0
+        for _ in range(opts.count):
+            text = document(rng)
+            new, old = dsl.parse(text), old_dsl.parse(text)
+            counts[classify(new, old, *printers)] += 1
+            valid += new.ok and old.ok
+    classes = ("same", "only_order", "span", "code_message", "count", "ok_flipped", "valid_differs")
+    print(json.dumps({"against": opts.against, "texts": opts.count, "valid": valid,
+                      **{name: counts[name] for name in classes}}))
+    return 1 if counts["ok_flipped"] or counts["valid_differs"] else 0
+
+
+def _printer(dsl):
+    return lambda result: dsl.print_model(result.model, result.events, result.behavior,
+                                          result.comments)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

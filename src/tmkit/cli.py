@@ -49,9 +49,10 @@ def _write_out(text: str, out: Optional[str]) -> None:
 
 def _load(path: str):
     """Returns (model, events, behavior, comments).  The input format is
-    sniffed: a JSON document starts with '{', anything else is model text."""
+    sniffed: a JSON document starts with '{', after a byte order mark if any
+    (the JSON decoder reports it), and anything else is model text."""
     text = _read(path)
-    if text.lstrip().startswith("{"):
+    if text.removeprefix("\ufeff").lstrip().startswith("{"):
         from . import jsonio
 
         try:

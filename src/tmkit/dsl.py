@@ -46,10 +46,13 @@ and diagnostic is the one token-by-token reading gives.
 
 Each token carries its offset in the text, not a line and column.  Those are
 looked up, by bisection in an index of line starts built on first use, only
-for positions that are reported: diagnostics, the line of an earlier
-declaration of a duplicate id, and, when the text has comments, the lines
-that attach comments to elements.  An escaped newline stays in the string's
-value and still starts a new source line.
+for positions that are reported: diagnostics and, when the text has
+comments, the lines that attach comments to elements.  An escaped newline
+stays in the string's value and still starts a new source line.
+
+The resolver resolves names only.  The model rules are checked by the
+checks of `tmkit.model` that JSON input and the validator use, and each
+problem they find is a diagnostic coded by its rule (``V1`` to ``V9``).
 """
 
 from __future__ import annotations
@@ -66,13 +69,18 @@ from .model import (
     Flow,
     KIND_ORDER,
     Machine,
+    Problem,
     Record,
     Region,
     Stage,
     StaticModel,
     TmError,
     Trigger,
+    _edge_order,
+    _raise_problems,
     _require_well_formed,
+    check_behavior,
+    check_events,
     natural_key,
 )
 
@@ -113,7 +121,7 @@ class ParseDiagnostic(Record):
     def __init__(self, span: SourceSpan, code: str, message: str) -> None:
         set_span, set_code, set_message = self._setters
         set_span(self, span)
-        set_code(self, code)  # "syntax" | "duplicate-id" | "unresolved-ref" | "invalid"
+        set_code(self, code)  # "syntax" | "unresolved-ref" | "invalid" | a rule code "V1".."V9"
         set_message(self, message)
 
     def __str__(self) -> str:
@@ -764,12 +772,18 @@ class _Parser:
 
 
 class _Resolver:
+    """Builds the model a text spells, repeated elements included, and
+    reports what `StaticModel.problems`, `check_events` and `check_behavior`
+    find at the declaration of each problem's subject: the last one of an id
+    declared more than once, the first mention of an undeclared event."""
+
     def __init__(self, parser: _Parser, comments: list[tuple[int, str]]):
         self.p = parser
         self.lines = parser.lines
         self.raw_comments = comments
         self.diagnostics = list(parser.diagnostics)
-        self.ids: dict[str, _Token] = {}
+        # each machine, stage, flow and trigger id to its declaration token
+        self.decls: dict[str, _Token] = {}
         # each stage id to itself: the string its Stage holds, for flows to share
         self.stage_ids: dict[str, str] = {}
         # (offset of a declaration's first token, element id) in declaration
@@ -779,91 +793,65 @@ class _Resolver:
     def error(self, tok: _Token, code: str, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
 
-    def claim(self, id_: str, tok: _Token) -> bool:
-        if id_ in self.ids:
-            line, _ = self.lines.position(self.ids[id_].offset)
-            self.error(tok, "duplicate-id", f"{id_!r} already declared at line {line}")
-            return False
-        self.ids[id_] = tok
-        return True
+    def report(self, problems: Sequence[Problem], decls: dict[str, _Token]) -> None:
+        for problem in problems:
+            self.error(decls[problem.subject], problem.rule, problem.message)
 
     def resolve(self) -> ParseResult:
         machines = self.build_machines()
-        model_for_refs = StaticModel(machines=machines)
+        machines_only = StaticModel(machines=machines)  # for resolve_ref's messages
+        decls, keys = self.decls, self.keys
 
         flows: list[Flow] = []
         triggers: list[Trigger] = []
         auto = {"f": 1, "t": 1}  # the next number to try for an unlabeled edge
         for raw in self.p.edges:
-            src = self.resolve_ref(model_for_refs, raw.source)
-            dst = self.resolve_ref(model_for_refs, raw.target)
-            if raw.label_tok is not None:
-                edge_id = raw.label_tok.value
-                if not self.claim(edge_id, raw.label_tok):
-                    continue
-            else:
-                prefix = "t" if raw.dashed else "f"
-                while f"{prefix}{auto[prefix]}" in self.ids:
+            src = self.resolve_ref(machines_only, raw.source)
+            dst = self.resolve_ref(machines_only, raw.target)
+            tok = raw.label_tok
+            if tok is None:
+                tok, prefix = raw.tok, "t" if raw.dashed else "f"
+                while f"{prefix}{auto[prefix]}" in decls:
                     auto[prefix] += 1
                 edge_id = f"{prefix}{auto[prefix]}"
                 auto[prefix] += 1
-                self.ids[edge_id] = raw.tok
+            else:
+                edge_id = tok.value
+            decls[edge_id] = tok
             if src is None or dst is None:
                 continue
-            if src == dst:
-                self.error(raw.tok, "invalid", "source and target stages are the same")
-                continue
-            self.keys.append((raw.tok.offset, edge_id))
+            keys.append((raw.tok.offset, edge_id))
             if raw.dashed:
                 triggers.append(Trigger(edge_id, src, dst, raw.guard))
             else:
                 flows.append(Flow(edge_id, src, dst))
+        model = StaticModel(machines, tuple(flows), tuple(triggers))
 
-        model_for_refs = StaticModel(
-            machines=machines, flows=tuple(flows), triggers=tuple(triggers)
-        )
-
-        events: list[Event] = []
-        for raw in self.p.events:
-            event = self.build_event(model_for_refs, raw)
-            if event:
-                events.append(event)
-        events.sort(key=lambda e: natural_key(e.id))
-
-        declared = {e.id for e in events}
-        seen_pairs: set[tuple[str, str]] = set()
+        events = [self.build_event(model, raw) for raw in self.p.events]
+        event_decls = {raw.id_tok.value: raw.id_tok for raw in self.p.events}
         behavior_edges: list[BehaviorEdge] = []
         for raw_edge in self.p.behavior_edges:
-            ok = True
-            for tok in (raw_edge.from_tok, raw_edge.to_tok):
-                if tok.value not in declared:
-                    self.error(tok, "unresolved-ref", f"unknown event {tok.value!r}")
-                    ok = False
-            if raw_edge.from_tok.value == raw_edge.to_tok.value:
-                self.error(raw_edge.from_tok, "invalid", "behavior edge loops on one event")
-                ok = False
-            pair = (raw_edge.from_tok.value, raw_edge.to_tok.value)
-            if pair in seen_pairs:
-                self.error(raw_edge.from_tok, "duplicate-id", f"edge {pair[0]} -> {pair[1]} repeated")
-                ok = False
-            seen_pairs.add(pair)
-            if ok:
-                behavior_edges.append(BehaviorEdge(pair[0], pair[1], raw_edge.group))
-                self.keys.append((raw_edge.from_tok.offset, f"{pair[0]}->{pair[1]}"))
-        for tok in self.p.behavior_toks:
-            self.keys.append((tok.offset, "behavior"))
+            source, target = raw_edge.from_tok.value, raw_edge.to_tok.value
+            event_decls.setdefault(source, raw_edge.from_tok)  # a first mention
+            event_decls.setdefault(target, raw_edge.to_tok)
+            behavior_edges.append(BehaviorEdge(source, target, raw_edge.group))
+            keys.append((raw_edge.from_tok.offset, f"{source}->{target}"))
+        keys += [(tok.offset, "behavior") for tok in self.p.behavior_toks]
+        declared = frozenset([event.id for event in events])
 
-        errors = tuple(self.diagnostics)
-        if errors:
-            return ParseResult(None, (), None, CommentMap(), errors)
-
-        model = StaticModel.build(machines, flows, triggers)
-        behavior = BehavioralModel.build(sorted(declared, key=natural_key), behavior_edges)
+        self.report(model.problems(), decls)
+        self.report(check_events(model, events), event_decls)
+        self.report(check_behavior(declared, behavior_edges), event_decls)
+        if self.diagnostics:
+            return ParseResult(None, (), None, CommentMap(), tuple(self.diagnostics))
+        events.sort(key=lambda e: natural_key(e.id))
+        behavior = BehavioralModel(declared, tuple(sorted(behavior_edges, key=_edge_order)))
         return ParseResult(model, tuple(events), behavior, self.attach_comments(), ())
 
     def build_machines(self) -> tuple[Machine, ...]:
-        """Claim machine and stage ids in declaration preorder, then build the
-        machines children first; both passes use explicit stacks."""
+        """Name the machines and stages in declaration preorder, then build
+        the machines children first; both passes use explicit stacks."""
+        decls, stage_ids, keys = self.decls, self.stage_ids, self.keys
         # preorder entries: (raw machine, id, index of the parent entry, stages)
         order: list[tuple[_RawMachine, str, Optional[int], tuple[Stage, ...]]] = []
         todo: list[tuple[_RawMachine, Optional[int]]] = [
@@ -873,24 +861,15 @@ class _Resolver:
             raw, parent = todo.pop()
             name = raw.name_tok.value
             mid = name if parent is None else f"{order[parent][1]}.{name}"
-            if not self.claim(mid, raw.name_tok):
-                continue
-            self.keys.append((raw.name_tok.offset, mid))
+            decls[mid] = raw.name_tok
+            keys.append((raw.name_tok.offset, mid))
             stages = []
             for raw_stage in raw.stages:
-                word = raw_stage.tok.value  # the stage's kind
-                sid = f"{mid}.{word}"
-                if sid in self.stage_ids:
-                    self.error(
-                        raw_stage.tok, "duplicate-id", f"machine {mid!r} already has a {word} stage"
-                    )
-                    continue
-                self.ids[sid] = raw_stage.tok
-                self.stage_ids[sid] = sid
-                self.keys.append((raw_stage.tok.offset, sid))
+                sid = f"{mid}.{raw_stage.tok.value}"  # the stage's kind is its word
+                decls[sid] = raw_stage.tok
+                stage_ids[sid] = sid
+                keys.append((raw_stage.tok.offset, sid))
                 stages.append(Stage(sid, raw_stage.kind, mid, raw_stage.store, raw_stage.label))
-            if raw.constraint and f"{mid}.process" not in self.stage_ids:
-                self.error(raw.name_tok, "invalid", f"constraint machine {mid!r} needs a process stage")
             order.append((raw, mid, parent, tuple(stages)))
             todo += [(child, len(order) - 1) for child in reversed(raw.children)]
         # a parent precedes its children in preorder, so build back to front;
@@ -930,9 +909,7 @@ class _Resolver:
         _, end = self.lines.position(ref.last.offset + len(ref.last.value))
         return SourceSpan(line, column, end - column)
 
-    def build_event(self, model: StaticModel, raw: _RawEvent) -> Optional[Event]:
-        if not self.claim(raw.id_tok.value, raw.id_tok):
-            return None
+    def build_event(self, model: StaticModel, raw: _RawEvent) -> Event:
         self.keys.append((raw.id_tok.offset, raw.id_tok.value))
         stage_ids = set()
         for ref in raw.stage_refs:
@@ -1050,7 +1027,11 @@ def print_model(
 ) -> str:
     """Render the canonical text form: deterministic, sorted by id."""
     model = model or StaticModel()
+    # refuse a document whose text parse would reject
     _require_well_formed(model)
+    _raise_problems(check_events(model, events))
+    if behavior is not None:
+        _raise_problems(check_behavior(frozenset([e.id for e in events]), behavior.edges))
     comments = comments or CommentMap()
     table = _RefTable(model)
     chunks: list[str] = []

@@ -518,9 +518,7 @@ class BehavioralModel(Record):
         cls, event_ids: Sequence[str] = (), edges: Sequence[BehaviorEdge] = ()
     ) -> "BehavioralModel":
         ids = frozenset(event_ids)
-        ordered = tuple(
-            sorted(edges, key=lambda e: (natural_key(e.source), natural_key(e.target)))
-        )
+        ordered = tuple(sorted(edges, key=_edge_order))
         _raise_problems(check_behavior(ids, ordered))
         return cls(event_ids=ids, edges=ordered)
 
@@ -528,6 +526,11 @@ class BehavioralModel(Record):
         """Events with no incoming edge."""
         targets = {e.target for e in self.edges}
         return frozenset(self.event_ids - targets)
+
+
+def _edge_order(edge) -> tuple:
+    """Sort key of an edge: its source, then its target, in natural order."""
+    return natural_key(edge.source), natural_key(edge.target)
 
 
 def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> list[Problem]:
@@ -548,15 +551,22 @@ def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> 
     return problems
 
 
-def check_events(events: Sequence[Event]) -> list[Problem]:
-    """Return the events' invariant violations, rule V8: no event id is
-    declared more than once."""
+def check_events(model: StaticModel, events: Sequence[Event]) -> list[Problem]:
+    """Return the events' invariant violations, rule V8.  Event ids join the
+    model's id namespace: no event id is declared more than once, and none
+    is the id of a machine, stage, flow or trigger."""
     problems: list[Problem] = []
     seen: set[str] = set()
     for event in events:
-        if event.id in seen:
-            problems.append(Problem("V8", event.id, "event id declared more than once"))
-        seen.add(event.id)
+        eid = event.id
+        if eid in seen:
+            problems.append(Problem("V8", eid, "event id declared more than once"))
+        seen.add(eid)
+        for what, ids in (("machine", model.machines_by_id), ("stage", model.stages_by_id),
+                          ("flow", model.flows_by_id), ("trigger", model.triggers_by_id)):
+            if eid in ids:
+                problems.append(Problem("V8", eid, f"duplicate id {eid!r} ({what} vs event)"))
+                break
     return problems
 
 

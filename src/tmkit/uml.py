@@ -32,6 +32,7 @@ from .model import (
     TmError,
     Trigger,
     _digraph_isomorphic,
+    _edge_order,
     natural_key,
 )
 from .dsl import RESERVED
@@ -175,9 +176,7 @@ def activity_to_json(graph: ActivityGraph) -> str:
         ],
         "edges": [
             {"from": e.source, "to": e.target, "guard": e.guard}
-            for e in sorted(
-                graph.edges, key=lambda e: (natural_key(e.source), natural_key(e.target))
-            )
+            for e in sorted(graph.edges, key=_edge_order)
         ],
     }
     return _canonical_json(doc)

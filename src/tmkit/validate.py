@@ -9,14 +9,15 @@ Rule codes are stable public identifiers:
     V5  each machine owns its stages, at most one of each kind
     V6  orphan stage (warning): no incident edge and no storage
     V7  constraint machines carry a process stage and a guarded out-trigger
-    V8  event regions resolve and stay closed
+    V8  event ids are unique among all ids; regions resolve and stay closed
     V9  behavior graphs reference declared events; every event on a cycle
         and every unreachable event is a warning
 
 The model invariants (V1, V5, self-loops, V7's process stage, V8's event
-ids, V9's edges) come from `check_model`, `check_events` and `check_behavior`.
-A model keeps what `check_model` found (`StaticModel.problems`), so
-`validate_static` reports a built model's problems without checking it again.
+ids, V9's edges) come from `check_model`, `check_events` and `check_behavior`;
+the parser reports their problems for text input too.  A model keeps what
+`check_model` found (`StaticModel.problems`), so `validate_static` reports a
+built or parsed model's problems without checking it again.
 
 V9's cycle and reachability warnings read the strongly connected components
 that `model.strong_components` finds, the pass `transform.simplify` contracts
@@ -169,8 +170,8 @@ def validate_static(
 
 
 def validate_events(model: StaticModel, events: Sequence[Event]) -> list[Diagnostic]:
-    """Check V8: regions resolve, stay closed, and carry a time."""
-    diags = _errors(check_events(events))
+    """Check V8: unique event ids; regions resolve, stay closed, and carry a time."""
+    diags = _errors(check_events(model, events))
     for event in events:
         def err(message: str, *, _id=event.id) -> None:
             diags.append(Diagnostic(Severity.ERROR, "V8", _id, message))

@@ -117,7 +117,9 @@ def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, argv, data, rea
     (_READ_PATHS["activity"], '{"nodes": [], "edges": []}', 1,
      "not valid JSON: Unexpected UTF-8 BOM"),
     (_READ_PATHS["trace"], '["E1"]', 2, "trace file is not valid JSON: Unexpected UTF-8 BOM"),
-], ids=_READ_PATHS)
+    # a JSON document is still sniffed as JSON, and the decoder reports the mark
+    (_READ_PATHS["model"], '{"machines": []}', 1, "{f}: not valid JSON: Unexpected UTF-8 BOM"),
+], ids=[*_READ_PATHS, "document"])
 def test_a_byte_order_mark_is_not_skipped(tmp_path, capsys, argv, content, status, message):
     """Input is read as UTF-8 without a byte order mark: a leading U+FEFF is
     reported as what it is, in one line."""
@@ -126,6 +128,29 @@ def test_a_byte_order_mark_is_not_skipped(tmp_path, capsys, argv, content, statu
     assert run([a.format(f=path) for a in argv]) == status
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1 and err.startswith(message.format(f=path))
+
+
+def _json_with_events(*event_ids: str) -> str:
+    doc = json.loads(document_to_json(parse_or_raise("machine A { create store; }\n").model))
+    doc["events"] = [{"id": eid, "name": eid, "time": "t", "intensity": None,
+                      "region": {"stage_ids": ["A.create"], "edge_ids": []}} for eid in event_ids]
+    doc["behavior"]["event_ids"] = sorted(set(event_ids))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("event_ids, error", [
+    (["A"], "ERROR V8 A: duplicate id 'A' (machine vs event)"),
+    (["E", "E"], "ERROR V8 E: event id declared more than once"),
+])
+def test_json_that_text_would_reject_fails_check_and_fmt(tmp_path, capsys, event_ids, error):
+    path = tmp_path / "doc.json"
+    path.write_text(_json_with_events(*event_ids), encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    assert error in capsys.readouterr().out.splitlines()
+    # fmt refuses to write text that would not parse back
+    assert run(["fmt", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == error.partition(": ")[2] + "\n"
 
 
 def test_parse_failure_is_status_one(tmp_path, capsys):
@@ -489,7 +514,7 @@ def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, 
     path.write_bytes(data)
     # stderr holds diagnostics, one a line, or one line of another message
     diagnostic = re.compile(
-        rf"{re.escape(str(path))}:\d+:\d+: (syntax|duplicate-id|unresolved-ref|invalid): \S"
+        rf"{re.escape(str(path))}:\d+:\d+: (syntax|unresolved-ref|invalid|V\d): \S"
         r"|(ERROR|WARNING) V\d \S"
     )
     for json_flag in ([], ["--json"]):

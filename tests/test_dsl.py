@@ -13,13 +13,26 @@ from hypothesis import strategies as st
 from strategies import documents, mutated_texts
 from test_model import two_machine_chain
 from tmkit import (
+    ActionKind,
     BehavioralModel,
+    BehaviorEdge,
+    Event,
+    Flow,
+    Machine,
+    ModelError,
+    Region,
+    Stage,
+    Trigger,
+    document_to_json,
     dsl,
+    has_errors,
     model_isomorphic,
     parse,
     parse_or_raise,
     print_model,
+    validate_document,
 )
+from tmkit.model import natural_key
 
 
 def test_empty_text_parses_to_empty_document():
@@ -76,13 +89,17 @@ def test_syntax_error_is_reported_once_per_statement():
 
 def test_duplicate_machine_id():
     result = parse("machine A { create; }\nmachine A { process; }")
-    assert [d.code for d in result.diagnostics] == ["duplicate-id"]
+    assert [d.code for d in result.diagnostics] == ["V1"]
     assert result.diagnostics[0].span.line == 2
 
 
 def test_duplicate_stage_kind_diagnostic():
+    # the repeated stage id, at the repeat, and the machine's repeated kind
     result = parse("machine A { create; create; }")
-    assert [d.code for d in result.diagnostics] == ["duplicate-id"]
+    assert [str(d) for d in result.diagnostics] == [
+        "1:21: V1: duplicate id 'A.create' (stage vs stage)",
+        "1:9: V5: machine 'A' has more than one create stage",
+    ]
 
 
 def test_reserved_word_rejected_as_name():
@@ -141,10 +158,49 @@ def test_region_edge_with_endpoint_outside_is_invalid():
     assert any(d.code == "invalid" for d in result.diagnostics)
 
 
+@pytest.mark.parametrize("text, messages", [
+    # a broken rule gives no other errors: the repeated machine is still
+    # built, so a stage under it resolves and the first machine's lack of a
+    # process stage is no error; and a self-loop is still a flow a region
+    # can name
+    ("machine A { create; }\nmachine A { process; machine B { create; } }\n"
+     "flow A.B.create -> A.process;\n", ["2:9: V1: duplicate id 'A' (machine vs machine)"]),
+    ('machine A { create; process; }\nflow A.create -> A.create;\n'
+     'event E { time "t"; region { A.create edge f1 } }\n',
+     ["2:1: V2: flow 'f1' is a self-loop on 'A.create'"]),
+    ("machine A { create; process; }\ntrigger A.create => A.create;",
+     ["2:1: V4: trigger 't1' is a self-loop on 'A.create'"]),
+    ("machine A { create; process; }\nflow A: A.create -> A.process;",
+     ["2:6: V1: duplicate id 'A' (machine vs flow)"]),
+    ("machine A constraint { create; }", ["1:9: V7: constraint machine 'A' has no process stage"]),
+    ('machine A { create; }\nevent A { time "t"; region { A.create } }',
+     ["2:7: V8: duplicate id 'A' (machine vs event)"]),
+    ('machine A { create; }\nflow f1: A.create -> A.create;\nevent f1 { time "t"; region { A.create } }',
+     ["2:6: V2: flow 'f1' is a self-loop on 'A.create'",
+      "3:7: V8: duplicate id 'f1' (flow vs event)"]),
+    ('machine A { create; }\nevent E { time "t"; region { A.create } }\n'
+     'event E { time "u"; region { A.create } }',
+     ["3:7: V8: event id declared more than once"]),
+    # a behavior problem is reported at the declaration of its event
+    ('machine A { create; }\nevent E { time "t"; region { A.create } }\n'
+     'event F { time "u"; region { A.create } }\nbehavior { E -> F; F -> F; E -> F; }',
+     ["3:7: V9: self-edge on event 'F'", "2:7: V9: duplicate edge 'E' -> 'F'"]),
+])
+def test_text_input_breaks_the_model_rules_under_their_codes(text, messages):
+    assert [str(d) for d in parse(text).diagnostics] == messages
+
+
+def test_a_valid_text_is_checked_once():
+    result = parse_or_raise("machine A { create; process; }\nflow A.create -> A.process;\n")
+    # the model the resolver checked, its problems kept
+    assert result.model.__dict__["_problems"] == ()
+
+
 def test_behavior_edge_to_undeclared_event():
     text = 'machine A { create; }\nevent E1 { time "t"; region { A.create } }\nbehavior { E1 -> E99; }'
     result = parse(text)
-    assert any(d.code == "unresolved-ref" and "E99" in d.message for d in result.diagnostics)
+    assert [str(d) for d in result.diagnostics] == [
+        "3:18: V9: edge references undeclared event 'E99'"]
 
 
 def test_comments_attach_and_survive_fmt():
@@ -734,7 +790,7 @@ def test_parse_reads_statement_tokens_as_their_tokens(text):
          ["2:8: syntax: a stage reference ends in a stage kind (machine.kind)"]),
         ("machine A { create; process; }\nflow A. process;", ["2:16: syntax: expected '->', found ';'"]),
         ('machine A { create; }\nevent E { time "t"; region { A.create } }\nbehavior { E -> process; }',
-         ["3:17: unresolved-ref: unknown event 'process'"]),
+         ["3:17: V9: edge references undeclared event 'process'"]),
         ("machine A.b { create; }", ["1:9: syntax: expected machine name, found 'A'",
                                       "1:23: syntax: expected a declaration, found '}'"]),
         ("machine A { machine B {\ntrigger A.create => A.B.process;",
@@ -771,3 +827,86 @@ def test_a_reference_that_names_no_stage_is_reported_on_its_text():
         "2:18: unresolved-ref: machine 'A.B' has no receive stage",
         "3:18: unresolved-ref: unknown machine 'A.C'",
     ]
+
+
+# -- the printer refuses what the parser rejects ------------------------------
+
+
+def _one_event(eid: str) -> Event:
+    return Event(eid, eid, "t", Region(frozenset({"A.create"})))
+
+
+_ONE_MACHINE = dsl.StaticModel((Machine("A", "A", stages=(Stage("A.create", ActionKind.CREATE, "A"),)),))
+
+
+@pytest.mark.parametrize("events, behavior, message", [
+    ([_one_event("A")], None, "duplicate id 'A' (machine vs event)"),
+    ([_one_event("E"), _one_event("E")], None, "event id declared more than once"),
+    ([_one_event("E")], BehavioralModel(frozenset({"E"}), (BehaviorEdge("E", "E"),)),
+     "self-edge on event 'E'"),
+    ([_one_event("E")], BehavioralModel(frozenset({"E", "F"}), (BehaviorEdge("E", "F"),)),
+     "edge references undeclared event 'F'"),
+])
+def test_print_refuses_events_and_behavior_that_parse_would_reject(events, behavior, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        print_model(_ONE_MACHINE, events, behavior)
+
+
+_POOL = ("A", "B", "f1", "t1", "E1")  # machine, edge and event ids share it
+
+
+@st.composite
+def _pooled_documents(draw):
+    """A raw document whose ids all come from one small pool, so machines,
+    edges and events often share an id.  Edges stay inside one machine and
+    regions are closed over their edges, so most documents validate."""
+    machines, stage_groups = [], []
+    for root in draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=2)):
+        subs = []
+        for mid, parent in [(root, None)] + [
+            (f"{root}.{name}", root) for name in draw(st.lists(st.sampled_from(_POOL), max_size=1))
+        ]:
+            kinds = draw(st.sampled_from([[ActionKind.CREATE], [ActionKind.PROCESS],
+                                          [ActionKind.CREATE, ActionKind.PROCESS]]))
+            stages = tuple(Stage(f"{mid}.{k.value}", k, mid) for k in kinds)
+            stage_groups.append([stage.id for stage in stages])
+            subs.append(Machine(mid, mid.rpartition(".")[2], stages=stages, parent=parent))
+        machines.append(subs[0].replace(submachines=tuple(subs[1:])))
+
+    def ends():  # two stages of one machine, the same one now and then
+        group = draw(st.sampled_from(stage_groups))
+        return draw(st.sampled_from(group)), draw(st.sampled_from(group))
+
+    flows = [Flow(eid, *ends()) for eid in draw(st.lists(st.sampled_from(_POOL), max_size=2))]
+    triggers = [Trigger(eid, *ends(), "g")
+                for eid in draw(st.lists(st.sampled_from(_POOL), max_size=2))]
+    model = dsl.StaticModel(tuple(machines), tuple(flows), tuple(triggers))
+    events = []
+    for eid in draw(st.lists(st.sampled_from(_POOL), max_size=3)):
+        edges = draw(st.lists(st.sampled_from((*flows, *triggers)), max_size=2)) if (
+            flows or triggers) else []
+        stage_ids = {end for edge in edges for end in (edge.source, edge.target)}
+        stage_ids.add(draw(st.sampled_from(draw(st.sampled_from(stage_groups)))))
+        events.append(Event(eid, eid, "t", Region(frozenset(stage_ids),
+                                                  frozenset(edge.id for edge in edges))))
+    event_ids = [event.id for event in events]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(event_ids), st.sampled_from(event_ids)),
+                          max_size=3)) if events else []
+    behavior = BehavioralModel(frozenset(event_ids), tuple(
+        sorted({BehaviorEdge(*pair) for pair in pairs},
+               key=lambda e: (natural_key(e.source), natural_key(e.target)))))
+    return model, events, behavior
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pooled_documents())
+def test_a_document_without_errors_prints_to_text_that_parses_back_to_it(document):
+    if has_errors(validate_document(*document)):
+        return
+    try:
+        text = print_model(*document)
+    except dsl.PrintError:
+        return
+    result = parse_or_raise(text)
+    assert document_to_json(result.model, result.events, result.behavior) == document_to_json(
+        *document)

@@ -356,10 +356,21 @@ def test_a_built_model_is_checked_once_and_a_raw_one_on_first_use(monkeypatch):
 def test_check_events_reports_each_repeated_event_id():
     region = Region(frozenset({"A.create"}))
     events = [Event(eid, eid, "t", region) for eid in ("E1", "E2", "E1", "E1")]
-    assert check_events(events) == [
+    assert check_events(StaticModel(), events) == [
         Problem("V8", "E1", "event id declared more than once")
     ] * 2
-    assert check_events(events[:2]) == []
+    assert check_events(StaticModel(), events[:2]) == []
+
+
+def test_check_events_reports_an_event_id_that_names_a_model_element():
+    model = two_machine_chain()
+    region = Region(frozenset({"A.create"}))
+    events = [Event(eid, eid, "t", region) for eid in ("A", "A.create", "f1", "E1")]
+    assert check_events(model, events) == [
+        Problem("V8", "A", "duplicate id 'A' (machine vs event)"),
+        Problem("V8", "A.create", "duplicate id 'A.create' (stage vs event)"),
+        Problem("V8", "f1", "duplicate id 'f1' (flow vs event)"),
+    ]
 
 
 # -- find_stage ---------------------------------------------------------------
