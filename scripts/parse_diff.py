@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Differential of the text parser against another revision.
+"""Differential of the text parser and the writers against another revision.
 
 Parses the same seeded texts with this tree's `tmkit.dsl` and with the one
 of revision REV, and prints one JSON line that counts each text under one
 class:
 
     same          equal parse results (for an accepted text, also the same
-                  `print_model` output)
+                  output from each writer: `print_model`,
+                  `document_to_json`, `render_static` and `render_behavior`)
     only_order    the same diagnostics in another order
     span          the same codes and messages, some at other positions
     code_message  as many diagnostics, some with another code or message
     count         another number of diagnostics
     ok_flipped    one side accepts the text and the other rejects it
     valid_differs both accept the text but disagree on the parse result or
-                  on its `print_model` output
+                  on a writer's output
 
 It exits 1 if any text is counted as `ok_flipped` or `valid_differs`.  The
 texts are small documents whose names come from small pools, so machines,
-stages, edge labels and events repeat and share ids; edges loop and dangle,
-constraint machines lack a process stage, behavior edges repeat, loop and
-name undeclared events, and some texts get a syntax error spliced in.  Run
+stages, edge labels and events repeat and share ids; edge labels tie in
+natural order (f1 and f01); edges loop and dangle, constraint machines lack
+a process stage, behavior edges repeat, loop and name undeclared events,
+and some texts get a syntax error spliced in.  Run
 from a git checkout; REV's sources are read with `git show`:
 
     python3 scripts/parse_diff.py --against HEAD~1 [--count 20000]
@@ -42,12 +44,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 KINDS = ("create", "process", "release", "transfer", "receive")
 NAMES = ("A", "B", "C")
-LABELS = ("f1", "f2", "t1", "A", "E1", "x")
+LABELS = ("f1", "f01", "f2", "t1", "A", "E1", "x")
 EVENTS = ("E1", "E2", "E3", "A", "f1", "t1")
 
 
 def load_revision(rev: str, into: Path):
-    """The `dsl` module of ``rev``, imported as package ``tmkit_against``."""
+    """The ``tmkit`` package of ``rev``, imported as ``tmkit_against``."""
     package = into / "tmkit_against"
     package.mkdir()
     names = subprocess.run(
@@ -62,7 +64,7 @@ def load_revision(rev: str, into: Path):
             ).stdout
             (package / name).write_bytes(source)
     sys.path.insert(0, str(into))
-    return importlib.import_module("tmkit_against.dsl")
+    return importlib.import_module("tmkit_against")
 
 
 def plain(value):
@@ -89,11 +91,11 @@ def diagnostics(result) -> list[tuple]:
             for d in result.diagnostics]
 
 
-def classify(new, old, print_new, print_old) -> str:
+def classify(new, old, write_new, write_old) -> str:
     if new.ok != old.ok:
         return "ok_flipped"
     if new.ok:
-        same = plain(new) == plain(old) and print_new(new) == print_old(old)
+        same = plain(new) == plain(old) and write_new(new) == write_old(old)
         return "same" if same else "valid_differs"
     a, b = diagnostics(new), diagnostics(old)
     if a == b:
@@ -226,18 +228,18 @@ def main(argv=None) -> int:
     opts = args.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
-    from tmkit import dsl
+    import tmkit
 
     with tempfile.TemporaryDirectory() as tmp:
-        old_dsl = load_revision(opts.against, Path(tmp))
+        old_tmkit = load_revision(opts.against, Path(tmp))
         rng = random.Random(0)  # the first n texts are the same for every count n
-        printers = _printer(dsl), _printer(old_dsl)
+        writers = _writers(tmkit), _writers(old_tmkit)
         counts: Counter = Counter()
         valid = 0
         for _ in range(opts.count):
             text = document(rng)
-            new, old = dsl.parse(text), old_dsl.parse(text)
-            counts[classify(new, old, *printers)] += 1
+            new, old = tmkit.dsl.parse(text), old_tmkit.dsl.parse(text)
+            counts[classify(new, old, *writers)] += 1
             valid += new.ok and old.ok
     classes = ("same", "only_order", "span", "code_message", "count", "ok_flipped", "valid_differs")
     print(json.dumps({"against": opts.against, "texts": opts.count, "valid": valid,
@@ -245,9 +247,20 @@ def main(argv=None) -> int:
     return 1 if counts["ok_flipped"] or counts["valid_differs"] else 0
 
 
-def _printer(dsl):
-    return lambda result: dsl.print_model(result.model, result.events, result.behavior,
-                                          result.comments)
+def _writers(package):
+    """What each writer of ``package`` makes of an accepted parse result."""
+    dsl, jsonio, render = (importlib.import_module(f"{package.__name__}.{name}")
+                           for name in ("dsl", "jsonio", "render"))
+
+    def write(r) -> tuple[str, ...]:
+        return (
+            dsl.print_model(r.model, r.events, r.behavior, r.comments),
+            jsonio.document_to_json(r.model, r.events, r.behavior),
+            render.render_static(r.model),
+            render.render_behavior(r.behavior, r.events),
+        )
+
+    return write
 
 
 if __name__ == "__main__":

@@ -69,8 +69,7 @@ def coverage(model: StaticModel, events: Sequence[Event]) -> tuple[str, ...]:
     covered: set[str] = set()
     for event in events:
         covered |= event.region.stage_ids
-    uncovered = (s.id for s in model.all_stages() if s.id not in covered)
-    return tuple(sorted(uncovered, key=natural_key))
+    return tuple(model.in_natural_order([s.id for s in model.all_stages() if s.id not in covered]))
 
 
 def conform(trace: Trace, behavior: BehavioralModel) -> Verdict:

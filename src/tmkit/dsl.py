@@ -789,6 +789,9 @@ class _Resolver:
         # (offset of a declaration's first token, element id) in declaration
         # order; only read, as line numbers, when comments are attached
         self.keys: list[tuple[int, str]] = []
+        # ids of edges left out because an end did not resolve, which was
+        # reported: a region naming one is not reported again
+        self.dropped: set[str] = set()
 
     def error(self, tok: _Token, code: str, message: str) -> None:
         self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
@@ -819,6 +822,7 @@ class _Resolver:
                 edge_id = tok.value
             decls[edge_id] = tok
             if src is None or dst is None:
+                self.dropped.add(edge_id)
                 continue
             keys.append((raw.tok.offset, edge_id))
             if raw.dashed:
@@ -920,7 +924,8 @@ class _Resolver:
         for tok in raw.edge_refs:
             edge = model.flows_by_id.get(tok.value) or model.triggers_by_id.get(tok.value)
             if edge is None:
-                self.error(tok, "unresolved-ref", f"unknown edge {tok.value!r}")
+                if tok.value not in self.dropped:
+                    self.error(tok, "unresolved-ref", f"unknown edge {tok.value!r}")
                 continue
             if not {edge.source, edge.target} <= stage_ids:
                 self.error(
@@ -1083,12 +1088,12 @@ def print_model(
     for root in by_token(model.machines):
         chunks.append("\n".join(emit_machine(root)))
 
-    for flow in sorted(model.flows, key=lambda f: natural_key(f.id)):
+    for flow in model.by_id(model.flows):
         _check_ident(flow.id, "flow id")
         line = f"flow {flow.id}: {table.ref(flow.source)} -> {table.ref(flow.target)};"
         chunks.append("\n".join(annotate(flow.id, [line])))
 
-    for trig in sorted(model.triggers, key=lambda t: natural_key(t.id)):
+    for trig in model.by_id(model.triggers):
         _check_ident(trig.id, "trigger id")
         line = f"trigger {trig.id}: {table.ref(trig.source)} => {table.ref(trig.target)}"
         if trig.guard is not None:
@@ -1103,7 +1108,7 @@ def print_model(
         lines = [head + " {", f"  time {_escape(event.time)};", "  region {"]
         for sid in sorted(event.region.stage_ids, key=lambda s: natural_key(table.ref(s))):
             lines.append(f"    {table.ref(sid)}")
-        for eid in sorted(event.region.edge_ids, key=natural_key):
+        for eid in model.in_natural_order(event.region.edge_ids):
             lines.append(f"    edge {eid}")
         lines.append("  }")
         if event.intensity is not None:

@@ -2,7 +2,13 @@
 
 The document object carries ``machines`` (nested), ``flows``, ``triggers``,
 ``events``, and ``behavior`` with the same field names as the domain types.
-Keys serialize alphabetically and lists sort by id, so byte output is stable.
+Keys serialize alphabetically and lists sort by id in natural order, so byte
+output is stable: it is ``json.dumps(document, indent=2, sort_keys=True)``
+plus a newline, byte for byte.  The fixed-shape records (stage, flow, trigger,
+event and behavior edge) are written from per-shape templates through the C
+string escaper, machine nesting from an explicit stack, and the model's rank
+table gives the order of its ids.  The generic writer `_canonical_json`
+serves the activity documents (``.act.json``).
 
 Writing has no depth limit, but reading does: the standard library's JSON
 decoder recurses once per nested array or object, two per machine level,
@@ -91,28 +97,90 @@ def _canonical_json(value) -> str:
     return "".join(out)
 
 
-def _machine_dict(machine: Machine, _parent: Optional[Machine], submachines: tuple) -> dict:
-    return {
-        "id": machine.id,
-        "name": machine.name,
-        "is_constraint": machine.is_constraint,
-        "parent": machine.parent,
-        "stages": [
-            {
-                "id": s.id,
-                "kind": s.kind.value,
-                "has_storage": s.has_storage,
-                "label": s.label,
-                "owner": s.owner,
-            }
-            for s in sorted(machine.stages, key=lambda s: natural_key(s.id))
-        ],
-        "submachines": list(submachines),
-    }
+_esc = encode_basestring_ascii  # raises TypeError unless given a str
+
+# Each fixed-shape record as ``json.dumps(..., indent=2, sort_keys=True)``
+# writes it: its keys in order, its opening brace where a list item starts.
+# The top-level lists' items sit at four spaces, their fields at six.
+_DOCUMENT = (
+    '{\n  "behavior": {\n    "edges": %s,\n    "event_ids": %s\n  },\n'
+    '  "events": %s,\n  "flows": %s,\n  "machines": %s,\n  "triggers": %s\n}\n'
+)
+_FLOW = '{\n      "id": %s,\n      "source": %s,\n      "target": %s\n    }'
+_TRIGGER = '{\n      "guard": %s,\n      "id": %s,\n      "source": %s,\n      "target": %s\n    }'
+_EVENT = (
+    '{\n      "id": %s,\n      "intensity": %s,\n      "name": %s,\n      "region": {\n'
+    '        "edge_ids": %s,\n        "stage_ids": %s\n      },\n      "time": %s\n    }'
+)
+_BEHAVIOR_EDGE = '{\n        "exclusive_group": %s,\n        "from": %s,\n        "to": %s\n      }'
+# a machine and a stage at no indent; `_machines_json` shifts them to their depth
+_MACHINE = (
+    '{\n  "id": %s,\n  "is_constraint": %s,\n  "name": %s,\n  "parent": %s,\n'
+    '  "stages": %s,\n  "submachines": '
+)
+_STAGE = '{\n  "has_storage": %s,\n  "id": %s,\n  "kind": %s,\n  "label": %s,\n  "owner": %s\n}'
 
 
-def _sorted_submachines(machine: Machine) -> list[Machine]:
-    return sorted(machine.submachines, key=lambda m: natural_key(m.id))
+def _opt(value: Optional[str]) -> str:
+    return "null" if value is None else _esc(value)
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of already written ``items`` whose key sits at ``indent``."""
+    if not items:
+        return "[]"
+    sep = ",\n  " + indent
+    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
+
+
+def _machines_json(model: StaticModel) -> str:
+    """The nested machine array, written from an explicit stack so nesting
+    depth is not bounded by Python's recursion limit."""
+    by_id = model.by_id
+    roots = by_id(model.machines)
+    if not roots:
+        return "[]"
+    shifted: dict[str, tuple[str, str]] = {}  # indent -> (machine, stage) template
+    out: list[str] = []
+    # open machine arrays, innermost last: (iterator over (text before, machine)
+    # pairs, the machines' indent, text after the last one)
+    frames: list = [(iter(_items(roots, "    ")), "    ", "\n  ]")]
+    while frames:
+        pairs, indent, closing = frames[-1]
+        for text, machine in pairs:
+            out.append(text)
+            templates = shifted.get(indent)
+            if templates is None:
+                templates = shifted[indent] = (
+                    _MACHINE.replace("\n", "\n" + indent),
+                    _STAGE.replace("\n", "\n" + indent + "    "),
+                )
+            machine_t, stage_t = templates
+            stages = _array([
+                stage_t % ("true" if s.has_storage else "false", _esc(s.id),
+                           _esc(s.kind.value), _opt(s.label), _esc(s.owner))
+                for s in by_id(machine.stages)
+            ], indent + "  ")
+            out.append(machine_t % (_esc(machine.id), "true" if machine.is_constraint else "false",
+                                    _esc(machine.name), _opt(machine.parent), stages))
+            if machine.submachines:
+                inner = indent + "    "
+                subs = _items(by_id(machine.submachines), inner)
+                frames.append((iter(subs), inner, "\n" + indent + "  ]\n" + indent + "}"))
+                break
+            out.append("[]\n" + indent + "}")
+        else:
+            frames.pop()
+            out.append(closing)
+    return "".join(out)
+
+
+def _items(machines: list[Machine], indent: str) -> list[tuple[str, Machine]]:
+    """Each machine of a non-empty array with the text written before it."""
+    sep = ",\n" + indent
+    items = [(sep, m) for m in machines]
+    items[0] = ("[\n" + indent, machines[0])  # opens, not after a comma
+    return items
 
 
 def document_to_json(
@@ -122,42 +190,30 @@ def document_to_json(
 ) -> str:
     model = model or StaticModel()
     behavior = behavior or BehavioralModel()
-    doc = {
-        "machines": list(build_trees(
-            sorted(model.machines, key=lambda m: natural_key(m.id)),
-            _sorted_submachines,
-            _machine_dict,
-        )),
-        "flows": [
-            {"id": f.id, "source": f.source, "target": f.target}
-            for f in sorted(model.flows, key=lambda f: natural_key(f.id))
-        ],
-        "triggers": [
-            {"id": t.id, "source": t.source, "target": t.target, "guard": t.guard}
-            for t in sorted(model.triggers, key=lambda t: natural_key(t.id))
-        ],
-        "events": [
-            {
-                "id": e.id,
-                "name": e.name,
-                "time": e.time,
-                "region": {
-                    "stage_ids": sorted(e.region.stage_ids, key=natural_key),
-                    "edge_ids": sorted(e.region.edge_ids, key=natural_key),
-                },
-                "intensity": e.intensity,
-            }
+    by_id, in_order = model.by_id, model.in_natural_order
+    return _DOCUMENT % (
+        _array([
+            _BEHAVIOR_EDGE % (_opt(e.exclusive_group), _esc(e.source), _esc(e.target))
+            for e in behavior.edges
+        ], "    "),
+        _array(list(map(_esc, sorted(behavior.event_ids, key=natural_key))), "    "),
+        _array([
+            _EVENT % (
+                _esc(e.id), _opt(e.intensity), _esc(e.name),
+                _array(list(map(_esc, in_order(e.region.edge_ids))), "        "),
+                _array(list(map(_esc, in_order(e.region.stage_ids))), "        "),
+                _esc(e.time),
+            )
             for e in sorted(events, key=lambda e: natural_key(e.id))
-        ],
-        "behavior": {
-            "event_ids": sorted(behavior.event_ids, key=natural_key),
-            "edges": [
-                {"from": e.source, "to": e.target, "exclusive_group": e.exclusive_group}
-                for e in behavior.edges
-            ],
-        },
-    }
-    return _canonical_json(doc)
+        ], "  "),
+        _array([_FLOW % (_esc(f.id), _esc(f.source), _esc(f.target)) for f in by_id(model.flows)],
+               "  "),
+        _machines_json(model),
+        _array([
+            _TRIGGER % (_opt(t.guard), _esc(t.id), _esc(t.source), _esc(t.target))
+            for t in by_id(model.triggers)
+        ], "  "),
+    )
 
 
 def _opt_str(value, what: str) -> Optional[str]:

@@ -8,6 +8,8 @@ are pure functions.
 Because a model never changes, it walks its machine trees once: the first
 query builds a preorder index of its machines and their stages, which
 `all_machines`, `all_stages`, the id lookups and `check_model` all read.  It
+sorts once too: the first sort by id ranks every id of the model in natural
+order, and the printer, the JSON writer and `render` read those ranks.  It
 is checked once too: `StaticModel.problems` keeps what `check_model` found,
 `StaticModel.build` raises from it and `validate_static` reports it, so a
 built model is not checked again.
@@ -239,8 +241,8 @@ class StaticModel(Record):
         _raise_problems(model.problems())
         return model
 
-    # -- derived state (model is immutable, so caching is safe); the index and
-    # the problems sit in the instance dict, read directly, which is cheaper
+    # -- derived state (model is immutable, so caching is safe); the index, the
+    # ranks and the problems sit in the instance dict, read directly, which is cheaper
     # than a cached_property on the small models most calls see
 
     def _index(self) -> tuple[tuple[Machine, ...], tuple[Stage, ...]]:
@@ -252,6 +254,39 @@ class StaticModel(Record):
             stages = tuple([stage for machine in machines for stage in machine.stages])
             index = self.__dict__["_preorder"] = (machines, stages)
         return index
+
+    def _ranks(self) -> dict[str, int]:
+        """Every machine, stage, flow and trigger id to its place in
+        `natural_key` order, built on first use.  Ids with equal keys (f1 and
+        f01) share a place, so a stable sort by place is a sort by key."""
+        ranks = self.__dict__.get("_rank")
+        if ranks is None:
+            machines, stages = self._index()
+            keys = {x.id: natural_key(x.id)
+                    for x in (*machines, *stages, *self.flows, *self.triggers)}
+            ranks = {}
+            place, last = -1, None
+            for i in sorted(keys, key=keys.__getitem__):
+                if keys[i] != last:
+                    place, last = place + 1, keys[i]
+                ranks[i] = place
+            self.__dict__["_rank"] = ranks
+        return ranks
+
+    def by_id(self, items: Iterable[T]) -> list[T]:
+        """This model's machines, stages, flows or triggers sorted by id in
+        natural order, read from the rank table."""
+        ranks = self._ranks()
+        return sorted(items, key=lambda item: ranks[item.id])
+
+    def in_natural_order(self, ids: Iterable[str]) -> list[str]:
+        """``sorted(ids, key=natural_key)``, read from the rank table when
+        every id is one of this model's."""
+        ranks = self._ranks()
+        ids = list(ids)
+        if all(map(ranks.__contains__, ids)):
+            return sorted(ids, key=ranks.__getitem__)
+        return sorted(ids, key=natural_key)
 
     def problems(self) -> tuple[Problem, ...]:
         """What `check_model` finds wrong with this model, checked on first

@@ -4,7 +4,8 @@ Machines draw as nested clusters, stages as boxes labeled with their kind
 (cylinders when the stage carries storage), flows as solid edges, triggers as
 dashed edges labeled with their guard.  A highlighted region fills its stages
 and thickens its edges.  Output is byte-deterministic: everything is sorted
-by id and no timestamps or environment data leak in.
+by id in natural order, read from the model's rank table, and no timestamps
+or environment data leak in.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
 
 
-def _by_id(items) -> list:
-    return sorted(items, key=lambda item: natural_key(item.id))
-
-
 def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str:
     """Emit the model as a DOT digraph, optionally highlighting a region."""
     hi_stages: frozenset[str] = frozenset()
@@ -61,7 +58,8 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
 
     # clusters in preorder from an explicit stack, so nesting depth is not
     # bounded by Python's recursion limit; a str entry is a closing line
-    todo: list = [(root, "  ") for root in _by_id(model.machines)[::-1]]
+    by_id = model.by_id
+    todo: list = [(root, "  ") for root in by_id(model.machines)[::-1]]
     while todo:
         entry = todo.pop()
         if isinstance(entry, str):
@@ -73,7 +71,7 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
         lines.append(f"{indent}  label={_quote(title)};")
         if machine.is_constraint:
             lines.append(f"{indent}  style=dashed;")
-        for stage in _by_id(machine.stages):
+        for stage in by_id(machine.stages):
             label = stage.kind.value
             if stage.label is not None:
                 label += "\n" + stage.label
@@ -85,9 +83,9 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
                 attrs.append('fillcolor="#ffe873"')
             lines.append(f"{indent}  {_quote(stage.id)} [{', '.join(attrs)}];")
         todo.append(f"{indent}}}")
-        todo += [(sub, indent + "  ") for sub in _by_id(machine.submachines)[::-1]]
+        todo += [(sub, indent + "  ") for sub in by_id(machine.submachines)[::-1]]
 
-    for flow in _by_id(model.flows):
+    for flow in by_id(model.flows):
         attrs = []
         if flow.id in hi_edges:
             attrs.append("penwidth=2.5")
@@ -95,7 +93,7 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {_quote(flow.source)} -> {_quote(flow.target)}{suffix};")
 
-    for trig in _by_id(model.triggers):
+    for trig in by_id(model.triggers):
         attrs = ["style=dashed"]
         if trig.guard is not None:
             attrs.append(f"label={_quote(trig.guard)}")

@@ -7,6 +7,7 @@ expansions to full five-stage form.  `activity_graphs` generates the strict
 activity subset the importer round-trips: single initial and final, fan-ins
 through merges, decisions with two or more guarded action successors.
 `mutated_texts` prints a document and breaks the shape of its statements.
+`tied_documents` adds copies whose ids tie their originals in natural order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from tmkit import (
     induced_region,
     print_model,
 )
+from tmkit.model import build_trees, submachines_of
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
 
@@ -195,6 +197,48 @@ def documents(draw, max_machines: int = 4):
             edges.append(BehaviorEdge(src, dst, group))
     behavior = BehavioralModel.build(event_ids, edges)
     return model, tuple(events), behavior
+
+
+def tied(ident: str) -> str:
+    """``ident`` with a zero before its first digit run (f01 for f1): a
+    different id with the same natural key.  An id without digits stays."""
+    return re.sub(r"\d+", r"0\g<0>", ident, count=1)
+
+
+@st.composite
+def tied_documents(draw, max_machines: int = 4):
+    """`documents` with copies of some machines, stages, flows and triggers,
+    and extra region ids, each tied to an original (f01 beside f1), so
+    sorting meets equal natural keys.  The copies repeat stage ids and
+    references, so the model is raw: it breaks V1 and is not built."""
+    model, events, behavior = draw(documents(max_machines))
+    chosen = draw(st.sets(st.sampled_from([m.id for m in model.all_machines()])))
+
+    def copy_some(machine: Machine, _parent, subs: tuple) -> Machine:
+        if machine.id not in chosen:
+            return machine.replace(submachines=subs)
+        return machine.replace(
+            stages=machine.stages + tuple(s.replace(id=tied(s.id)) for s in machine.stages[:1]),
+            submachines=subs + tuple(m.replace(id=tied(m.id)) for m in subs[:1]),
+        )
+
+    roots = build_trees(model.machines, submachines_of, copy_some)
+    roots += tuple(m.replace(id=tied(m.id)) for m in roots[: draw(st.integers(0, 1))])
+    flows, triggers = model.flows, model.triggers
+    if flows:
+        copies = draw(st.lists(st.sampled_from(flows), max_size=3))
+        flows += tuple(f.replace(id=tied(f.id)) for f in copies)
+    if triggers:
+        copies = draw(st.lists(st.sampled_from(triggers), max_size=3))
+        triggers += tuple(t.replace(id=tied(t.id)) for t in copies)
+    events = tuple(
+        e.replace(region=Region(
+            e.region.stage_ids | {tied(s) for s in e.region.stage_ids if draw(st.booleans())},
+            e.region.edge_ids | {tied(x) for x in e.region.edge_ids if draw(st.booleans())},
+        ))
+        for e in events
+    )
+    return StaticModel(roots, flows, triggers), events, behavior
 
 
 def _at_random(pattern: str, replacement):

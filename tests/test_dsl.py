@@ -81,6 +81,24 @@ def test_unresolved_flow_reference_has_span():
     assert first.span.length >= len("X.release")
 
 
+def test_a_region_naming_an_edge_dropped_for_its_ends_adds_no_error():
+    text = (
+        "machine A { create; }\nflow f: A.create -> A.process;\n"
+        'event E { time "t"; region { A.create edge f } }\n'
+    )
+    assert [str(d) for d in parse(text).diagnostics] == [
+        "2:21: unresolved-ref: machine 'A' has no process stage"]
+    # a name that is no edge at all, a machine's or a stage's, is still unknown
+    text = (
+        "machine A { create; }\nflow f: A.create -> A.process;\n"
+        'event E { time "t"; region { A.create edge A } }\n'
+    )
+    assert [str(d) for d in parse(text).diagnostics] == [
+        "2:21: unresolved-ref: machine 'A' has no process stage",
+        "3:44: unresolved-ref: unknown edge 'A'",
+    ]
+
+
 def test_syntax_error_is_reported_once_per_statement():
     result = parse("machine A { create broken; process; }")
     assert not result.ok

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import documents
+from strategies import documents, tied_documents
+from test_model import _mutations
 from tmkit import (
     JsonFormatError,
     TmError,
@@ -24,6 +25,7 @@ from tmkit import (
 from tmkit.cli import run
 from tmkit.corpus import corpus_dir, mentcare_path
 from tmkit.jsonio import _canonical_json
+from tmkit.model import StaticModel, build_trees, natural_key, submachines_of
 from tmkit.uml import ActivityError
 
 
@@ -125,6 +127,77 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_canonical_writer_matches_json_dumps(value):
     assert _canonical_json(value) == dumps_canonical(value)
+
+
+def _by_key(items) -> list:
+    return sorted(items, key=lambda item: natural_key(item.id))
+
+
+def _document_dict(model, events, behavior) -> dict:
+    """The document as a plain dict, machines nested through "submachines"."""
+    def machine(m) -> dict:
+        return {
+            "id": m.id, "name": m.name, "is_constraint": m.is_constraint, "parent": m.parent,
+            "stages": [
+                {"id": s.id, "kind": s.kind.value, "has_storage": s.has_storage,
+                 "label": s.label, "owner": s.owner}
+                for s in _by_key(m.stages)
+            ],
+            "submachines": [machine(sub) for sub in _by_key(m.submachines)],
+        }
+
+    return {
+        "machines": [machine(m) for m in _by_key(model.machines)],
+        "flows": [
+            {"id": f.id, "source": f.source, "target": f.target} for f in _by_key(model.flows)
+        ],
+        "triggers": [
+            {"id": t.id, "source": t.source, "target": t.target, "guard": t.guard}
+            for t in _by_key(model.triggers)
+        ],
+        "events": [
+            {
+                "id": e.id, "name": e.name, "time": e.time, "intensity": e.intensity,
+                "region": {"stage_ids": sorted(e.region.stage_ids, key=natural_key),
+                           "edge_ids": sorted(e.region.edge_ids, key=natural_key)},
+            }
+            for e in _by_key(events)
+        ],
+        "behavior": {
+            "event_ids": sorted(behavior.event_ids, key=natural_key),
+            "edges": [{"from": e.source, "to": e.target, "exclusive_group": e.exclusive_group}
+                      for e in behavior.edges],
+        },
+    }
+
+
+@st.composite
+def _written_documents(draw):
+    """Documents as `document_to_json` meets them: valid ones, raw breaks of
+    one invariant, ids whose natural keys tie, and free text (names, labels,
+    guards, times) with escapes, control characters and non-ASCII."""
+    model, events, behavior = draw(documents() | tied_documents())
+    if draw(st.booleans()) and (breaks := _mutations(model)):
+        model = draw(st.sampled_from(breaks))(model)
+    if draw(st.booleans()):
+        text, maybe = (lambda: draw(_json_strings)), (lambda: draw(st.none() | _json_strings))
+        model = StaticModel(
+            build_trees(model.machines, submachines_of, lambda m, _parent, subs: m.replace(
+                name=text(), stages=tuple(s.replace(label=maybe()) for s in m.stages),
+                submachines=subs)),
+            model.flows,
+            tuple(t.replace(guard=maybe()) for t in model.triggers),
+        )
+        events = tuple(e.replace(name=text(), time=text(), intensity=maybe()) for e in events)
+        behavior = behavior.replace(
+            edges=tuple(e.replace(exclusive_group=maybe()) for e in behavior.edges))
+    return model, events, behavior
+
+
+@settings(max_examples=300, deadline=None)
+@given(_written_documents())
+def test_document_writer_matches_json_dumps(doc):
+    assert document_to_json(*doc) == dumps_canonical(_document_dict(*doc))
 
 
 @pytest.mark.parametrize("value", [1, 1.5, (), {"a": [0]}, {1: "a"}, {None: "a"}, b"x"])

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tmkit.model
-from strategies import canonical_models, documents, simplified_models
+from strategies import canonical_models, documents, simplified_models, tied, tied_documents
 from tmkit import (
     ActionKind,
     BehavioralModel,
@@ -328,6 +328,62 @@ def test_index_walks_a_5000_deep_nest_without_recursion():
     _assert_index_is_the_generator_preorder(model)
     assert [m.id for m in model.all_machines()][4999:] == ["n4999", "n5000", "n0", "n1", "n2"]
     assert [s.id for s in model.all_stages()] == ["n5000.process", "n2.process"]
+
+
+# -- one sort per model ---------------------------------------------------------
+
+
+def _assert_ranks_sort_as_natural_key(model: StaticModel, events=()) -> None:
+    """Sorting by the model's ranks gives, element for element, the order
+    ``sorted(..., key=natural_key)`` gives."""
+    def same(ranked: list, items) -> None:
+        expected = sorted(items, key=lambda item: natural_key(item.id))
+        assert len(ranked) == len(expected) and all(a is b for a, b in zip(ranked, expected))
+
+    same(model.by_id(model.machines), model.machines)
+    for machine in model.all_machines():
+        same(model.by_id(machine.stages), machine.stages)
+        same(model.by_id(machine.submachines), machine.submachines)
+    same(model.by_id(model.flows), model.flows)
+    same(model.by_id(model.triggers), model.triggers)
+    covered = set().union(*[e.region.stage_ids for e in events])
+    uncovered = [s.id for s in model.all_stages() if s.id not in covered]
+    assert list(tmkit.coverage(model, events)) == sorted(uncovered, key=natural_key)
+    for event in events:  # region ids may name ids outside the model
+        for ids in (event.region.stage_ids, event.region.edge_ids):
+            assert model.in_natural_order(ids) == sorted(ids, key=natural_key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents() | tied_documents())
+def test_ranks_sort_as_natural_key_on_documents(doc):
+    _assert_ranks_sort_as_natural_key(doc[0], doc[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(simplified_models() | canonical_models(), st.data())
+def test_ranks_sort_as_natural_key_on_raw_breaks(model, data):
+    broken = data.draw(st.sampled_from(_mutations(model)))(model)
+    _assert_ranks_sort_as_natural_key(broken)
+
+
+def test_ranks_tie_ids_whose_natural_keys_are_equal():
+    long_a7 = "a" + "0" * 5000 + "7"
+    a7, a07, a8 = (Machine(i, "n", stages=(Stage(f"{i}.create", C, i),))
+                   for i in ("a7", tied("a7"), "a8"))
+    subs = (Machine(long_a7, "n"), Machine("a10", "n"), Machine("a7", "n"))
+    flows = tuple(Flow(i, "a7.create", "a8.create") for i in ("f10", "f01", "f2", "f1", "f001"))
+    # a repeated id too: the machine a7 is a root and a submachine
+    model = StaticModel((a8.replace(submachines=subs), a07, a7), flows)
+    ranks = model._ranks()
+    assert ranks["a7"] == ranks["a07"] == ranks[long_a7] < ranks["a8"] < ranks["a10"]
+    assert [f.id for f in model.by_id(flows)] == ["f01", "f1", "f001", "f2", "f10"]
+    assert [m.id for m in model.by_id(subs)] == [long_a7, "a7", "a10"]
+    event = Event("E", "E", "t", Region(frozenset({"a07.create"})))
+    _assert_ranks_sort_as_natural_key(model, (event,))
+    # derived state: not a field, and not carried by equality, copies or replace
+    assert model == StaticModel(model.machines, flows) and "_rank" not in model.replace().__dict__
+    assert "_rank" not in pickle.loads(pickle.dumps(model)).__dict__
 
 
 def test_a_built_model_is_checked_once_and_a_raw_one_on_first_use(monkeypatch):
