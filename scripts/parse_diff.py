@@ -20,9 +20,13 @@ It exits 1 if any text is counted as `ok_flipped` or `valid_differs`.  The
 texts are small documents whose names come from small pools, so machines,
 stages, edge labels and events repeat and share ids; edge labels tie in
 natural order (f1 and f01); edges loop and dangle, constraint machines lack
-a process stage, behavior edges repeat, loop and name undeclared events,
-and some texts get a syntax error spliced in.  Run
-from a git checkout; REV's sources are read with `git show`:
+a process stage, event regions are empty, name only what does not
+resolve or hold an edge with an end outside them, behavior edges repeat,
+loop and name undeclared events, and some texts get a syntax error spliced
+in.  No time is blank, not even after a splice drops a character of it:
+the parser rejects a blank time, which older revisions accepted, so such a
+text would flip by design.  Run from a git checkout; REV's sources are read
+with `git show`:
 
     python3 scripts/parse_diff.py --against HEAD~1 [--count 20000]
 """
@@ -177,14 +181,20 @@ def document(rng: random.Random) -> str:
         if eid is None:
             continue
         declared.append(eid)
-        region = [rng.choice(refs) for _ in range(rng.randint(1, 3))]
+        shape = rng.random()
+        if not clean and shape < 0.1:  # an empty region
+            region = []
+        elif not clean and shape < 0.2:  # a region whose only references name nothing
+            region = rng.sample(("Z.create", "C.D.transfer", "edge g9"), rng.randint(1, 2))
+        else:
+            region = [rng.choice(refs) for _ in range(rng.randint(1, 3))]
         if labeled and rng.random() < 0.3:
             label, source, target = rng.choice(labeled)
             region += [source, target, f"edge {label}"]
         if not clean and rng.random() < 0.3:
             region.append(f"edge {rng.choice(sorted(edge_ids))}")
         intensity = ' intensity "low";' if rng.random() < 0.2 else ""
-        statements.append(f'event {eid} {{ time "t"; region {{ {" ".join(region)} }}{intensity} }}')
+        statements.append(f'event {eid} {{ time "t1"; region {{ {" ".join(region)} }}{intensity} }}')
 
     pool = declared if clean else declared + ["E9"]  # E9 is never declared
     pairs = []

@@ -11,7 +11,7 @@ Grammar (comments run from ``#`` to end of line)::
     trigger   := "trigger" (ID ":")? REF "=>" REF ("if" STRING)? ";"
     REF       := ID ("." ID)* "." KIND
     event     := "event" ID (":" STRING)? "{" "time" STRING ";"
-                 "region" "{" (REF | "edge" ID)+ "}" ("intensity" STRING ";")? "}"
+                 "region" "{" (REF | "edge" ID)* "}" ("intensity" STRING ";")? "}"
     behavior  := "behavior" "{" (ID "->" ID ("excl" STRING)? ";")* "}"
 
 ``->`` draws solid flows, ``=>`` dashed triggers.  Machine identifiers are
@@ -80,7 +80,9 @@ from .model import (
     _raise_problems,
     _require_well_formed,
     check_behavior,
+    check_declared,
     check_events,
+    check_regions,
     natural_key,
 )
 
@@ -121,7 +123,7 @@ class ParseDiagnostic(Record):
     def __init__(self, span: SourceSpan, code: str, message: str) -> None:
         set_span, set_code, set_message = self._setters
         set_span(self, span)
-        set_code(self, code)  # "syntax" | "unresolved-ref" | "invalid" | a rule code "V1".."V9"
+        set_code(self, code)  # "syntax" | "unresolved-ref" | a rule code "V1".."V9"
         set_message(self, message)
 
     def __str__(self) -> str:
@@ -742,8 +744,6 @@ class _Parser:
         except _Skip:
             pass
         self.need("RBRACE", "'}'")
-        if not stage_refs and not edge_refs:
-            self.error("region must reference at least one stage", id_tok)
         intensity = None
         if self.at_word("intensity"):
             intensity = self.option("intensity", "intensity text")
@@ -773,9 +773,10 @@ class _Parser:
 
 class _Resolver:
     """Builds the model a text spells, repeated elements included, and
-    reports what `StaticModel.problems`, `check_events` and `check_behavior`
-    find at the declaration of each problem's subject: the last one of an id
-    declared more than once, the first mention of an undeclared event."""
+    reports what `StaticModel.problems`, `check_events`, `check_regions` and
+    `check_behavior` find at the declaration of each problem's subject: the
+    last one of an id declared more than once, the first mention of an
+    undeclared event."""
 
     def __init__(self, parser: _Parser, comments: list[tuple[int, str]]):
         self.p = parser
@@ -831,7 +832,8 @@ class _Resolver:
                 flows.append(Flow(edge_id, src, dst))
         model = StaticModel(machines, tuple(flows), tuple(triggers))
 
-        events = [self.build_event(model, raw) for raw in self.p.events]
+        built = [self.build_event(model, raw) for raw in self.p.events]
+        events = [event for event, _ in built]
         event_decls = {raw.id_tok.value: raw.id_tok for raw in self.p.events}
         behavior_edges: list[BehaviorEdge] = []
         for raw_edge in self.p.behavior_edges:
@@ -845,6 +847,8 @@ class _Resolver:
 
         self.report(model.problems(), decls)
         self.report(check_events(model, events), event_decls)
+        # an event whose region names what did not resolve was reported there
+        self.report(check_regions(model, [e for e, resolved in built if resolved]), event_decls)
         self.report(check_behavior(declared, behavior_edges), event_decls)
         if self.diagnostics:
             return ParseResult(None, (), None, CommentMap(), tuple(self.diagnostics))
@@ -913,33 +917,25 @@ class _Resolver:
         _, end = self.lines.position(ref.last.offset + len(ref.last.value))
         return SourceSpan(line, column, end - column)
 
-    def build_event(self, model: StaticModel, raw: _RawEvent) -> Event:
+    def build_event(self, model: StaticModel, raw: _RawEvent) -> tuple[Event, bool]:
+        """The event, and whether every reference of its region resolved."""
         self.keys.append((raw.id_tok.offset, raw.id_tok.value))
-        stage_ids = set()
-        for ref in raw.stage_refs:
-            sid = self.resolve_ref(model, ref)
-            if sid:
-                stage_ids.add(sid)
-        edge_ids = set()
+        stage_ids = {self.resolve_ref(model, ref) for ref in raw.stage_refs}
+        resolved = None not in stage_ids
+        stage_ids.discard(None)
         for tok in raw.edge_refs:
-            edge = model.flows_by_id.get(tok.value) or model.triggers_by_id.get(tok.value)
-            if edge is None:
+            if tok.value not in model.flows_by_id and tok.value not in model.triggers_by_id:
+                resolved = False
                 if tok.value not in self.dropped:
                     self.error(tok, "unresolved-ref", f"unknown edge {tok.value!r}")
-                continue
-            if not {edge.source, edge.target} <= stage_ids:
-                self.error(
-                    tok, "invalid", f"edge {tok.value!r} has an endpoint outside the region"
-                )
-                continue
-            edge_ids.add(tok.value)
-        return Event(
+        event = Event(
             id=raw.id_tok.value,
             name=raw.display if raw.display is not None else raw.id_tok.value,
             time=raw.time,
-            region=Region(frozenset(stage_ids), frozenset(edge_ids)),
+            region=Region(frozenset(stage_ids), frozenset([tok.value for tok in raw.edge_refs])),
             intensity=raw.intensity,
         )
+        return event, resolved
 
     def attach_comments(self) -> CommentMap:
         """Attach each block of comments on consecutive lines to the element
@@ -1034,9 +1030,10 @@ def print_model(
     model = model or StaticModel()
     # refuse a document whose text parse would reject
     _require_well_formed(model)
-    _raise_problems(check_events(model, events))
+    _raise_problems([*check_events(model, events), *check_regions(model, events)])
     if behavior is not None:
-        _raise_problems(check_behavior(frozenset([e.id for e in events]), behavior.edges))
+        _raise_problems([*check_behavior(frozenset([e.id for e in events]), behavior.edges),
+                         *check_declared(behavior, events)])
     comments = comments or CommentMap()
     table = _RefTable(model)
     chunks: list[str] = []

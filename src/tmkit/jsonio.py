@@ -7,8 +7,8 @@ output is stable: it is ``json.dumps(document, indent=2, sort_keys=True)``
 plus a newline, byte for byte.  The fixed-shape records (stage, flow, trigger,
 event and behavior edge) are written from per-shape templates through the C
 string escaper, machine nesting from an explicit stack, and the model's rank
-table gives the order of its ids.  The generic writer `_canonical_json`
-serves the activity documents (``.act.json``).
+table gives the order of its ids.  `uml.activity_to_json` writes the
+activity documents (``.act.json``) the same way.
 
 Writing has no depth limit, but reading does: the standard library's JSON
 decoder recurses once per nested array or object, two per machine level,
@@ -43,58 +43,6 @@ from .model import (
 
 class JsonFormatError(TmError):
     pass
-
-
-def _canonical_json(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte,
-    for values built from dicts with string keys, lists, strings, booleans and
-    None; anything else raises TypeError.  ``dumps`` with an indent falls back
-    to its pure-Python encoder; this writer hands each string to the C escaper
-    that ``dumps`` itself uses, and keeps its own stack, so nesting depth is
-    not bounded by Python's recursion limit."""
-    out: list[str] = []
-    # open containers, innermost last: (iterator over (text before, value)
-    # pairs, the pairs' indent, text after the last pair); the outermost holds
-    # only the value itself
-    frames: list = [(iter([("", value)]), "\n", "\n")]
-    while frames:
-        pairs, indent, closing = frames[-1]
-        for text, value in pairs:
-            out.append(text)
-            if isinstance(value, str):
-                out.append(encode_basestring_ascii(value))
-            elif value is None:
-                out.append("null")
-            elif value is True:
-                out.append("true")
-            elif value is False:
-                out.append("false")
-            elif isinstance(value, dict):
-                if not value:
-                    out.append("{}")
-                    continue
-                inner = indent + "  "
-                sep = "," + inner  # encode_basestring_ascii raises TypeError unless a str
-                items = [(sep + encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value)]
-                items[0] = ("{" + items[0][0][1:], items[0][1])  # opens, not after a comma
-                frames.append((iter(items), inner, indent + "}"))
-                break
-            elif isinstance(value, list):
-                if not value:
-                    out.append("[]")
-                    continue
-                inner = indent + "  "
-                sep = "," + inner
-                items = [(sep, item) for item in value]
-                items[0] = ("[" + inner, value[0])  # opens, not after a comma
-                frames.append((iter(items), inner, indent + "]"))
-                break
-            else:
-                raise TypeError(f"{type(value).__name__} is not a canonical JSON value")
-        else:
-            frames.pop()
-            out.append(closing)
-    return "".join(out)
 
 
 _esc = encode_basestring_ascii  # raises TypeError unless given a str

@@ -568,6 +568,12 @@ def _edge_order(edge) -> tuple:
     return natural_key(edge.source), natural_key(edge.target)
 
 
+def _total_order(ids: Iterable[str]) -> list[str]:
+    """``ids`` in natural order, those that tie there (f1, f01) by their
+    text, so the order never depends on the order they came in."""
+    return sorted(ids, key=lambda i: (natural_key(i), i))
+
+
 def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> list[Problem]:
     """Return the behavior graph's invariant violations, all rule V9: each
     edge joins two distinct declared events, and no edge repeats."""
@@ -586,6 +592,14 @@ def check_behavior(event_ids: frozenset[str], edges: Sequence[BehaviorEdge]) -> 
     return problems
 
 
+def check_declared(behavior: BehavioralModel, events: Sequence[Event]) -> list[Problem]:
+    """Return a V9 problem for each event the behavior names that no event
+    declares."""
+    declared = {event.id for event in events}
+    return [Problem("V9", eid, "behavior names an undeclared event")
+            for eid in _total_order(behavior.event_ids - declared)]
+
+
 def check_events(model: StaticModel, events: Sequence[Event]) -> list[Problem]:
     """Return the events' invariant violations, rule V8.  Event ids join the
     model's id namespace: no event id is declared more than once, and none
@@ -602,6 +616,35 @@ def check_events(model: StaticModel, events: Sequence[Event]) -> list[Problem]:
             if eid in ids:
                 problems.append(Problem("V8", eid, f"duplicate id {eid!r} ({what} vs event)"))
                 break
+    return problems
+
+
+def check_regions(model: StaticModel, events: Sequence[Event]) -> list[Problem]:
+    """Return the events' time and region violations, rule V8: each event
+    has a time and a region of at least one stage, every stage and edge of
+    the region is the model's, and every edge of it has both ends in it."""
+    problems: list[Problem] = []
+    stages, flows, triggers = model.stages_by_id, model.flows_by_id, model.triggers_by_id
+    for event in events:
+        eid, stage_ids = event.id, event.region.stage_ids
+        if not event.time.strip():
+            problems.append(Problem("V8", eid, "event has no time annotation"))
+        if not stage_ids:
+            problems.append(Problem("V8", eid, "event region is empty"))
+        for sid in _total_order([sid for sid in stage_ids if sid not in stages]):
+            problems.append(Problem("V8", eid, f"region references unknown stage {sid!r}"))
+        unknown, outside = [], []
+        for xid in event.region.edge_ids:
+            edge = flows.get(xid) or triggers.get(xid)
+            if edge is None:
+                unknown.append(xid)
+            elif edge.source not in stage_ids or edge.target not in stage_ids:
+                outside.append(xid)
+        for xid in _total_order(unknown):
+            problems.append(Problem("V8", eid, f"region references unknown edge {xid!r}"))
+        for xid in _total_order(outside):
+            problems.append(Problem(
+                "V8", eid, f"region edge {xid!r} has an endpoint outside the region"))
     return problems
 
 

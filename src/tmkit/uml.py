@@ -36,7 +36,7 @@ from .model import (
     natural_key,
 )
 from .dsl import RESERVED
-from .jsonio import _canonical_json, _decode, _shaped
+from .jsonio import _array, _decode, _esc, _opt, _shaped
 from .transform import _require_simplified
 
 NODE_KINDS = ("Initial", "Final", "Action", "Decision", "Merge")
@@ -168,18 +168,22 @@ class ActivityGraph(Record):
 # -- JSON interchange (.act.json) ----------------------------------------------
 
 
+# a node and an edge as ``json.dumps(..., indent=2, sort_keys=True)`` writes
+# them as items of the document's two lists, fields at six spaces
+_ACTIVITY = '{\n  "edges": %s,\n  "nodes": %s\n}\n'
+_NODE = '{\n      "id": %s,\n      "kind": %s,\n      "label": %s\n    }'
+_EDGE = '{\n      "from": %s,\n      "guard": %s,\n      "to": %s\n    }'
+
+
 def activity_to_json(graph: ActivityGraph) -> str:
-    doc = {
-        "nodes": [
-            {"id": n.id, "kind": n.kind, "label": n.label}
-            for n in sorted(graph.nodes, key=lambda n: natural_key(n.id))
-        ],
-        "edges": [
-            {"from": e.source, "to": e.target, "guard": e.guard}
-            for e in sorted(graph.edges, key=_edge_order)
-        ],
-    }
-    return _canonical_json(doc)
+    """The canonical ``.act.json`` text: ``json.dumps`` of the document with
+    an indent of 2 and sorted keys, plus a newline, byte for byte."""
+    return _ACTIVITY % (
+        _array([_EDGE % (_esc(e.source), _opt(e.guard), _esc(e.target))
+                for e in sorted(graph.edges, key=_edge_order)], "  "),
+        _array([_NODE % (_esc(n.id), _esc(n.kind), _opt(n.label))
+                for n in sorted(graph.nodes, key=lambda n: natural_key(n.id))], "  "),
+    )
 
 
 def activity_from_json(text: str) -> ActivityGraph:

@@ -9,15 +9,18 @@ Rule codes are stable public identifiers:
     V5  each machine owns its stages, at most one of each kind
     V6  orphan stage (warning): no incident edge and no storage
     V7  constraint machines carry a process stage and a guarded out-trigger
-    V8  event ids are unique among all ids; regions resolve and stay closed
+    V8  event ids are unique among all ids; events carry a time; regions
+        are not empty, resolve and stay closed
     V9  behavior graphs reference declared events; every event on a cycle
         and every unreachable event is a warning
 
-The model invariants (V1, V5, self-loops, V7's process stage, V8's event
-ids, V9's edges) come from `check_model`, `check_events` and `check_behavior`;
-the parser reports their problems for text input too.  A model keeps what
-`check_model` found (`StaticModel.problems`), so `validate_static` reports a
-built or parsed model's problems without checking it again.
+The model invariants (V1, V5, self-loops, V7's process stage, all of V8,
+V9's edges and declared events) come from `check_model`, `check_events`,
+`check_regions`, `check_behavior` and `check_declared`; the parser reports
+their problems for text input too, and the printer refuses a document that
+breaks one.  A model keeps what `check_model` found (`StaticModel.problems`),
+so `validate_static` reports a built or parsed model's problems without
+checking it again.
 
 V9's cycle and reachability warnings read the strongly connected components
 that `model.strong_components` finds, the pass `transform.simplify` contracts
@@ -43,7 +46,9 @@ from .model import (
     Record,
     StaticModel,
     check_behavior,
+    check_declared,
     check_events,
+    check_regions,
     natural_key,
     strong_components,
 )
@@ -95,7 +100,9 @@ class Diagnostic(Record):
 
 
 def _sorted(diags: list[Diagnostic]) -> list[Diagnostic]:
-    return sorted(diags, key=lambda d: (natural_key(d.subject), d.rule, d.message))
+    """By subject in natural order, subjects that tie there (E1, E01) by
+    their text, then by rule and message."""
+    return sorted(diags, key=lambda d: (natural_key(d.subject), d.subject, d.rule, d.message))
 
 
 def _errors(problems: Sequence[Problem]) -> list[Diagnostic]:
@@ -170,26 +177,8 @@ def validate_static(
 
 
 def validate_events(model: StaticModel, events: Sequence[Event]) -> list[Diagnostic]:
-    """Check V8: unique event ids; regions resolve, stay closed, and carry a time."""
-    diags = _errors(check_events(model, events))
-    for event in events:
-        def err(message: str, *, _id=event.id) -> None:
-            diags.append(Diagnostic(Severity.ERROR, "V8", _id, message))
-
-        if not event.time.strip():
-            err("event has no time annotation")
-        if not event.region.stage_ids:
-            err("event region is empty")
-        for sid in sorted(event.region.stage_ids, key=natural_key):
-            if sid not in model.stages_by_id:
-                err(f"region references unknown stage {sid!r}")
-        for eid in sorted(event.region.edge_ids, key=natural_key):
-            edge = model.flows_by_id.get(eid) or model.triggers_by_id.get(eid)
-            if edge is None:
-                err(f"region references unknown edge {eid!r}")
-            elif not {edge.source, edge.target} <= event.region.stage_ids:
-                err(f"region edge {eid!r} has an endpoint outside the region")
-    return _sorted(diags)
+    """Check V8: `check_events`' id rules and `check_regions`' time and region rules."""
+    return _sorted(_errors([*check_events(model, events), *check_regions(model, events)]))
 
 
 def validate_behavior(
@@ -198,14 +187,8 @@ def validate_behavior(
     """Check V9: `check_behavior`'s edge rules, and every event the behavior
     names is declared; warn on every event on a cycle and on events
     unreachable from every source."""
-    diags = _errors(check_behavior(behavior.event_ids, behavior.edges))
-    declared = {e.id for e in events}
-
-    for eid in sorted(behavior.event_ids, key=natural_key):
-        if eid not in declared:
-            diags.append(
-                Diagnostic(Severity.ERROR, "V9", eid, "behavior names an undeclared event")
-            )
+    diags = _errors([*check_behavior(behavior.event_ids, behavior.edges),
+                     *check_declared(behavior, events)])
     adjacency: dict[str, list[str]] = {}
     for edge in behavior.edges:
         adjacency.setdefault(edge.source, []).append(edge.target)
@@ -222,7 +205,7 @@ def validate_behavior(
     # an event is reached iff it is in a component found from the sources
     reached = {eid for members in strong_components(behavior.sources(), successors)
                for eid in members}
-    for eid in sorted(behavior.event_ids - reached, key=natural_key):
+    for eid in behavior.event_ids - reached:
         diags.append(
             Diagnostic(Severity.WARNING, "V9", eid, "event is unreachable from any source event")
         )

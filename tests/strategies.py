@@ -8,6 +8,7 @@ activity subset the importer round-trips: single initial and final, fan-ins
 through merges, decisions with two or more guarded action successors.
 `mutated_texts` prints a document and breaks the shape of its statements.
 `tied_documents` adds copies whose ids tie their originals in natural order.
+`event_mutations` breaks one event or behavior rule of a document.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ plain_text = st.text(
 # skewed toward characters the escaper must handle
 tricky_text = st.text(alphabet='ab "\\\n\t', max_size=8)
 label_text = st.one_of(plain_text, tricky_text)
+# an event's time is not blank (V8)
+time_text = label_text.filter(lambda s: s.strip() != "")
 
 
 @st.composite
@@ -180,7 +183,7 @@ def documents(draw, max_machines: int = 4):
                 Event(
                     id=eid,
                     name=name,
-                    time=draw(label_text),
+                    time=draw(time_text),
                     region=Region(frozenset(chosen), frozenset(edge_ids)),
                     intensity=draw(st.one_of(st.none(), label_text)),
                 )
@@ -197,6 +200,34 @@ def documents(draw, max_machines: int = 4):
             edges.append(BehaviorEdge(src, dst, group))
     behavior = BehavioralModel.build(event_ids, edges)
     return model, tuple(events), behavior
+
+
+def event_mutations(model: StaticModel, events: tuple[Event, ...]) -> list:
+    """Single breaks of one event or behavior rule of a document, each a
+    function of its (events, behavior) to the broken pair: a behavior that
+    names an undeclared event and, on the first event, a blank time, an
+    empty region, an unknown region stage or edge, and a region edge with an
+    end outside the region."""
+    muts = [lambda es, b: (es, b.replace(event_ids=b.event_ids | {"X9"}))]
+    if not events:
+        return muts
+
+    def first(change):
+        return lambda es, b: ((change(es[0]), *es[1:]), b)
+
+    stage_ids, edge_ids = events[0].region.stage_ids, events[0].region.edge_ids
+    muts += [
+        first(lambda e: e.replace(time=" ")),
+        first(lambda e: e.replace(region=Region(frozenset()))),
+        first(lambda e: e.replace(region=Region(stage_ids | {"Z.process"}, edge_ids))),
+        first(lambda e: e.replace(region=Region(stage_ids, edge_ids | {"zz"}))),
+    ]
+    edges = (*model.flows, *model.triggers)
+    if edges:  # its source in the region, its target out
+        edge = edges[0]
+        muts.append(first(lambda e: e.replace(region=Region(
+            stage_ids - {edge.target} | {edge.source}, edge_ids | {edge.id}))))
+    return muts
 
 
 def tied(ident: str) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -130,12 +131,25 @@ def test_a_byte_order_mark_is_not_skipped(tmp_path, capsys, argv, content, statu
     assert out == "" and err.count("\n") == 1 and err.startswith(message.format(f=path))
 
 
-def _json_with_events(*event_ids: str) -> str:
-    doc = json.loads(document_to_json(parse_or_raise("machine A { create store; }\n").model))
-    doc["events"] = [{"id": eid, "name": eid, "time": "t", "intensity": None,
-                      "region": {"stage_ids": ["A.create"], "edge_ids": []}} for eid in event_ids]
-    doc["behavior"]["event_ids"] = sorted(set(event_ids))
+def _json_with_events(*event_ids: str, time: str = "t", region: tuple = (["A.create"], []),
+                      behavior_ids: tuple = ()) -> str:
+    doc = json.loads(document_to_json(parse_or_raise(
+        "machine A { create store; process; }\nflow f1: A.create -> A.process;\n").model))
+    stage_ids, edge_ids = region
+    doc["events"] = [{"id": eid, "name": eid, "time": time, "intensity": None,
+                      "region": {"stage_ids": stage_ids, "edge_ids": edge_ids}}
+                     for eid in event_ids]
+    doc["behavior"]["event_ids"] = sorted({*event_ids, *behavior_ids})
     return json.dumps(doc)
+
+
+def _fails_check_and_fmt(path: Path, capsys, error: str) -> None:
+    assert run(["check", str(path)]) == 1
+    assert error in capsys.readouterr().out.splitlines()
+    # fmt refuses to write text that would not parse back, in one line
+    assert run(["fmt", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == error.partition(": ")[2] + "\n"
 
 
 @pytest.mark.parametrize("event_ids, error", [
@@ -145,12 +159,46 @@ def _json_with_events(*event_ids: str) -> str:
 def test_json_that_text_would_reject_fails_check_and_fmt(tmp_path, capsys, event_ids, error):
     path = tmp_path / "doc.json"
     path.write_text(_json_with_events(*event_ids), encoding="utf-8")
-    assert run(["check", str(path)]) == 1
-    assert error in capsys.readouterr().out.splitlines()
-    # fmt refuses to write text that would not parse back
-    assert run(["fmt", str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err == error.partition(": ")[2] + "\n"
+    _fails_check_and_fmt(path, capsys, error)
+
+
+@pytest.mark.parametrize("change, error", [
+    ({"time": " "}, "ERROR V8 E: event has no time annotation"),
+    ({"region": ([], [])}, "ERROR V8 E: event region is empty"),
+    ({"region": (["Z.process"], [])}, "ERROR V8 E: region references unknown stage 'Z.process'"),
+    ({"region": (["A.create"], ["f9"])}, "ERROR V8 E: region references unknown edge 'f9'"),
+    ({"region": (["A.create"], ["f1"])},
+     "ERROR V8 E: region edge 'f1' has an endpoint outside the region"),
+    ({"behavior_ids": ["X"]}, "ERROR V9 X: behavior names an undeclared event"),
+])
+def test_json_with_a_broken_event_or_behavior_fails_check_and_fmt(tmp_path, capsys, change,
+                                                                 error):
+    path = tmp_path / "doc.json"
+    path.write_text(_json_with_events("E", **change), encoding="utf-8")
+    _fails_check_and_fmt(path, capsys, error)
+
+
+# E1 and E01 tie in natural order, and both warn twice
+TIED_EVENTS = (
+    "machine A { create; process; }\nflow f1: A.create -> A.process;\n"
+    + "".join(f'event {eid} {{ time "t"; region {{ A.create }} }}\n' for eid in ("S", "E1", "E01"))
+    + "behavior { E1 -> E01; E01 -> E1; }\n"
+)
+
+
+def test_check_output_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "tied.tm"
+    path.write_text(TIED_EVENTS, encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    path_var = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "PYTHONPATH": path_var}
+    outputs = {
+        subprocess.run([sys.executable, "-m", "tmkit.cli", "check", str(path)], capture_output=True,
+                       text=True, env={**env, "PYTHONHASHSEED": str(seed)}).stdout
+        for seed in range(8)
+    }
+    assert len(outputs) == 1
+    assert outputs.pop().splitlines()[-1] == "0 errors, 4 warnings"
 
 
 def test_parse_failure_is_status_one(tmp_path, capsys):
@@ -514,7 +562,7 @@ def test_every_subcommand_is_total_on_statements_of_any_shape(tmp_path_factory, 
     path.write_bytes(data)
     # stderr holds diagnostics, one a line, or one line of another message
     diagnostic = re.compile(
-        rf"{re.escape(str(path))}:\d+:\d+: (syntax|unresolved-ref|invalid|V\d): \S"
+        rf"{re.escape(str(path))}:\d+:\d+: (syntax|unresolved-ref|V\d): \S"
         r"|(ERROR|WARNING) V\d \S"
     )
     for json_flag in ([], ["--json"]):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strategies import documents, mutated_texts
+from strategies import documents, event_mutations, mutated_texts
 from test_model import two_machine_chain
 from tmkit import (
     ActionKind,
@@ -22,6 +22,7 @@ from tmkit import (
     ModelError,
     Region,
     Stage,
+    TmError,
     Trigger,
     document_to_json,
     dsl,
@@ -172,8 +173,8 @@ def test_region_edge_with_endpoint_outside_is_invalid():
         "flow f1: A.create -> A.process;\n"
         'event E1 { time "t"; region { A.release edge f1 } }\n'
     )
-    result = parse(text)
-    assert any(d.code == "invalid" for d in result.diagnostics)
+    assert [str(d) for d in parse(text).diagnostics] == [
+        "3:7: V8: region edge 'f1' has an endpoint outside the region"]
 
 
 @pytest.mark.parametrize("text, messages", [
@@ -199,6 +200,14 @@ def test_region_edge_with_endpoint_outside_is_invalid():
     ('machine A { create; }\nevent E { time "t"; region { A.create } }\n'
      'event E { time "u"; region { A.create } }',
      ["3:7: V8: event id declared more than once"]),
+    ('machine A { create; }\nevent E { time " "; region { } }',
+     ["2:7: V8: event has no time annotation", "2:7: V8: event region is empty"]),
+    # a region that names what does not resolve is reported there only
+    ('machine A { create; }\nevent E { time "t"; region { Z.create } }',
+     ["2:30: unresolved-ref: unknown machine 'Z'"]),
+    ('machine A { create; }\nflow f1: A.create -> Z.create;\n'
+     'event E { time "t"; region { edge f1 } }',
+     ["2:22: unresolved-ref: unknown machine 'Z'"]),
     # a behavior problem is reported at the declaration of its event
     ('machine A { create; }\nevent E { time "t"; region { A.create } }\n'
      'event F { time "u"; region { A.create } }\nbehavior { E -> F; F -> F; E -> F; }',
@@ -868,6 +877,20 @@ _ONE_MACHINE = dsl.StaticModel((Machine("A", "A", stages=(Stage("A.create", Acti
 def test_print_refuses_events_and_behavior_that_parse_would_reject(events, behavior, message):
     with pytest.raises(ModelError, match=re.escape(message)):
         print_model(_ONE_MACHINE, events, behavior)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents(), st.data())
+def test_print_refuses_a_broken_event_or_prints_what_parses_back_to_it(doc, data):
+    model, events, behavior = doc
+    events, behavior = data.draw(st.sampled_from(event_mutations(model, events)))(events, behavior)
+    try:
+        text = print_model(model, events, behavior)
+    except TmError:
+        return
+    result = parse_or_raise(text)
+    assert result.events == tuple(sorted(events, key=lambda e: natural_key(e.id)))
+    assert result.behavior == behavior
 
 
 _POOL = ("A", "B", "f1", "t1", "E1")  # machine, edge and event ids share it

@@ -10,12 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import documents, tied_documents
+from strategies import activity_graphs, documents, tied_documents
 from test_model import _mutations
 from tmkit import (
+    ActivityEdge,
+    ActivityGraph,
+    ActivityNode,
     JsonFormatError,
     TmError,
     activity_from_json,
+    activity_to_json,
     document_from_json,
     document_to_json,
     import_activity,
@@ -24,7 +28,6 @@ from tmkit import (
 )
 from tmkit.cli import run
 from tmkit.corpus import corpus_dir, mentcare_path
-from tmkit.jsonio import _canonical_json
 from tmkit.model import StaticModel, build_trees, natural_key, submachines_of
 from tmkit.uml import ActivityError
 
@@ -116,17 +119,30 @@ _json_strings = st.text(
     | st.sampled_from(["\x00", "\x1f", "\x7f", '"', "\\", "\u00e9", "\u2028", "\U0001f600", "\ud800"]),
     max_size=12,
 )
-_json_values = st.recursive(
-    st.none() | st.booleans() | _json_strings,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
-    max_leaves=40,
-)
 
 
-@settings(max_examples=500, deadline=None)
-@given(_json_values)
-def test_canonical_writer_matches_json_dumps(value):
-    assert _canonical_json(value) == dumps_canonical(value)
+@st.composite
+def _labelled_graphs(draw) -> ActivityGraph:
+    """`activity_graphs` with labels and guards drawn from any text."""
+    graph = draw(activity_graphs())
+    return ActivityGraph(
+        tuple(n.replace(label=draw(_json_strings)) for n in graph.nodes),
+        tuple(e.replace(guard=draw(st.none() | _json_strings)) for e in graph.edges),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_graphs())
+def test_canonical_writer_matches_json_dumps(graph):
+    """The `.act.json` writer against `json.dumps` of the graph as a dict."""
+    doc = {
+        "nodes": [{"id": n.id, "kind": n.kind, "label": n.label}
+                  for n in sorted(graph.nodes, key=lambda n: natural_key(n.id))],
+        "edges": [{"from": e.source, "to": e.target, "guard": e.guard}
+                  for e in sorted(graph.edges, key=lambda e: (natural_key(e.source),
+                                                              natural_key(e.target)))],
+    }
+    assert activity_to_json(graph) == dumps_canonical(doc)
 
 
 def _by_key(items) -> list:
@@ -202,8 +218,11 @@ def test_document_writer_matches_json_dumps(doc):
 
 @pytest.mark.parametrize("value", [1, 1.5, (), {"a": [0]}, {1: "a"}, {None: "a"}, b"x"])
 def test_canonical_writer_rejects_other_types(value):
-    with pytest.raises(TypeError):
-        _canonical_json(value)
+    node = ActivityNode("a", "Action")
+    for graph in (ActivityGraph((node.replace(label=value),)),
+                  ActivityGraph((node,), (ActivityEdge("a", "a", value),))):
+        with pytest.raises(TypeError):
+            activity_to_json(graph)
 
 
 @pytest.mark.parametrize(
