@@ -65,11 +65,12 @@ def eventize(model: StaticModel, event: Event) -> Event:
 
 
 def coverage(model: StaticModel, events: Sequence[Event]) -> tuple[str, ...]:
-    """Stage ids belonging to no event's region, in natural order."""
+    """Stage ids belonging to no event's region, in natural order.  Only
+    these are keyed: the model's rank table would key every id."""
     covered: set[str] = set()
     for event in events:
         covered |= event.region.stage_ids
-    return tuple(model.in_natural_order([s.id for s in model.all_stages() if s.id not in covered]))
+    return tuple(sorted([s.id for s in model.all_stages() if s.id not in covered], key=natural_key))
 
 
 def conform(trace: Trace, behavior: BehavioralModel) -> Verdict:

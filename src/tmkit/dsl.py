@@ -34,10 +34,14 @@ for a character loop, which reports bad escapes and unterminated strings.
 Most of a model is flows and stage declarations, so the pattern's first
 alternative reads a whole well-formed ``flow``, ``trigger``, stage
 declaration or ``machine ... {`` head, and the lexer makes it one statement
-token that carries the ID, REF and STRING tokens of its text.  The pattern
-reads only the shape; Python checks the words (keyword and arrow, a guard
-only on a trigger, references ending in a stage kind, no reserved label or
-machine name) and reads the text of a refused statement token by token.  So
+token: one flat tuple of its first word, its offsets and the text and
+offset of each ID, REF and STRING part.  It holds no token and no tuple, so
+the garbage collector tracks one object for it (see _lex).  The parser
+passes an edge or stage statement on as the raw flow, trigger or stage, and
+builds one read token by token into the same tuple.  The pattern reads only
+the shape; Python checks the words (keyword and arrow, a guard only on a
+trigger, references ending in a stage kind, no reserved label or machine
+name) and reads the text of a refused statement token by token.  So
 does everything else: comments or escapes inside a statement, spaced
 references, a missing ';'.  The parser takes a statement token where its
 statement may stand.  Anywhere else, before it reports on or skips over one,
@@ -52,7 +56,10 @@ stays in the string's value and still starts a new source line.
 
 The resolver resolves names only.  The model rules are checked by the
 checks of `tmkit.model` that JSON input and the validator use, and each
-problem they find is a diagnostic coded by its rule (``V1`` to ``V9``).
+problem they find is a diagnostic coded by its rule (``V1`` to ``V9``).  It
+is reported on the word that declares its subject: the resolver maps each
+declared id to that word's offset, and reads the word's length back from
+the text only for a problem it reports.
 """
 
 from __future__ import annotations
@@ -206,20 +213,56 @@ class _Token(NamedTuple):
     offset: int
 
 
-class _Statement(NamedTuple):
-    """A well-formed statement read as one token.  Its value and offset are
-    those of its first word, and ``end`` is the offset past its ';' or '{'.
-    ``parts`` are the ID, REF and STRING tokens that reading the rest of
-    ``text[offset:end]`` token by token gives, None for an absent optional
-    part: (label, source, target, guard) for an EDGE, a flow or trigger (a
-    guard's 'if' has no part); (store, None, label) for a STAGE declaration;
-    (name, constraint, display) for a machine HEAD."""
+class _Edge(NamedTuple):
+    """A flow or trigger statement, one flat tuple: the lexer reads a
+    well-formed one whole, and the parser builds one from the tokens of any
+    other.  Its value and offset are those of its first word, and ``end`` is
+    the offset past its ';'.  Each part is its text and offset, None and -1
+    where absent, and a reference also has the offset past its last name."""
 
-    kind: str  # EDGE STAGE HEAD
-    value: str
+    kind: str  # "EDGE"
+    value: str  # "flow" or "trigger"
     offset: int
     end: int
-    parts: tuple
+    label: Optional[str]
+    label_at: int
+    source: str  # dotted, ending in a stage kind, e.g. "A.B.process"
+    source_at: int
+    source_end: int
+    target: str
+    target_at: int
+    target_end: int
+    guard: Optional[str]  # the STRING after 'if', which has no part
+    guard_at: int
+
+
+class _StageDecl(NamedTuple):
+    """A stage declaration, laid out as an `_Edge`."""
+
+    kind: str  # "STAGE"
+    value: str  # the stage kind word
+    offset: int
+    end: int
+    store: Optional[str]  # "store"
+    store_at: int
+    label: Optional[str]  # the STRING after ':'
+    label_at: int
+
+
+class _Head(NamedTuple):
+    """A well-formed machine head ``machine ID constraint? (: STRING)? {``,
+    laid out as an `_Edge`; ``end`` is the offset past its '{'."""
+
+    kind: str  # "HEAD"
+    value: str  # "machine"
+    offset: int
+    end: int
+    name: str
+    name_at: int
+    constraint: Optional[str]  # "constraint"
+    constraint_at: int
+    display: Optional[str]
+    display_at: int
 
 
 _STATEMENTS = {"EDGE", "STAGE", "HEAD"}
@@ -316,11 +359,12 @@ def _lex_string(
 _new = tuple.__new__  # makes a NamedTuple without NamedTuple.__new__'s Python frame
 
 
-def _statement(m: re.Match) -> Optional[_Statement]:
-    """The token for a match of the master pattern's statement alternative,
-    or None unless its words make a well-formed statement: the keyword fits
-    the arrow or the closing mark, only a trigger has a guard, references end
-    in a stage kind, and no label or machine name is a reserved word."""
+def _statement(m: re.Match) -> Optional[tuple]:
+    """The statement token for a match of the master pattern's statement
+    alternative, or None unless its words make a well-formed statement: the
+    keyword fits the arrow or the closing mark, only a trigger has a guard,
+    references end in a stage kind, and no label or machine name is a
+    reserved word.  The token is one tuple, with no tuple of its own in it."""
     word, start = m["W"], m.start
     if m.lastgroup == "EDGE":
         label, source, arrow, target, if_, guard = m.group("L", "S", "A", "T", "I", "G")
@@ -328,26 +372,35 @@ def _statement(m: re.Match) -> Optional[_Statement]:
             source.endswith(_KIND_ENDS) and target.endswith(_KIND_ENDS)
         ):
             return None
-        kind, parts = "EDGE", (
-            label and _new(_Token, ("ID", label, start("L"))),
-            _new(_Token, ("REF", source, start("S"))),
-            _new(_Token, ("REF", target, start("T"))),
-            None if guard is None else _new(_Token, ("STRING", guard, start("G") - 1)),
-        )
-    else:
-        x, y, display = m.group("X", "Y", "D")
-        if m["END"] == ";":  # KIND ("store")? (":" STRING)? ";"
-            kind, ok = "STAGE", word in KIND_WORDS and x in (None, "store") and y is None
-        else:  # "machine" ID ("constraint")? (":" STRING)? "{"
-            kind, ok = "HEAD", word == "machine" and x and x not in RESERVED and y in (None, "constraint")
-        if not ok:
-            return None
-        parts = (
-            x and _new(_Token, ("ID", x, start("X"))),
-            y and _new(_Token, ("ID", y, start("Y"))),
-            None if display is None else _new(_Token, ("STRING", display, start("D") - 1)),
-        )
-    return _new(_Statement, (kind, word, start("W"), m.end(), parts))
+        at, to = start("S"), start("T")
+        return _new(_Edge, (
+            "EDGE", word, start("W"), m.end(), label, start("L"), source, at, at + len(source),
+            target, to, to + len(target), guard, -1 if guard is None else start("G") - 1,
+        ))
+    x, y, display = m.group("X", "Y", "D")
+    display_at = -1 if display is None else start("D") - 1
+    if m["END"] == ";":  # KIND ("store")? (":" STRING)? ";"
+        if word in KIND_WORDS and x in (None, "store") and y is None:
+            return _new(_StageDecl, ("STAGE", word, start("W"), m.end(), x, start("X"),
+                                     display, display_at))
+    # "machine" ID ("constraint")? (":" STRING)? "{"
+    elif word == "machine" and x and x not in RESERVED and y in (None, "constraint"):
+        return _new(_Head, ("HEAD", word, start("W"), m.end(), x, start("X"), y, start("Y"),
+                            display, display_at))
+    return None
+
+
+# Parsing a small model should not wake the garbage collector, which runs a
+# gen-0 collection whenever 700 more tracked objects (2000 from Python 3.13
+# on) are alive than after the last one.  So from the lexer to the model
+# records, a well-formed flow, trigger or stage declaration lives as one
+# tracked object, a tuple of strings and offsets.  A gate-relay document of 240
+# statements lived as some 2100 objects when each statement held a tuple of
+# tokens and the parser made raw edges and references of them: 1.8
+# collections per parse.  The bound on the collections that 200 parses of
+# relay_text(3, 7, 3) start at a gen-0 threshold of 700, asserted in
+# tests/test_dsl.py:
+_GEN0_COLLECTIONS_PER_200_PARSES = 20
 
 
 def _lex(
@@ -423,52 +476,32 @@ def _lex(
 # -- raw syntax tree ----------------------------------------------------------
 
 
-class _RawStage:
-    __slots__ = ("kind", "store", "label", "tok")
-
-    def __init__(self, kind: ActionKind, store: bool, label: Optional[str], tok: _Token) -> None:
-        self.kind = kind
-        self.store = store
-        self.label = label
-        self.tok = tok
-
-
 class _RawMachine:
-    __slots__ = ("name_tok", "display", "constraint", "stages", "children")
+    __slots__ = ("name", "name_at", "display", "constraint", "stages", "children")
 
-    def __init__(self, name_tok: _Token, display: Optional[str], constraint: bool,
-                 stages: list[_RawStage], children: list[_RawMachine]) -> None:
-        self.name_tok = name_tok
+    def __init__(self, name: str, name_at: int, display: Optional[str], constraint: bool,
+                 stages: list[_StageDecl], children: list[_RawMachine]) -> None:
+        self.name = name
+        self.name_at = name_at
         self.display = display
         self.constraint = constraint
         self.stages = stages
         self.children = children
 
 
-class _RawRef(NamedTuple):
-    text: str  # dotted, ending in a stage kind, e.g. "A.B.process"
-    first: _Token  # the reference's first and last tokens, for its span
-    last: _Token
+_Ref = tuple[str, int, int]  # a reference's dotted text, its offset and the offset past it
 
 
-class _RawEdge:
-    __slots__ = ("label_tok", "source", "target", "guard", "dashed", "tok")
-
-    def __init__(self, label_tok: Optional[_Token], source: _RawRef, target: _RawRef,
-                 guard: Optional[str], dashed: bool, tok: _Token) -> None:
-        self.label_tok = label_tok
-        self.source = source
-        self.target = target
-        self.guard = guard
-        self.dashed = dashed
-        self.tok = tok
+def _part(tok: Optional[_Token]) -> tuple[Optional[str], int]:
+    """A statement part read from a token: its text and offset, or None and -1."""
+    return (None, -1) if tok is None else (tok.value, tok.offset)
 
 
 class _RawEvent:
     __slots__ = ("id_tok", "display", "time", "stage_refs", "edge_refs", "intensity")
 
     def __init__(self, id_tok: _Token, display: Optional[str], time: str,
-                 stage_refs: list[_RawRef], edge_refs: list[_Token],
+                 stage_refs: list[_Ref], edge_refs: list[_Token],
                  intensity: Optional[str]) -> None:
         self.id_tok = id_tok
         self.display = display
@@ -504,7 +537,7 @@ class _Parser:
         self.pos = 0
         self.diagnostics: list[ParseDiagnostic] = []
         self.machines: list[_RawMachine] = []
-        self.edges: list[_RawEdge] = []
+        self.edges: list[_Edge] = []
         self.events: list[_RawEvent] = []
         self.behavior_edges: list[_RawBehaviorEdge] = []
         self.behavior_toks: list[_Token] = []
@@ -565,14 +598,13 @@ class _Parser:
     def at_word(self, word: str) -> bool:
         return self.cur.kind == "ID" and self.cur.value == word
 
-    def option(self, mark: str, what: str) -> Optional[str]:
-        """The STRING after ``mark`` (':' or a word) if the cursor is at the
-        mark; None if it is not, or (reported) if no STRING follows."""
+    def option(self, mark: str, what: str) -> Optional[_Token]:
+        """The STRING token after ``mark`` (':' or a word) if the cursor is at
+        the mark; None if it is not, or (reported) if no STRING follows."""
         if self.cur.value != mark or self.cur.kind == "STRING":
             return None
         self.pos += 1
-        tok = self.expect("STRING", what)
-        return tok and tok.value
+        return self.expect("STRING", what)
 
     def sync_statement(self) -> None:
         # one diagnostic per statement: skip to the next ';' or block edge
@@ -650,28 +682,27 @@ class _Parser:
         """Parse ``machine ID constraint? (: STRING)? {``."""
         head = self.advance()  # 'machine'
         if head.kind == "HEAD":
-            name, constraint, display = head.parts
-            return _RawMachine(name, display and display.value, constraint is not None, [], [])
+            return _RawMachine(head.name, head.name_at, head.display,
+                               head.constraint is not None, [], [])
         name_tok = self.parse_name("machine")
         constraint = self.at_word("constraint")
         self.pos += constraint
         display = self.option(":", "machine display name")
         self.need("LBRACE", "'{'")
-        return _RawMachine(name_tok, display, constraint, [], [])
+        return _RawMachine(name_tok.value, name_tok.offset, display and display.value,
+                           constraint, [], [])
 
-    def parse_stage(self) -> _RawStage:
+    def parse_stage(self) -> _StageDecl:
         tok = self.advance()  # a stage kind word
-        kind = KIND_WORDS[tok.value]
         if tok.kind == "STAGE":
-            store, _, label = tok.parts
-            return _RawStage(kind, store is not None, label and label.value, tok)
-        store = self.at_word("store")
-        self.pos += store
+            return tok
+        store = self.cur if self.at_word("store") else None
+        self.pos += store is not None
         label = self.option(":", "stage label")
-        self.need("SEMI", "';'")
-        return _RawStage(kind, store, label, tok)
+        end = self.need("SEMI", "';'").offset + 1
+        return _new(_StageDecl, ("STAGE", tok.value, tok.offset, end, *_part(store), *_part(label)))
 
-    def parse_ref(self) -> _RawRef:
+    def parse_ref(self) -> _Ref:
         """Parse ``machine.path.kind``: usually one REF token, but any mix of
         ID and REF tokens joined by DOT tokens spells the same reference."""
         tokens = self.tokens
@@ -698,27 +729,25 @@ class _Parser:
             self.error("a stage reference ends in a stage kind (machine.kind)",
                        _Token("ID", word, offset))
             raise _Skip
-        return _RawRef(dotted, first, last)
+        return dotted, first.offset, last.offset + len(last.value)
 
     def parse_edge(self, dashed: bool) -> None:
         head = self.advance()  # 'flow' | 'trigger'
         if head.kind == "EDGE":
-            label_tok, source, target, guard = head.parts
-            self.edges.append(_RawEdge(
-                label_tok, _new(_RawRef, (source.value, source, source)),
-                _new(_RawRef, (target.value, target, target)), guard and guard.value, dashed, head,
-            ))
+            self.edges.append(head)
             return
-        label_tok = None
+        label = None
         if self.plain().kind == "ID" and self.tokens[self.pos + 1].kind == "COLON":
-            label_tok = self.parse_name("flow" if not dashed else "trigger")
+            label = self.parse_name("flow" if not dashed else "trigger")
             self.pos += 1  # ':'
         source = self.parse_ref()
         self.need("DARROW" if dashed else "ARROW", "'=>'" if dashed else "'->'")
         target = self.parse_ref()
         guard = self.option("if", "guard text") if dashed else None
-        self.need("SEMI", "';'")
-        self.edges.append(_RawEdge(label_tok, source, target, guard, dashed, head))
+        end = self.need("SEMI", "';'").offset + 1
+        self.edges.append(_new(_Edge, (
+            "EDGE", head.value, head.offset, end, *_part(label), *source, *target, *_part(guard),
+        )))
 
     def parse_event(self) -> None:
         self.advance()  # 'event'
@@ -730,7 +759,7 @@ class _Parser:
         self.need("SEMI", "';'")
         self.need_word("region")
         self.need("LBRACE", "'{'")
-        stage_refs: list[_RawRef] = []
+        stage_refs: list[_Ref] = []
         edge_refs: list[_Token] = []
         try:
             while self.cur.kind not in ("RBRACE", "EOF"):
@@ -749,7 +778,8 @@ class _Parser:
             intensity = self.option("intensity", "intensity text")
             self.expect("SEMI", "';'")
         self.need("RBRACE", "'}'")
-        self.events.append(_RawEvent(id_tok, display, time, stage_refs, edge_refs, intensity))
+        self.events.append(_RawEvent(id_tok, display and display.value, time, stage_refs,
+                                     edge_refs, intensity and intensity.value))
 
     def parse_behavior(self) -> None:
         self.behavior_toks.append(self.advance())  # 'behavior'
@@ -764,7 +794,7 @@ class _Parser:
             except _Skip:
                 self.sync_statement()
                 continue
-            self.behavior_edges.append(_RawBehaviorEdge(from_tok, to_tok, group))
+            self.behavior_edges.append(_RawBehaviorEdge(from_tok, to_tok, group and group.value))
         self.expect("RBRACE", "'}'")
 
 
@@ -783,21 +813,26 @@ class _Resolver:
         self.lines = parser.lines
         self.raw_comments = comments
         self.diagnostics = list(parser.diagnostics)
-        # each machine, stage, flow and trigger id to its declaration token
-        self.decls: dict[str, _Token] = {}
+        # each machine, stage, flow and trigger id to the offset of the word
+        # that declares it: a name, a label, a stage kind or an unlabeled
+        # edge's keyword
+        self.decls: dict[str, int] = {}
         # each stage id to itself: the string its Stage holds, for flows to share
         self.stage_ids: dict[str, str] = {}
-        # (offset of a declaration's first token, element id) in declaration
-        # order; only read, as line numbers, when comments are attached
-        self.keys: list[tuple[int, str]] = []
+        # (offset of a declaration's first word, element id) in declaration
+        # order, read as line numbers to attach comments; None when the text
+        # has no comments
+        self.keys: Optional[list[tuple[int, str]]] = [] if comments else None
         # ids of edges left out because an end did not resolve, which was
         # reported: a region naming one is not reported again
         self.dropped: set[str] = set()
 
-    def error(self, tok: _Token, code: str, message: str) -> None:
-        self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), code, message))
+    def error(self, offset: int, code: str, message: str) -> None:
+        """Report on the name that starts at ``offset``."""
+        length = _IDENT.match(self.lines.text, offset).end() - offset  # type: ignore[union-attr]
+        self.diagnostics.append(ParseDiagnostic(self.lines.span(offset, length), code, message))
 
-    def report(self, problems: Sequence[Problem], decls: dict[str, _Token]) -> None:
+    def report(self, problems: Sequence[Problem], decls: dict[str, int]) -> None:
         for problem in problems:
             self.error(decls[problem.subject], problem.rule, problem.message)
 
@@ -810,23 +845,25 @@ class _Resolver:
         triggers: list[Trigger] = []
         auto = {"f": 1, "t": 1}  # the next number to try for an unlabeled edge
         for raw in self.p.edges:
-            src = self.resolve_ref(machines_only, raw.source)
-            dst = self.resolve_ref(machines_only, raw.target)
-            tok = raw.label_tok
-            if tok is None:
-                tok, prefix = raw.tok, "t" if raw.dashed else "f"
+            src = self.resolve_ref(machines_only, raw.source, raw.source_at, raw.source_end)
+            dst = self.resolve_ref(machines_only, raw.target, raw.target_at, raw.target_end)
+            dashed = raw.value == "trigger"
+            edge_id = raw.label
+            if edge_id is None:
+                prefix = "t" if dashed else "f"
                 while f"{prefix}{auto[prefix]}" in decls:
                     auto[prefix] += 1
                 edge_id = f"{prefix}{auto[prefix]}"
                 auto[prefix] += 1
+                decls[edge_id] = raw.offset
             else:
-                edge_id = tok.value
-            decls[edge_id] = tok
+                decls[edge_id] = raw.label_at
             if src is None or dst is None:
                 self.dropped.add(edge_id)
                 continue
-            keys.append((raw.tok.offset, edge_id))
-            if raw.dashed:
+            if keys is not None:
+                keys.append((raw.offset, edge_id))
+            if dashed:
                 triggers.append(Trigger(edge_id, src, dst, raw.guard))
             else:
                 flows.append(Flow(edge_id, src, dst))
@@ -834,15 +871,17 @@ class _Resolver:
 
         built = [self.build_event(model, raw) for raw in self.p.events]
         events = [event for event, _ in built]
-        event_decls = {raw.id_tok.value: raw.id_tok for raw in self.p.events}
+        event_decls = {raw.id_tok.value: raw.id_tok.offset for raw in self.p.events}
         behavior_edges: list[BehaviorEdge] = []
         for raw_edge in self.p.behavior_edges:
             source, target = raw_edge.from_tok.value, raw_edge.to_tok.value
-            event_decls.setdefault(source, raw_edge.from_tok)  # a first mention
-            event_decls.setdefault(target, raw_edge.to_tok)
+            event_decls.setdefault(source, raw_edge.from_tok.offset)  # a first mention
+            event_decls.setdefault(target, raw_edge.to_tok.offset)
             behavior_edges.append(BehaviorEdge(source, target, raw_edge.group))
-            keys.append((raw_edge.from_tok.offset, f"{source}->{target}"))
-        keys += [(tok.offset, "behavior") for tok in self.p.behavior_toks]
+            if keys is not None:
+                keys.append((raw_edge.from_tok.offset, f"{source}->{target}"))
+        if keys is not None:
+            keys += [(tok.offset, "behavior") for tok in self.p.behavior_toks]
         declared = frozenset([event.id for event in events])
 
         self.report(model.problems(), decls)
@@ -867,17 +906,21 @@ class _Resolver:
         ]
         while todo:
             raw, parent = todo.pop()
-            name = raw.name_tok.value
+            name = raw.name
             mid = name if parent is None else f"{order[parent][1]}.{name}"
-            decls[mid] = raw.name_tok
-            keys.append((raw.name_tok.offset, mid))
+            decls[mid] = raw.name_at
+            if keys is not None:
+                keys.append((raw.name_at, mid))
             stages = []
             for raw_stage in raw.stages:
-                sid = f"{mid}.{raw_stage.tok.value}"  # the stage's kind is its word
-                decls[sid] = raw_stage.tok
+                word = raw_stage.value  # the stage's kind word
+                sid = f"{mid}.{word}"
+                decls[sid] = raw_stage.offset
                 stage_ids[sid] = sid
-                keys.append((raw_stage.tok.offset, sid))
-                stages.append(Stage(sid, raw_stage.kind, mid, raw_stage.store, raw_stage.label))
+                if keys is not None:
+                    keys.append((raw_stage.offset, sid))
+                stages.append(Stage(sid, KIND_WORDS[word], mid, raw_stage.store is not None,
+                                    raw_stage.label))
             order.append((raw, mid, parent, tuple(stages)))
             todo += [(child, len(order) - 1) for child in reversed(raw.children)]
         # a parent precedes its children in preorder, so build back to front;
@@ -888,7 +931,7 @@ class _Resolver:
             raw, mid, parent, stages = order[index]
             machine = Machine(
                 id=mid,
-                name=raw.display if raw.display is not None else raw.name_tok.value,
+                name=raw.display if raw.display is not None else raw.name,
                 is_constraint=raw.constraint,
                 stages=stages,
                 submachines=tuple(reversed(children[index])),
@@ -897,37 +940,39 @@ class _Resolver:
             (roots if parent is None else children[parent]).append(machine)
         return tuple(reversed(roots))
 
-    def resolve_ref(self, model: StaticModel, ref: _RawRef) -> Optional[str]:
-        """The stage id ``ref`` names, looked up by its dotted text."""
-        sid = self.stage_ids.get(ref.text)
+    def resolve_ref(self, model: StaticModel, text: str, at: int, end: int) -> Optional[str]:
+        """The stage id the reference ``text`` names; ``at`` and ``end`` are
+        the offsets of its first character and past its last."""
+        sid = self.stage_ids.get(text)
         if sid is not None:
             return sid
-        mid, _, kind = ref.text.rpartition(".")
+        mid, _, kind = text.rpartition(".")
         if mid in model.machines_by_id:
             message = f"machine {mid!r} has no {kind} stage"
         else:
             message = f"unknown machine {mid!r}"
-        self.diagnostics.append(ParseDiagnostic(self.ref_span(ref), "unresolved-ref", message))
+        self.diagnostics.append(ParseDiagnostic(self.ref_span(at, end), "unresolved-ref", message))
         return None
 
-    def ref_span(self, ref: _RawRef) -> SourceSpan:
-        """From the reference's first character to its last, the length
-        counted in columns as if it sat on one line."""
-        line, column = self.lines.position(ref.first.offset)
-        _, end = self.lines.position(ref.last.offset + len(ref.last.value))
-        return SourceSpan(line, column, end - column)
+    def ref_span(self, at: int, end: int) -> SourceSpan:
+        """From offset ``at`` to ``end``, the length counted in columns as if
+        the reference sat on one line."""
+        line, column = self.lines.position(at)
+        _, end_column = self.lines.position(end)
+        return SourceSpan(line, column, end_column - column)
 
     def build_event(self, model: StaticModel, raw: _RawEvent) -> tuple[Event, bool]:
         """The event, and whether every reference of its region resolved."""
-        self.keys.append((raw.id_tok.offset, raw.id_tok.value))
-        stage_ids = {self.resolve_ref(model, ref) for ref in raw.stage_refs}
+        if self.keys is not None:
+            self.keys.append((raw.id_tok.offset, raw.id_tok.value))
+        stage_ids = {self.resolve_ref(model, *ref) for ref in raw.stage_refs}
         resolved = None not in stage_ids
         stage_ids.discard(None)
         for tok in raw.edge_refs:
             if tok.value not in model.flows_by_id and tok.value not in model.triggers_by_id:
                 resolved = False
                 if tok.value not in self.dropped:
-                    self.error(tok, "unresolved-ref", f"unknown edge {tok.value!r}")
+                    self.error(tok.offset, "unresolved-ref", f"unknown edge {tok.value!r}")
         event = Event(
             id=raw.id_tok.value,
             name=raw.display if raw.display is not None else raw.id_tok.value,
@@ -950,7 +995,7 @@ class _Resolver:
                 blocks[-1][1].append(text)
             else:
                 blocks.append((line, [text]))
-        line_keys = {position(offset)[0]: key for offset, key in self.keys}
+        line_keys = {position(offset)[0]: key for offset, key in self.keys or ()}
         header: list[str] = []
         items: dict[str, tuple[str, ...]] = {}
         for start, lines in blocks:

@@ -495,8 +495,10 @@ def check_model(model: StaticModel) -> list[Problem]:
 
 
 def _raise_problems(problems: Sequence[Problem]) -> None:
+    """Raise ModelError naming each problem as the validator does, by its
+    rule and subject: ``V8 E: event region is empty``."""
     if problems:
-        raise ModelError("; ".join(p.message for p in problems))
+        raise ModelError("; ".join(f"{p.rule} {p.subject}: {p.message}" for p in problems))
 
 
 def _require_well_formed(model: StaticModel) -> None:

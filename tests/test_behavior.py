@@ -109,6 +109,18 @@ def test_coverage_is_the_set_difference(police_model):
     assert coverage(police_model, events) == got  # deterministic order
 
 
+def test_coverage_sorts_only_the_uncovered_ids():
+    model = parse_or_raise(
+        "machine M1 { create; process; }\nmachine M01 { create; }\nmachine M2 { create; }\n"
+    ).model
+    events = [Event("E", "E", "t", Region(frozenset({"M2.create"})))]
+    # M1.create and M01.create tie in natural order and keep the model's order
+    assert coverage(model, events) == ("M1.create", "M01.create", "M1.process")
+    assert "_rank" not in model.__dict__  # the whole model's rank table is not built
+    assert coverage(model, events) == tuple(model.in_natural_order(
+        ["M1.create", "M1.process", "M01.create"]))
+
+
 @settings(max_examples=50, deadline=None)
 @given(canonical_models(max_machines=4), st.data())
 def test_coverage_complements_the_union_of_regions(model, data):

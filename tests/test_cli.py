@@ -147,9 +147,10 @@ def _fails_check_and_fmt(path: Path, capsys, error: str) -> None:
     assert run(["check", str(path)]) == 1
     assert error in capsys.readouterr().out.splitlines()
     # fmt refuses to write text that would not parse back, in one line
+    # naming the rule and the subject as check does
     assert run(["fmt", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == error.partition(": ")[2] + "\n"
+    assert out == "" and err == error.removeprefix("ERROR ") + "\n"
 
 
 @pytest.mark.parametrize("event_ids, error", [
@@ -176,6 +177,13 @@ def test_json_with_a_broken_event_or_behavior_fails_check_and_fmt(tmp_path, caps
     path = tmp_path / "doc.json"
     path.write_text(_json_with_events("E", **change), encoding="utf-8")
     _fails_check_and_fmt(path, capsys, error)
+
+
+def test_fmt_of_a_json_document_with_an_empty_region_names_rule_and_event(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(_json_with_events("E", region=([], [])), encoding="utf-8")
+    assert run(["fmt", str(path)]) == 1
+    assert capsys.readouterr().err == "V8 E: event region is empty\n"
 
 
 # E1 and E01 tie in natural order, and both warn twice

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import ast
 import bisect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 
 from strategies import documents, event_mutations, mutated_texts
 from test_model import two_machine_chain
+from test_transform import relay_text
 from tmkit import (
     ActionKind,
     BehavioralModel,
@@ -703,6 +708,26 @@ def test_a_comment_goes_to_the_last_element_declared_on_the_next_line():
 # -- statements as one token ------------------------------------------------------
 
 
+# the parts of each kind of statement token in field order, with the kind of
+# token each part is read as one by one
+_PART_KINDS = {
+    "EDGE": (("label", "ID"), ("source", "REF"), ("target", "REF"), ("guard", "STRING")),
+    "STAGE": (("store", "ID"), ("label", "STRING")),
+    "HEAD": (("name", "ID"), ("constraint", "ID"), ("display", "STRING")),
+}
+
+
+def statement_parts(tok):
+    """The parts of a statement token as the tokens they stand for, None for
+    an absent part, whose offset must be -1."""
+    parts = []
+    for name, kind in _PART_KINDS[tok.kind]:
+        value, offset = getattr(tok, name), getattr(tok, f"{name}_at")
+        assert (value is None) == (offset == -1)
+        parts.append(None if value is None else dsl._Token(kind, value, offset))
+    return parts
+
+
 def test_well_formed_statements_are_one_token_each():
     text = (
         'machine A constraint : "a" {\n  create store : "made";\n  process;\n'
@@ -715,11 +740,40 @@ def test_well_formed_statements_are_one_token_each():
                                         "RBRACE", "EDGE", "EDGE", "EDGE", "EDGE", "EOF"]
     head, stage = tokens[:2]
     assert (head.value, head.offset, head.end) == ("machine", 0, text.index("{") + 1)
-    assert [p and (p.kind, p.value) for p in head.parts] == [
+    assert [p and (p.kind, p.value) for p in statement_parts(head)] == [
         ("ID", "A"), ("ID", "constraint"), ("STRING", "a")]
-    assert [p and (p.kind, p.value) for p in stage.parts] == [
-        ("ID", "store"), None, ("STRING", "made")]
+    assert [p and (p.kind, p.value) for p in statement_parts(stage)] == [
+        ("ID", "store"), ("STRING", "made")]
+    # the statement is one flat tuple: no token and no tuple inside it
+    assert not any(isinstance(field, tuple) for tok in tokens for field in tok)
     assert parse_or_raise(text).model.triggers[0].guard == "ok"
+
+
+def test_parsing_a_relay_document_leaves_the_collector_asleep():
+    """Count the collections 200 parses start in a fresh interpreter, through
+    `gc.callbacks`; each one is started by the gen-0 count outgrowing its
+    threshold.  The thresholds are pinned to Python 3.10-3.12's defaults:
+    3.13's gen-0 default of 2000 would let a parser keeping three times as
+    many objects alive pass too.  No clock is read."""
+    script = (
+        "import gc, sys\n"
+        "from tmkit import dsl\n"
+        "text = sys.stdin.read()\n"
+        "gc.set_threshold(700, 10, 10)\n"
+        "started = []\n"
+        "gc.callbacks.append(lambda phase, info: phase == 'start' and started.append(info))\n"
+        "for _ in range(200):\n"
+        "    dsl.parse(text)\n"
+        "print(gc.isenabled(), len(started))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path_var = os.pathsep.join([str(src), *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = {**os.environ, "PYTHONPATH": path_var}
+    out = subprocess.run([sys.executable, "-c", script], input=relay_text(3, 7, 3),
+                         capture_output=True, text=True, env=env, check=True).stdout
+    enabled, collections = out.split()
+    assert enabled == "True"
+    assert int(collections) <= dsl._GEN0_COLLECTIONS_PER_200_PARSES
 
 
 @pytest.mark.parametrize(
@@ -781,7 +835,10 @@ def test_statement_tokens_carry_the_tokens_of_their_text(text):
         # the guard keyword is the one ID dropped; a label "if" is a part
         words = [t for t in plain[1:]
                  if t.kind in ("ID", "REF", "STRING") and (t.kind, t.value) != ("ID", "if")]
-        assert [p for p in tok.parts if p is not None] == words
+        assert [p for p in statement_parts(tok) if p is not None] == words
+        if tok.kind == "EDGE":  # and a reference ends where its token does
+            assert [tok.source_end, tok.target_end] == [
+                t.offset + len(t.value) for t in words if t.kind == "REF"]
 
 
 @settings(max_examples=400, deadline=None)
@@ -867,15 +924,16 @@ _ONE_MACHINE = dsl.StaticModel((Machine("A", "A", stages=(Stage("A.create", Acti
 
 
 @pytest.mark.parametrize("events, behavior, message", [
-    ([_one_event("A")], None, "duplicate id 'A' (machine vs event)"),
-    ([_one_event("E"), _one_event("E")], None, "event id declared more than once"),
+    ([_one_event("A")], None, "V8 A: duplicate id 'A' (machine vs event)"),
+    ([_one_event("E"), _one_event("E")], None, "V8 E: event id declared more than once"),
     ([_one_event("E")], BehavioralModel(frozenset({"E"}), (BehaviorEdge("E", "E"),)),
-     "self-edge on event 'E'"),
+     "V9 E: self-edge on event 'E'"),
     ([_one_event("E")], BehavioralModel(frozenset({"E", "F"}), (BehaviorEdge("E", "F"),)),
-     "edge references undeclared event 'F'"),
+     "V9 F: edge references undeclared event 'F'; V9 F: behavior names an undeclared event"),
 ])
 def test_print_refuses_events_and_behavior_that_parse_would_reject(events, behavior, message):
-    with pytest.raises(ModelError, match=re.escape(message)):
+    # each problem is named as the validator names it, by its rule and subject
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         print_model(_ONE_MACHINE, events, behavior)
 
 

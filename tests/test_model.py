@@ -120,25 +120,25 @@ def test_build_rejects_duplicate_stage_kind():
         name="A",
         stages=(Stage("A.create", C, "A"), Stage("A.x", C, "A")),
     )
-    with pytest.raises(ModelError, match="more than one create"):
+    with pytest.raises(ModelError, match="V5 A: machine 'A' has more than one create stage"):
         StaticModel.build((m,))
 
 
 def test_build_rejects_dangling_flow():
     m = Machine(id="A", name="A", stages=(Stage("A.create", C, "A"),))
-    with pytest.raises(ModelError, match="unknown stage"):
+    with pytest.raises(ModelError, match="V1 f1: flow 'f1' references unknown stage 'nowhere'"):
         StaticModel.build((m,), flows=(Flow("f1", "A.create", "nowhere"),))
 
 
 def test_build_rejects_self_loop():
     m = Machine(id="A", name="A", stages=(Stage("A.create", C, "A"),))
-    with pytest.raises(ModelError, match="self-loop"):
+    with pytest.raises(ModelError, match="V2 f1: flow 'f1' is a self-loop"):
         StaticModel.build((m,), flows=(Flow("f1", "A.create", "A.create"),))
 
 
 def test_build_rejects_constraint_without_process():
     m = Machine(id="A", name="A", is_constraint=True, stages=(Stage("A.create", C, "A"),))
-    with pytest.raises(ModelError, match="no process stage"):
+    with pytest.raises(ModelError, match="V7 A: constraint machine 'A' has no process stage"):
         StaticModel.build((m,))
 
 
