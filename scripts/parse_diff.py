@@ -22,8 +22,12 @@ stages, edge labels and events repeat and share ids; edge labels tie in
 natural order (f1 and f01); edges loop and dangle, constraint machines lack
 a process stage, event regions are empty, name only what does not
 resolve or hold an edge with an end outside them, behavior edges repeat,
-loop and name undeclared events, and some texts get a syntax error spliced
-in.  No time is blank, not even after a splice drops a character of it:
+loop and name undeclared events.  Some texts hold a well-formed statement
+where the grammar takes none, which the parser must read token by token: a
+flow or trigger in a machine body, a stage declaration at the top level or
+in an event region, a ``machine ... {`` head in a region.  Some get a syntax
+error spliced in: a character dropped, or a piece of syntax, a '$' or an
+'é' put in.  No time is blank, not even after a splice drops a character of it:
 the parser rejects a blank time, which older revisions accepted, so such a
 text would flip by design.  Run from a git checkout; REV's sources are read
 with `git show`:
@@ -50,6 +54,10 @@ KINDS = ("create", "process", "release", "transfer", "receive")
 NAMES = ("A", "B", "C")
 LABELS = ("f1", "f01", "f2", "t1", "A", "E1", "x")
 EVENTS = ("E1", "E2", "E3", "A", "f1", "t1")
+# well-formed statements for places where the grammar takes none
+IN_MACHINE = ("flow A.create -> A.process;", 'trigger t1: A.process => B.create if "g";')
+AT_TOP = ("create;", 'process store : "p";')
+IN_REGION = ("receive;", "create store;", "machine M {", 'machine B : "b" {')
 
 
 def load_revision(rev: str, into: Path):
@@ -147,6 +155,8 @@ def document(rng: random.Random) -> str:
             lines.append(f"  {kind}{' store' if rng.random() < 0.2 else ''};")
         if depth < 2 and rng.random() < 0.3:
             lines += ["  " + line for line in machine(mid, depth + 1)]
+        if rng.random() < 0.05:
+            lines.append("  " + rng.choice(IN_MACHINE))
         return lines + ["}"]
 
     for _ in range(rng.randint(1, 3)):
@@ -174,6 +184,8 @@ def document(rng: random.Random) -> str:
         guard = ' if "g"' if dashed and rng.random() < 0.5 else ""
         statements.append(f"{keyword} {label + ': ' if label else ''}{source} {arrow} {target}{guard};")
     edge_ids = {edge[0] for edge in labeled} | {"f1", "f2", "f3", "t1", "t2"}  # and auto ids
+    if rng.random() < 0.05:
+        statements.append(rng.choice(AT_TOP))
 
     declared = []
     for _ in range(rng.randint(0, 3)):
@@ -193,6 +205,8 @@ def document(rng: random.Random) -> str:
             region += [source, target, f"edge {label}"]
         if not clean and rng.random() < 0.3:
             region.append(f"edge {rng.choice(sorted(edge_ids))}")
+        if rng.random() < 0.05:
+            region.insert(rng.randint(0, len(region)), rng.choice(IN_REGION))
         intensity = ' intensity "low";' if rng.random() < 0.2 else ""
         statements.append(f'event {eid} {{ time "t1"; region {{ {" ".join(region)} }}{intensity} }}')
 
@@ -228,7 +242,7 @@ def splice(rng: random.Random, text: str) -> str:
     at = rng.randrange(len(text))
     if rng.random() < 0.5:
         return text[:at] + text[at + 1:]
-    return text[:at] + rng.choice((";", "{", "}", " machine ", " -> ", '"', " flow ", ".")) + text[at:]
+    return text[:at] + rng.choice((";", "{", "}", " machine ", " -> ", '"', " flow ", ".", "$", "é")) + text[at:]
 
 
 def main(argv=None) -> int:

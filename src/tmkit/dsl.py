@@ -20,33 +20,31 @@ flows and triggers receive ids ``f1, f2, ...`` / ``t1, t2, ...`` in declaration
 order.  The printer is deterministic (everything sorted by id) and always
 emits explicit edge ids, so parse/print round-trips preserve identity.
 
-The lexer is one master regular expression with a named group per token
-class, matched from the end of the previous token; a newline is a blank like
+The parser reads the text one token at a time, as its grammar asks for
+them.  A token is one match of a regular expression with a named group per
+token class, from the end of the previous token; a newline is a blank like
 any other.  An identifier followed without blanks by ``.identifier`` parts is
 one REF token (``A.B.process``); if a further '.' follows (``A.B.``), the run
 is split back into ID and DOT tokens, which is also what a reference written
-with blanks (``A . process``) lexes to, and the parser accepts any mix of the
+with blanks (``A . process``) reads as, and the parser accepts any mix of the
 two.  Where a REF stands in place of a single name, a diagnostic reports its
 first name; a bad kind word is reported on the reference's last name.  Only a
 string literal that holds a backslash or is never closed leaves the pattern
 for a character loop, which reports bad escapes and unterminated strings.
 
-Most of a model is flows and stage declarations, so the pattern's first
-alternative reads a whole well-formed ``flow``, ``trigger``, stage
-declaration or ``machine ... {`` head, and the lexer makes it one statement
-token: one flat tuple of its first word, its offsets and the text and
-offset of each ID, REF and STRING part.  It holds no token and no tuple, so
-the garbage collector tracks one object for it (see _lex).  The parser
-passes an edge or stage statement on as the raw flow, trigger or stage, and
-builds one read token by token into the same tuple.  The pattern reads only
-the shape; Python checks the words (keyword and arrow, a guard only on a
-trigger, references ending in a stage kind, no reserved label or machine
-name) and reads the text of a refused statement token by token.  So
-does everything else: comments or escapes inside a statement, spaced
-references, a missing ';'.  The parser takes a statement token where its
-statement may stand.  Anywhere else, before it reports on or skips over one,
-it reads the text from there on again token by token, so every parse result
-and diagnostic is the one token-by-token reading gives.
+Most of a model is flows and stage declarations.  Where the grammar takes a
+flow, trigger or machine head (at the top level) or a stage declaration or
+machine head (in a machine), it first tries a second pattern that reads the
+whole statement, and keeps a well-formed one as one flat tuple of its first
+word, its offsets and the text and offset of each ID, REF and STRING part:
+one object for the garbage collector to track (see
+_GEN0_COLLECTIONS_PER_200_PARSES).  After a statement the pattern is tried
+before the next token is read, so a run of well-formed statements is read
+one match each.  The pattern reads only the shape; Python checks the words
+(keyword and arrow, a guard only on a trigger, references ending in a stage
+kind, no reserved label or machine name).  Any other
+statement text, and everything outside those places, is read token by
+token, and a flow, trigger or stage read so is built into the same tuple.
 
 Each token carries its offset in the text, not a line and column.  Those are
 looked up, by bisection in an index of line starts built on first use, only
@@ -214,11 +212,11 @@ class _Token(NamedTuple):
 
 
 class _Edge(NamedTuple):
-    """A flow or trigger statement, one flat tuple: the lexer reads a
-    well-formed one whole, and the parser builds one from the tokens of any
-    other.  Its value and offset are those of its first word, and ``end`` is
-    the offset past its ';'.  Each part is its text and offset, None and -1
-    where absent, and a reference also has the offset past its last name."""
+    """A flow or trigger statement, one flat tuple: the parser reads a
+    well-formed one whole, and builds one from the tokens of any other.  Its
+    value and offset are those of its first word, and ``end`` is the offset
+    past its ';'.  Each part is its text and offset, None and -1 where
+    absent, and a reference also has the offset past its last name."""
 
     kind: str  # "EDGE"
     value: str  # "flow" or "trigger"
@@ -265,8 +263,6 @@ class _Head(NamedTuple):
     display_at: int
 
 
-_STATEMENTS = {"EDGE", "STAGE", "HEAD"}
-_WORDS = {"ID", *_STATEMENTS}  # the kinds of token whose value is a word
 _EDGE_SHAPES = {("flow", "->", None), ("trigger", "=>", None), ("trigger", "=>", "if")}
 _KIND_ENDS = tuple(f".{kind}" for kind in KIND_WORDS)  # the ends of a reference
 
@@ -283,29 +279,33 @@ _PUNCT = {
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 
 
-# Tried at the end of the previous match after skipping blanks.  The first
-# alternative reads the shape of a whole edge statement (ending in the EDGE
-# group) or stage declaration or machine head (ending in END), with any words
-# in place of the keywords: _statement checks them.  The lookahead keeps a
-# failed shape from trying every shorter first word.  The rest is one
+# One token, tried at the end of the previous one after skipping blanks: one
 # alternative per token class.  An identifier followed by unspaced
 # ".identifier" parts ends in the REF group.  A string with no backslash that
 # closes on its own line is read whole here; any other '"' is read by
 # _lex_string.
 _B, _N, _Q = r"[ \t\r\n]", r"[A-Za-z][A-Za-z0-9_]*", r'[^"\\\n]*'
-_MASTER = re.compile(
-    rf"{_B}*(?:(?P<W>{_N})(?=[ \t\r\n:;{{])(?:"
-    rf"{_B}+(?:(?P<L>{_N}){_B}*:{_B}*)?(?P<S>{_N}(?:\.{_N})+){_B}*(?P<A>[-=]>){_B}*"
-    rf'(?P<T>{_N}(?:\.{_N})+)(?:{_B}+(?P<I>{_N}){_B}*"(?P<G>{_Q})")?{_B}*(?P<EDGE>;)'
-    rf'|(?:{_B}+(?P<X>{_N}))?(?:{_B}+(?P<Y>{_N}))?(?:{_B}*:{_B}*"(?P<D>{_Q})")?{_B}*(?P<END>[;{{]))'
-    rf"|(?P<ID>{_N})(?P<REF>(?:\.{_N})+)?"
+_TOKEN = re.compile(
+    rf"{_B}*(?:(?P<ID>{_N})(?P<REF>(?:\.{_N})+)?"
     r"|(?P<PUNCT>->|=>|[{};:.])"
     rf'|"(?P<STRING>{_Q})"'
     r"|#(?P<COMMENT>[^\n]*)"
     r'|(?P<QUOTE>")'
     r"|(?P<OTHER>[^ \t\r\n])"  # not a blank, or trailing blanks would backtrack into it
     r")"
-)
+).match
+
+# The shape of a whole flow or trigger, stage declaration or machine head,
+# ending in the EDGE, STAGE or HEAD group, tried after blanks where one may
+# start, with any words in place of the keywords: _statement checks them.
+_STATEMENT = re.compile(
+    rf"{_B}*(?P<W>{_N})(?:"
+    rf"{_B}+(?:(?P<L>{_N}){_B}*:{_B}*)?(?P<S>{_N}(?:\.{_N})+){_B}*(?P<A>[-=]>){_B}*"
+    rf'(?P<T>{_N}(?:\.{_N})+)(?:{_B}+(?P<I>{_N}){_B}*"(?P<G>{_Q})")?{_B}*(?P<EDGE>;)'
+    rf'|(?:{_B}+(?P<X>{_N}))?(?:{_B}+(?P<Y>{_N}))?(?:{_B}*:{_B}*"(?P<D>{_Q})")?{_B}*(?:(?P<STAGE>;)|(?P<HEAD>\{{)))'
+).match
+_IN_MODEL = ("EDGE", "HEAD")  # the statements each part of the grammar takes
+_IN_MACHINE = ("STAGE", "HEAD")
 
 
 def _lex_string(
@@ -360,11 +360,11 @@ _new = tuple.__new__  # makes a NamedTuple without NamedTuple.__new__'s Python f
 
 
 def _statement(m: re.Match) -> Optional[tuple]:
-    """The statement token for a match of the master pattern's statement
-    alternative, or None unless its words make a well-formed statement: the
-    keyword fits the arrow or the closing mark, only a trigger has a guard,
-    references end in a stage kind, and no label or machine name is a
-    reserved word.  The token is one tuple, with no tuple of its own in it."""
+    """The statement for a match of _STATEMENT, or None unless its words
+    make a well-formed statement: the keyword fits the arrow or the closing
+    mark, only a trigger has a guard, references end in a stage kind, and no
+    label or machine name is a reserved word.  The statement is one tuple,
+    with no tuple of its own in it."""
     word, start = m["W"], m.start
     if m.lastgroup == "EDGE":
         label, source, arrow, target, if_, guard = m.group("L", "S", "A", "T", "I", "G")
@@ -379,7 +379,7 @@ def _statement(m: re.Match) -> Optional[tuple]:
         ))
     x, y, display = m.group("X", "Y", "D")
     display_at = -1 if display is None else start("D") - 1
-    if m["END"] == ";":  # KIND ("store")? (":" STRING)? ";"
+    if m.lastgroup == "STAGE":  # KIND ("store")? (":" STRING)? ";"
         if word in KIND_WORDS and x in (None, "store") and y is None:
             return _new(_StageDecl, ("STAGE", word, start("W"), m.end(), x, start("X"),
                                      display, display_at))
@@ -392,7 +392,7 @@ def _statement(m: re.Match) -> Optional[tuple]:
 
 # Parsing a small model should not wake the garbage collector, which runs a
 # gen-0 collection whenever 700 more tracked objects (2000 from Python 3.13
-# on) are alive than after the last one.  So from the lexer to the model
+# on) are alive than after the last one.  So from the text to the model
 # records, a well-formed flow, trigger or stage declaration lives as one
 # tracked object, a tuple of strings and offsets.  A gate-relay document of 240
 # statements lived as some 2100 objects when each statement held a tuple of
@@ -403,90 +403,16 @@ def _statement(m: re.Match) -> Optional[tuple]:
 _GEN0_COLLECTIONS_PER_200_PARSES = 20
 
 
-def _lex(
-    text: str, lines: Optional[_Lines] = None, pos: int = 0, end: Optional[int] = None
-) -> tuple[list, list[tuple[int, str]], list[ParseDiagnostic]]:
-    """Tokens, comments as (offset of '#', text) and diagnostics of ``text``,
-    or of ``text[pos:end]`` if an end is given.
-
-    Positions are looked up in ``lines`` (one is made if none is given) only
-    for the diagnostics.  In the whole text, a well-formed flow, trigger,
-    stage declaration or machine head is one statement token, and an EOF
-    token comes last.  In a part of it, as in the text of a statement
-    _statement refuses, every token is read on its own, a statement's first
-    word as an ID token.  An unspaced dotted reference such as
-    ``A.B.process`` is one REF token; one followed by a further '.' is split
-    back into ID and DOT tokens, as are references written with blanks."""
-    lines = lines or _Lines(text)
-    tokens: list = []
-    comments: list[tuple[int, str]] = []
-    diagnostics: list[ParseDiagnostic] = []
-    append = tokens.append
-    new = _new
-    match = _MASTER.match
-    stop = len(text) if end is None else end
-    while (m := match(text, pos, stop)) is not None:
-        group = m.lastgroup
-        if group == "EDGE" or group == "END":
-            if end is None:
-                pos = m.end()
-                statement = _statement(m)
-                if statement is None:
-                    tokens += _lex(text, lines, m.start("W"), pos)[0]
-                else:
-                    append(statement)
-                continue
-            group = "W"
-        start, pos = m.span(group)
-        if group == "ID" or group == "W":
-            append(new(_Token, ("ID", text[start:pos], start)))
-        elif group == "REF":
-            first = start = m.start("ID")
-            if not text.startswith(".", pos):
-                append(new(_Token, ("REF", text[first:pos], first)))
-                continue
-            for seg in text[first:pos].split("."):  # "A.B." lexes as A . B .
-                if start > first:
-                    append(new(_Token, ("DOT", ".", start - 1)))
-                append(new(_Token, ("ID", seg, start)))
-                start += len(seg) + 1
-        elif group == "PUNCT":
-            value = text[start:pos]
-            append(new(_Token, (_PUNCT[value], value, start)))
-        elif group == "STRING":
-            append(new(_Token, ("STRING", text[start:pos], start - 1)))
-            pos += 1
-        elif group == "COMMENT":
-            body = text[start:pos]
-            comments.append((start - 1, body[1:] if body.startswith(" ") else body))
-        elif group == "QUOTE":
-            value, pos = _lex_string(text, start, lines, diagnostics)
-            append(new(_Token, ("STRING", value, start)))
-        else:
-            diagnostics.append(
-                ParseDiagnostic(
-                    lines.span(start, 1), "syntax", f"unexpected character {text[start]!r}"
-                )
-            )
-    if end is None:
-        append(_Token("EOF", "", len(text)))
-    return tokens, comments, diagnostics
-
-
 # -- raw syntax tree ----------------------------------------------------------
 
 
-class _RawMachine:
-    __slots__ = ("name", "name_at", "display", "constraint", "stages", "children")
-
-    def __init__(self, name: str, name_at: int, display: Optional[str], constraint: bool,
-                 stages: list[_StageDecl], children: list[_RawMachine]) -> None:
-        self.name = name
-        self.name_at = name_at
-        self.display = display
-        self.constraint = constraint
-        self.stages = stages
-        self.children = children
+class _RawMachine(NamedTuple):
+    name: str
+    name_at: int
+    display: Optional[str]
+    constraint: bool
+    stages: list[_StageDecl]
+    children: list[_RawMachine]
 
 
 _Ref = tuple[str, int, int]  # a reference's dotted text, its offset and the offset past it
@@ -497,27 +423,19 @@ def _part(tok: Optional[_Token]) -> tuple[Optional[str], int]:
     return (None, -1) if tok is None else (tok.value, tok.offset)
 
 
-class _RawEvent:
-    __slots__ = ("id_tok", "display", "time", "stage_refs", "edge_refs", "intensity")
-
-    def __init__(self, id_tok: _Token, display: Optional[str], time: str,
-                 stage_refs: list[_Ref], edge_refs: list[_Token],
-                 intensity: Optional[str]) -> None:
-        self.id_tok = id_tok
-        self.display = display
-        self.time = time
-        self.stage_refs = stage_refs
-        self.edge_refs = edge_refs
-        self.intensity = intensity
+class _RawEvent(NamedTuple):
+    id_tok: _Token
+    display: Optional[str]
+    time: str
+    stage_refs: list[_Ref]
+    edge_refs: list[_Token]
+    intensity: Optional[str]
 
 
-class _RawBehaviorEdge:
-    __slots__ = ("from_tok", "to_tok", "group")
-
-    def __init__(self, from_tok: _Token, to_tok: _Token, group: Optional[str]) -> None:
-        self.from_tok = from_tok
-        self.to_tok = to_tok
-        self.group = group
+class _RawBehaviorEdge(NamedTuple):
+    from_tok: _Token
+    to_tok: _Token
+    group: Optional[str]
 
 
 class _Skip(Exception):
@@ -526,45 +444,108 @@ class _Skip(Exception):
 
 
 class _Parser:
-    """Statement tokens are read where their first word would start the
-    statement.  Wherever else the parser meets one, it first reads the text
-    from there on again token by token (see ``plain``), so it reports and
-    recovers exactly as it does on tokens read one by one."""
+    """Reads the text one token at a time, as the grammar pulls them: ``cur``
+    is the current token, and ``end`` the offset the next one is read from.
+    Where a flow, trigger, stage declaration or machine head may start, the
+    grammar first asks for the whole statement (see ``statement``); just
+    past a statement or a machine's '}', ``cur`` is None until it does."""
 
-    def __init__(self, tokens: list, lines: _Lines):
-        self.tokens = tokens
-        self.lines = lines
-        self.pos = 0
+    def __init__(self, text: str):
+        self.text = text
+        self.lines = _Lines(text)
+        self.end = 0
+        self.ahead: list[_Token] = []  # tokens read after ``cur``, the next one last
+        self.comments: list[tuple[int, str]] = []  # (offset of '#', text)
+        # unexpected characters and bad strings, reported before the rest
+        self.lex_diagnostics: list[ParseDiagnostic] = []
         self.diagnostics: list[ParseDiagnostic] = []
         self.machines: list[_RawMachine] = []
         self.edges: list[_Edge] = []
         self.events: list[_RawEvent] = []
         self.behavior_edges: list[_RawBehaviorEdge] = []
         self.behavior_toks: list[_Token] = []
+        self.cur: Optional[_Token] = None
 
-    # token helpers
+    # tokens
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
+    def read(self) -> _Token:
+        """The next token of the text, read on its own: a statement's first
+        word is an ID token.  An unspaced dotted reference such as
+        ``A.B.process`` is one REF token; one followed by a further '.' is
+        split back into ID and DOT tokens, as a reference written with
+        blanks reads, and all but the first go to ``ahead``.  Comments and
+        the diagnostics of characters and strings are kept aside."""
+        text = self.text
+        while (m := _TOKEN(text, self.end)) is not None:
+            group = m.lastgroup
+            start, end = m.span(group)
+            self.end = end
+            if group == "ID":
+                return _new(_Token, ("ID", text[start:end], start))
+            if group == "REF":
+                start = m.start("ID")
+                if not text.startswith(".", end):
+                    return _new(_Token, ("REF", text[start:end], start))
+                for name in reversed(text[start:end].split(".")[1:]):  # "A.B." reads as A . B .
+                    end -= len(name)
+                    self.ahead += (_new(_Token, ("ID", name, end)),
+                                   _new(_Token, ("DOT", ".", end - 1)))
+                    end -= 1
+                return _new(_Token, ("ID", text[start:end], start))
+            if group == "PUNCT":
+                value = text[start:end]
+                return _new(_Token, (_PUNCT[value], value, start))
+            if group == "STRING":
+                self.end = end + 1
+                return _new(_Token, ("STRING", text[start:end], start - 1))
+            if group == "QUOTE":
+                value, self.end = _lex_string(text, start, self.lines, self.lex_diagnostics)
+                return _new(_Token, ("STRING", value, start))
+            if group == "COMMENT":
+                body = text[start:end]
+                self.comments.append((start - 1, body[1:] if body.startswith(" ") else body))
+            else:
+                self.lex_diagnostics.append(ParseDiagnostic(
+                    self.lines.span(start, 1), "syntax", f"unexpected character {text[start]!r}"
+                ))
+        return _Token("EOF", "", len(text))
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        tok = self.cur
+        self.cur = self.ahead.pop() if self.ahead else self.read()
         return tok
 
-    def plain(self, pos: Optional[int] = None) -> _Token:
-        """The token at ``pos`` (by default the cursor).  If it is a statement
-        token, the text from there on is first read again token by token, so
-        the parser goes on exactly as on tokens read one by one, and a text
-        with many misplaced statements is still read again only once."""
-        pos = self.pos if pos is None else pos
-        tokens, text = self.tokens, self.lines.text
-        if tokens[pos].kind in _STATEMENTS:
-            # the text's own EOF token stays last
-            tokens[pos:] = [*_lex(text, self.lines, tokens[pos].offset, len(text))[0], tokens[-1]]
-        return tokens[pos]
+    def peek(self) -> _Token:
+        """The token after ``cur``."""
+        if not self.ahead:
+            self.ahead.append(self.read())
+        return self.ahead[-1]
+
+    def statement(self, kinds: tuple[str, ...]) -> Optional[tuple]:
+        """The well-formed statement of one of ``kinds`` (EDGE, STAGE, HEAD)
+        that starts here, read whole, after which ``cur`` is None; or None,
+        with ``cur`` read.  The grammar asks only for the statements it
+        takes where it asks, so none is read whole to be read again; any
+        other statement text is read token by token into the same tuple."""
+        if self.cur is None:
+            m = _STATEMENT(self.text, self.end)
+            statement = self.take(m, kinds)
+            if statement:
+                return statement
+            self.cur = self.read()
+            if m:  # a refused match starts at ``cur`` and is refused there too
+                return None
+        if self.cur.kind == "ID":  # after a comment, say, or just past a token
+            return self.take(_STATEMENT(self.text, self.cur.offset), kinds)
+        return None
+
+    def take(self, m: Optional[re.Match], kinds: tuple[str, ...]) -> Optional[tuple]:
+        statement = m and m.lastgroup in kinds and _statement(m)
+        if statement:  # ``ahead`` is empty: nothing reads past a statement's first word
+            self.end = m.end()
+            self.cur = None
+            return statement
+        return None
 
     def error(self, message: str, tok: _Token) -> None:
         self.diagnostics.append(ParseDiagnostic(self.lines.token_span(tok), "syntax", message))
@@ -575,9 +556,9 @@ class _Parser:
         self.error(f"expected {what}, found {tok.value or tok.kind!r}", tok)
 
     def expect(self, kind: str, what: str) -> Optional[_Token]:
-        tok = self.plain()
-        if tok.kind == kind:  # callers never expect "EOF", so a next token exists
-            self.pos += 1
+        tok = self.cur
+        if tok.kind == kind:
+            self.advance()
             return tok
         self.unexpected(what, tok)
         return None
@@ -591,7 +572,7 @@ class _Parser:
 
     def need_word(self, word: str) -> None:
         if not self.at_word(word):
-            self.unexpected(repr(word), self.plain())
+            self.unexpected(repr(word), self.cur)
             raise _Skip
         self.advance()
 
@@ -603,12 +584,12 @@ class _Parser:
         the mark; None if it is not, or (reported) if no STRING follows."""
         if self.cur.value != mark or self.cur.kind == "STRING":
             return None
-        self.pos += 1
+        self.advance()
         return self.expect("STRING", what)
 
     def sync_statement(self) -> None:
         # one diagnostic per statement: skip to the next ';' or block edge
-        while self.plain().kind not in ("EOF", "SEMI", "RBRACE"):
+        while self.cur.kind not in ("EOF", "SEMI", "RBRACE"):
             self.advance()
         if self.cur.kind == "SEMI":
             self.advance()
@@ -616,20 +597,29 @@ class _Parser:
     # grammar
 
     def parse_model(self) -> None:
-        tokens = self.tokens
-        while (tok := tokens[self.pos]).kind != "EOF":
-            word = tok.value if tok.kind in _WORDS else ""
+        while True:
+            statement = self.statement(_IN_MODEL)
+            if statement:
+                if statement.kind == "EDGE":
+                    self.edges.append(statement)
+                else:
+                    self.parse_machine(statement)
+                continue
+            tok = self.cur
+            if tok.kind == "EOF":
+                return
+            word = tok.value if tok.kind == "ID" else ""
             try:
                 if word == "machine":
-                    self.parse_machine()
+                    self.parse_machine(None)
                 elif word == "flow" or word == "trigger":
-                    self.parse_edge(dashed=word == "trigger")
+                    self.edges.append(self.parse_edge())
                 elif word == "event":
                     self.parse_event()
                 elif word == "behavior":
                     self.parse_behavior()
                 else:
-                    self.unexpected("a declaration", self.plain())
+                    self.unexpected("a declaration", tok)
                     self.advance()
                     raise _Skip
             except _Skip:
@@ -642,25 +632,36 @@ class _Parser:
             raise _Skip
         return tok
 
-    def parse_machine(self) -> None:
-        """Parse a machine and the machines nested in it.  The machines whose
-        closing brace is still to come are kept on an explicit stack, so the
-        nesting depth is not bounded by Python's recursion limit."""
-        tokens = self.tokens
+    def parse_machine(self, head: Optional[_Head]) -> None:
+        """Parse a machine, whose ``head`` is given if it was read whole, and
+        the machines nested in it.  The machines whose closing brace is
+        still to come are kept on an explicit stack, so the nesting depth is
+        not bounded by Python's recursion limit."""
         open_machines: list[_RawMachine] = []
-        at_head = True  # at a 'machine' keyword
+        opening = True  # a machine head comes next: ``head``, or the tokens at ``cur``
         while True:
             try:
-                if at_head:
-                    open_machines.append(self.parse_machine_head())
-                tok = tokens[self.pos]
-                word = tok.value if tok.kind in _WORDS else ""
-                at_head = word == "machine"
-                if at_head:
+                if opening:
+                    open_machines.append(self.parse_machine_head(head))
+                    opening = False
+                statement = self.statement(_IN_MACHINE)
+                if statement:
+                    if statement.kind == "HEAD":
+                        opening, head = True, statement
+                    else:
+                        open_machines[-1].stages.append(statement)
+                    continue
+                tok = self.cur
+                word = tok.value if tok.kind == "ID" else ""
+                if word == "machine":
+                    opening, head = True, None
                     continue
                 inner = open_machines[-1]
                 if tok.kind in ("RBRACE", "EOF"):
-                    self.expect("RBRACE", "'}'")
+                    if tok.kind == "RBRACE":
+                        self.cur = None  # passed over: a statement may start next
+                    else:
+                        self.unexpected("'}'", tok)
                     open_machines.pop()
                     if not open_machines:
                         self.machines.append(inner)
@@ -669,24 +670,26 @@ class _Parser:
                 elif word in KIND_WORDS:
                     inner.stages.append(self.parse_stage())
                 else:
-                    self.unexpected("a stage or submachine", self.plain())
+                    self.unexpected("a stage or submachine", tok)
                     self.advance()
                     raise _Skip
             except _Skip:
                 self.sync_statement()
                 if not open_machines:
                     return
-                at_head = False
+                opening = False
 
-    def parse_machine_head(self) -> _RawMachine:
-        """Parse ``machine ID constraint? (: STRING)? {``."""
-        head = self.advance()  # 'machine'
-        if head.kind == "HEAD":
+    def parse_machine_head(self, head: Optional[_Head]) -> _RawMachine:
+        """The machine ``head`` opens, or parse ``machine ID constraint? (:
+        STRING)? {`` token by token."""
+        if head:
             return _RawMachine(head.name, head.name_at, head.display,
                                head.constraint is not None, [], [])
+        self.advance()  # 'machine'
         name_tok = self.parse_name("machine")
         constraint = self.at_word("constraint")
-        self.pos += constraint
+        if constraint:
+            self.advance()
         display = self.option(":", "machine display name")
         self.need("LBRACE", "'{'")
         return _RawMachine(name_tok.value, name_tok.offset, display and display.value,
@@ -694,10 +697,9 @@ class _Parser:
 
     def parse_stage(self) -> _StageDecl:
         tok = self.advance()  # a stage kind word
-        if tok.kind == "STAGE":
-            return tok
         store = self.cur if self.at_word("store") else None
-        self.pos += store is not None
+        if store:
+            self.advance()
         label = self.option(":", "stage label")
         end = self.need("SEMI", "';'").offset + 1
         return _new(_StageDecl, ("STAGE", tok.value, tok.offset, end, *_part(store), *_part(label)))
@@ -705,23 +707,20 @@ class _Parser:
     def parse_ref(self) -> _Ref:
         """Parse ``machine.path.kind``: usually one REF token, but any mix of
         ID and REF tokens joined by DOT tokens spells the same reference."""
-        tokens = self.tokens
-        first = self.plain()
+        first = last = self.cur
         if first.kind != "REF" and first.kind != "ID":
             self.unexpected("stage reference", first)
             raise _Skip
-        pos = self.pos + 1
-        last = first
         dotted = first.value
-        while tokens[pos].kind == "DOT":  # a DOT is never the final EOF
-            last = self.plain(pos + 1)
+        self.advance()
+        while self.cur.kind == "DOT":
+            self.advance()
+            last = self.cur
             if last.kind != "ID" and last.kind != "REF":
-                self.pos = pos + 1
                 self.unexpected("name or stage kind", last)
                 raise _Skip
             dotted += "." + last.value
-            pos += 2
-        self.pos = pos
+            self.advance()
         path, _, word = dotted.rpartition(".")
         if not path or word not in KIND_WORDS:
             # reported on the word itself, the last name of the last token
@@ -731,23 +730,21 @@ class _Parser:
             raise _Skip
         return dotted, first.offset, last.offset + len(last.value)
 
-    def parse_edge(self, dashed: bool) -> None:
+    def parse_edge(self) -> _Edge:
         head = self.advance()  # 'flow' | 'trigger'
-        if head.kind == "EDGE":
-            self.edges.append(head)
-            return
+        dashed = head.value == "trigger"
         label = None
-        if self.plain().kind == "ID" and self.tokens[self.pos + 1].kind == "COLON":
-            label = self.parse_name("flow" if not dashed else "trigger")
-            self.pos += 1  # ':'
+        if self.cur.kind == "ID" and self.peek().kind == "COLON":
+            label = self.parse_name("trigger" if dashed else "flow")
+            self.advance()  # ':'
         source = self.parse_ref()
         self.need("DARROW" if dashed else "ARROW", "'=>'" if dashed else "'->'")
         target = self.parse_ref()
         guard = self.option("if", "guard text") if dashed else None
         end = self.need("SEMI", "';'").offset + 1
-        self.edges.append(_new(_Edge, (
+        return _new(_Edge, (
             "EDGE", head.value, head.offset, end, *_part(label), *source, *target, *_part(guard),
-        )))
+        ))
 
     def parse_event(self) -> None:
         self.advance()  # 'event'
@@ -808,11 +805,11 @@ class _Resolver:
     last one of an id declared more than once, the first mention of an
     undeclared event."""
 
-    def __init__(self, parser: _Parser, comments: list[tuple[int, str]]):
+    def __init__(self, parser: _Parser):
         self.p = parser
         self.lines = parser.lines
-        self.raw_comments = comments
-        self.diagnostics = list(parser.diagnostics)
+        self.raw_comments = parser.comments
+        self.diagnostics = [*parser.lex_diagnostics, *parser.diagnostics]
         # each machine, stage, flow and trigger id to the offset of the word
         # that declares it: a name, a label, a stage kind or an unlabeled
         # edge's keyword
@@ -822,7 +819,7 @@ class _Resolver:
         # (offset of a declaration's first word, element id) in declaration
         # order, read as line numbers to attach comments; None when the text
         # has no comments
-        self.keys: Optional[list[tuple[int, str]]] = [] if comments else None
+        self.keys: Optional[list[tuple[int, str]]] = [] if parser.comments else None
         # ids of edges left out because an end did not resolve, which was
         # reported: a region naming one is not reported again
         self.dropped: set[str] = set()
@@ -1009,12 +1006,9 @@ class _Resolver:
 
 def parse(text: str) -> ParseResult:
     """Parse a model document.  Diagnostics non-empty means failure."""
-    lines = _Lines(text)
-    tokens, comments, lex_diags = _lex(text, lines)
-    parser = _Parser(tokens, lines)
-    parser.diagnostics.extend(lex_diags)
+    parser = _Parser(text)
     parser.parse_model()
-    return _Resolver(parser, comments).resolve()
+    return _Resolver(parser).resolve()
 
 
 def parse_or_raise(text: str) -> ParseResult:

@@ -10,6 +10,11 @@ string escaper, machine nesting from an explicit stack, and the model's rank
 table gives the order of its ids.  `uml.activity_to_json` writes the
 activity documents (``.act.json``) the same way.
 
+Reading coerces nothing: a field of another JSON type than the writer
+writes there, such as a ``null`` time or a ``"false"`` flag, is a
+JsonFormatError.  Each entry's shape and fields are checked in the loop that
+builds its record.
+
 Writing has no depth limit, but reading does: the standard library's JSON
 decoder recurses once per nested array or object, two per machine level,
 and (before Python 3.12) against the interpreter's recursion limit, so
@@ -164,14 +169,6 @@ def document_to_json(
     )
 
 
-def _opt_str(value, what: str) -> Optional[str]:
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise JsonFormatError(f"{what} must be a string or null, got {value!r}")
-    return value
-
-
 def _decode(text: str, error: type[TmError], too_deep: str):
     """``json.loads``, raising ``error`` on text it cannot read: ``too_deep``
     for nesting past the decoder's recursion limit."""
@@ -183,52 +180,70 @@ def _decode(text: str, error: type[TmError], too_deep: str):
         raise error(f"not valid JSON: {exc}") from exc
 
 
-_JSON_NAMES = {dict: "an object", list: "an array"}
+_NULL = type(None)
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", bool: "true or false",
+               int: "a number", float: "a number", _NULL: "null"}
+# the types a field may have: each reader checks its fields inline and
+# names these only to report the first that fails
+_TEXT, _FLAG, _TEXT_OR_NULL = (str,), (bool,), (str, _NULL)
+_SHAPE_NAMES = {_TEXT: "a string", _FLAG: "true or false", _TEXT_OR_NULL: "a string or null"}
 
 
-def _shaped(value, shape: type, what: str, entries: Optional[type] = None,
-            error: type[TmError] = JsonFormatError):
+def _wrong(value, shape: type, what: str, error: type[TmError] = JsonFormatError) -> TmError:
+    return error(f"{what} must be {_JSON_NAMES[shape]}, got {_JSON_NAMES[type(value)]}")
+
+
+def _shaped(value, shape: type, what: str, error: type[TmError] = JsonFormatError):
     """Return the decoded JSON ``value`` if it is a ``shape`` (``dict`` or
-    ``list``) and, when ``entries`` is given, every entry of it is one too;
-    raise ``error`` otherwise."""
-    if not isinstance(value, shape):
-        raise error(f"{what} must be {_JSON_NAMES[shape]}, got {type(value).__name__}")
-    if entries is not None:
-        for entry in value:
-            if not isinstance(entry, entries):
-                raise error(
-                    f"each entry of {what} must be {_JSON_NAMES[entries]}, "
-                    f"got {type(entry).__name__}"
-                )
+    ``list``); raise ``error`` otherwise."""
+    if type(value) is not shape:
+        raise _wrong(value, shape, what, error)
     return value
 
 
-def _submachine_entries(raw: dict) -> list:
-    return _shaped(raw.get("submachines", []), list, "submachines", dict)
+def _refused(what: str, fields: tuple, error: type[TmError] = JsonFormatError) -> TmError:
+    """The error on the first of a ``what``'s ``fields``, (key, value, types)
+    triples, whose value has none of its types."""
+    key, value, shape = next(field for field in fields if type(field[1]) not in field[2])
+    return error(f"{what} {key} must be {_SHAPE_NAMES[shape]}, got {_JSON_NAMES[type(value)]}")
+
+
+def _strings(value, what: str) -> list[str]:
+    """The decoded JSON ``value`` if it is an array of strings."""
+    for item in _shaped(value, list, what):
+        if type(item) is not str:
+            raise _wrong(item, str, f"each entry of {what}")
+    return value
+
+
+def _submachine_entries(raw) -> list:
+    return _shaped(_shaped(raw, dict, "each machine").get("submachines", []), list,
+                   "submachines")
+
+
+def _stage_from(s) -> Stage:
+    sid, owner = _shaped(s, dict, "each stage")["id"], s["owner"]
+    storage, label = s.get("has_storage", False), s.get("label")
+    if not (type(sid) is type(owner) is str and type(storage) is bool
+            and (label is None or type(label) is str)):
+        raise _refused("stage", (("id", sid, _TEXT), ("owner", owner, _TEXT),
+                                 ("has_storage", storage, _FLAG), ("label", label, _TEXT_OR_NULL)))
+    return Stage(sid, ActionKind(s["kind"]), owner, storage, label)
 
 
 def _machine_from(raw: dict, _parent: Optional[dict], submachines: tuple[Machine, ...]) -> Machine:
     try:
-        stages = tuple([
-            Stage(
-                id=str(s["id"]),
-                kind=ActionKind(str(s["kind"])),
-                owner=str(s["owner"]),
-                has_storage=bool(s.get("has_storage", False)),
-                label=_opt_str(s.get("label"), "stage label"),
-            )
-            for s in _shaped(raw.get("stages", []), list, "stages", dict)
-        ])
-        return Machine(
-            id=str(raw["id"]),
-            name=str(raw.get("name", raw["id"])),
-            is_constraint=bool(raw.get("is_constraint", False)),
-            stages=stages,
-            submachines=submachines,
-            parent=_opt_str(raw.get("parent"), "parent"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        stages = tuple([_stage_from(s) for s in _shaped(raw.get("stages", []), list, "stages")])
+        mid = raw["id"]
+    except (KeyError, ValueError) as exc:
         raise JsonFormatError(f"bad machine entry: {exc}") from exc
+    name, constraint, parent = raw.get("name", mid), raw.get("is_constraint", False), raw.get("parent")
+    if not (type(mid) is type(name) is str and type(constraint) is bool
+            and (parent is None or type(parent) is str)):
+        raise _refused("machine", (("id", mid, _TEXT), ("name", name, _TEXT),
+                                   ("is_constraint", constraint, _FLAG),
+                                   ("parent", parent, _TEXT_OR_NULL)))
+    return Machine(mid, name, constraint, stages, submachines, parent)
 
 
 def document_from_json(
@@ -240,52 +255,52 @@ def document_from_json(
         raise JsonFormatError("expected a JSON object")
     try:
         machines = build_trees(
-            _shaped(doc.get("machines", []), list, "machines", dict),
+            _shaped(doc.get("machines", []), list, "machines"),
             _submachine_entries,
             _machine_from,
         )
-        flows = [
-            Flow(str(f["id"]), str(f["source"]), str(f["target"]))
-            for f in _shaped(doc.get("flows", []), list, "flows", dict)
-        ]
-        triggers = [
-            Trigger(
-                str(t["id"]),
-                str(t["source"]),
-                str(t["target"]),
-                _opt_str(t.get("guard"), "guard"),
-            )
-            for t in _shaped(doc.get("triggers", []), list, "triggers", dict)
-        ]
+        flows = []
+        for f in _shaped(doc.get("flows", []), list, "flows"):
+            fid, source, target = _shaped(f, dict, "each flow")["id"], f["source"], f["target"]
+            if not type(fid) is type(source) is type(target) is str:
+                raise _refused("flow", (("id", fid, _TEXT), ("source", source, _TEXT),
+                                        ("target", target, _TEXT)))
+            flows.append(Flow(fid, source, target))
+        triggers = []
+        for t in _shaped(doc.get("triggers", []), list, "triggers"):
+            tid, source, target = _shaped(t, dict, "each trigger")["id"], t["source"], t["target"]
+            guard = t.get("guard")
+            if not (type(tid) is type(source) is type(target) is str
+                    and (guard is None or type(guard) is str)):
+                raise _refused("trigger", (("id", tid, _TEXT), ("source", source, _TEXT),
+                                           ("target", target, _TEXT), ("guard", guard, _TEXT_OR_NULL)))
+            triggers.append(Trigger(tid, source, target, guard))
         events = []
-        for e in _shaped(doc.get("events", []), list, "events", dict):
+        for e in _shaped(doc.get("events", []), list, "events"):
+            eid, time = _shaped(e, dict, "each event")["id"], e["time"]
+            name, intensity = e.get("name", eid), e.get("intensity")
+            if not (type(eid) is type(time) is type(name) is str
+                    and (intensity is None or type(intensity) is str)):
+                raise _refused("event", (("id", eid, _TEXT), ("time", time, _TEXT),
+                                         ("name", name, _TEXT), ("intensity", intensity, _TEXT_OR_NULL)))
             region = _shaped(e["region"], dict, "an event region")
-            events.append(
-                Event(
-                    id=str(e["id"]),
-                    name=str(e.get("name", e["id"])),
-                    time=str(e["time"]),
-                    region=Region(
-                        frozenset(map(str, _shaped(region["stage_ids"], list, "stage_ids"))),
-                        frozenset(map(str, _shaped(region.get("edge_ids", []), list, "edge_ids"))),
-                    ),
-                    intensity=_opt_str(e.get("intensity"), "intensity"),
-                )
-            )
+            events.append(Event(eid, name, time, Region(
+                frozenset(_strings(region["stage_ids"], "stage_ids")),
+                frozenset(_strings(region.get("edge_ids", []), "edge_ids")),
+            ), intensity))
         raw_behavior = _shaped(doc.get("behavior", {}), dict, "behavior")
-        behavior = BehavioralModel.build(
-            [str(x) for x in _shaped(raw_behavior.get("event_ids", []), list, "event_ids")],
-            [
-                BehaviorEdge(
-                    str(e["from"]),
-                    str(e["to"]),
-                    _opt_str(e.get("exclusive_group"), "exclusive_group"),
-                )
-                for e in _shaped(raw_behavior.get("edges", []), list, "behavior edges", dict)
-            ],
-        )
-    except (KeyError, TypeError) as exc:
-        raise JsonFormatError(f"malformed document: {exc}") from exc
+        edges = []
+        for e in _shaped(raw_behavior.get("edges", []), list, "behavior edges"):
+            source, target = _shaped(e, dict, "each behavior edge")["from"], e["to"]
+            group = e.get("exclusive_group")
+            if not (type(source) is type(target) is str and (group is None or type(group) is str)):
+                raise _refused("behavior edge", (("from", source, _TEXT), ("to", target, _TEXT),
+                                                 ("exclusive_group", group, _TEXT_OR_NULL)))
+            edges.append(BehaviorEdge(source, target, group))
+        behavior = BehavioralModel.build(_strings(raw_behavior.get("event_ids", []), "event_ids"),
+                                         edges)
+    except KeyError as exc:
+        raise JsonFormatError(f"malformed document: missing {exc}") from exc
     try:
         model = StaticModel.build(machines, flows, triggers)
     except TmError as exc:

@@ -36,7 +36,7 @@ from .model import (
     natural_key,
 )
 from .dsl import RESERVED
-from .jsonio import _array, _decode, _esc, _opt, _shaped
+from .jsonio import _TEXT, _TEXT_OR_NULL, _array, _decode, _esc, _opt, _refused, _shaped
 from .transform import _require_simplified
 
 NODE_KINDS = ("Initial", "Final", "Action", "Decision", "Merge")
@@ -191,21 +191,25 @@ def activity_from_json(text: str) -> ActivityGraph:
                   "the activity graph nests deeper than this Python's JSON decoder reads")
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ActivityError("expected an object with 'nodes' and 'edges'")
-    nodes = []
-    for raw in _shaped(doc["nodes"], list, "nodes", dict, ActivityError):
-        try:
-            nodes.append(ActivityNode(str(raw["id"]), str(raw["kind"]), str(raw.get("label", ""))))
-        except (TypeError, KeyError) as exc:
-            raise ActivityError(f"bad node entry {raw!r}") from exc
-    edges = []
-    for raw in _shaped(doc["edges"], list, "edges", dict, ActivityError):
-        try:
+    try:
+        nodes = []
+        for raw in _shaped(doc["nodes"], list, "nodes", ActivityError):
+            nid, kind = _shaped(raw, dict, "each node", ActivityError)["id"], raw["kind"]
+            label = raw.get("label", "")
+            if not type(nid) is type(kind) is type(label) is str:
+                raise _refused("node", (("id", nid, _TEXT), ("kind", kind, _TEXT),
+                                        ("label", label, _TEXT)), ActivityError)
+            nodes.append(ActivityNode(nid, kind, label))
+        edges = []
+        for raw in _shaped(doc["edges"], list, "edges", ActivityError):
+            source, target = _shaped(raw, dict, "each edge", ActivityError)["from"], raw["to"]
             guard = raw.get("guard")
-            edges.append(
-                ActivityEdge(str(raw["from"]), str(raw["to"]), None if guard is None else str(guard))
-            )
-        except (TypeError, KeyError) as exc:
-            raise ActivityError(f"bad edge entry {raw!r}") from exc
+            if not (type(source) is type(target) is str and (guard is None or type(guard) is str)):
+                raise _refused("edge", (("from", source, _TEXT), ("to", target, _TEXT),
+                                        ("guard", guard, _TEXT_OR_NULL)), ActivityError)
+            edges.append(ActivityEdge(source, target, guard))
+    except KeyError as exc:
+        raise ActivityError(f"a node or edge has no {exc.args[0]!r} field") from exc
     return ActivityGraph.build(nodes, edges)
 
 
@@ -350,10 +354,7 @@ def import_activity(graph: ActivityGraph) -> StaticModel:
 
 def export_activity(model: StaticModel) -> ActivityGraph:
     """Rebuild an activity graph from a simplified model."""
-    _require_simplified(model)
-    for machine in model.all_machines():
-        if sum(1 for s in machine.stages if s.kind is ActionKind.PROCESS) > 1:
-            raise ActivityError(f"machine {machine.id!r} has several process stages")
+    _require_simplified(model)  # and well-formed: no machine has two process stages
 
     acting = [m for m in model.all_machines() if m.stages]
     acting.sort(key=lambda m: natural_key(m.id))

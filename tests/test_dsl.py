@@ -363,6 +363,23 @@ def test_parse_print_round_trip(doc):
 # -- lexer ----------------------------------------------------------------------
 
 
+_STATEMENT_KINDS = ("EDGE", "STAGE", "HEAD")
+
+
+def read_tokens(text, statements=False):
+    """Every token of `text` as the parser's reader reads it, the final EOF
+    included, and its comments and character and string diagnostics.  With
+    ``statements``, a whole statement is asked for at each token, so a
+    well-formed flow, trigger, stage declaration or machine head is one
+    token."""
+    reader = dsl._Parser(text)
+    kinds = _STATEMENT_KINDS if statements else ()
+    tokens = []
+    while not tokens or tokens[-1].kind != "EOF":
+        tokens.append(reader.statement(kinds) or reader.advance())
+    return tokens, reader.comments, reader.lex_diagnostics
+
+
 def test_eof_after_trailing_punctuation_sits_one_past_the_line():
     result = parse("machine A {")
     assert [str(d) for d in result.diagnostics] == ["1:12: syntax: expected '}', found 'EOF'"]
@@ -370,7 +387,7 @@ def test_eof_after_trailing_punctuation_sits_one_past_the_line():
 
 def test_escaped_newline_in_a_string_starts_a_new_line():
     text = 'machine A {\n  create : "ab\\\ncd";\n  process;\n}\n$'
-    tokens, _, diagnostics = dsl._lex(text)
+    tokens, _, diagnostics = read_tokens(text)
     assert [str(d) for d in diagnostics] == [
         "2:15: syntax: unknown escape \\ followed by '\\n'",
         "6:1: syntax: unexpected character '$'",
@@ -385,7 +402,7 @@ def test_escaped_newline_in_a_string_starts_a_new_line():
 
 def test_backslash_at_end_of_text_stays_inside_the_text():
     text = 'machine A { create : "ab\\'
-    tokens, _, diagnostics = dsl._lex(text)
+    tokens, _, diagnostics = read_tokens(text)
     assert [str(d) for d in diagnostics] == [
         "1:25: syntax: unknown escape \\",
         "1:22: syntax: unterminated string literal",
@@ -485,30 +502,13 @@ def char_lex(text):
     return tokens, comments, diagnostics
 
 
-def expand(tokens, lines):
-    """`tokens` with each statement token replaced by the tokens `_lex`
-    reads from its text one by one."""
-    return [
-        plain
-        for tok in tokens
-        for plain in (
-            dsl._lex(lines.text, lines, tok.offset, tok.end)[0]
-            if tok.kind in dsl._STATEMENTS
-            else [tok]
-        )
-    ]
-
-
 def lex_as_char_lex_did(text):
-    """Run `dsl._lex` and restate its output the way `char_lex` reported it.
+    """Read `text` with the parser's reader, no statement whole, and restate
+    its output the way `char_lex` reported it.
 
-    `_lex` gives each token its offset, where `char_lex` gave a line and
-    column; makes one statement token of a well-formed flow, trigger, stage
-    declaration or machine head, where `char_lex` made a token of each word
-    and mark; and makes one REF token of an unspaced dotted reference, where
-    `char_lex` made ID and DOT tokens.  All three are restated here, the
-    statement tokens by `expand` (whose tokens are checked against the
-    statement tokens' parts by `test_statement_tokens_carry_the_tokens_of_their_text`).
+    The reader gives each token its offset, where `char_lex` gave a line and
+    column, and makes one REF token of an unspaced dotted reference, where
+    `char_lex` made ID and DOT tokens.  Both are restated here.
     The character lexer had three position faults.  It counted an escaped
     newline inside a string as two columns instead of a line break; it moved
     the EOF token two columns on from a final one-character punctuation mark,
@@ -517,11 +517,10 @@ def lex_as_char_lex_did(text):
     diagnostic by one.  Each fault is applied here to the true positions,
     so every other difference between the two lexers still fails the test.
     It also wrote an unknown non-printable escape raw into its message, which
-    `_lex` now quotes to keep each diagnostic on one line; that is restated
+    the reader now quotes to keep each diagnostic on one line; that is restated
     back too.
     """
-    tokens, comments, diagnostics = dsl._lex(text)
-    tokens = expand(tokens, dsl._Lines(text))
+    tokens, comments, diagnostics = read_tokens(text)
     line_starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
     escaped = sorted(
         line_starts[d.span.line - 1] + d.span.column  # the newline after the backslash
@@ -661,7 +660,7 @@ def test_references_with_blanks_parse_like_unspaced_ones(doc, rng):
     ],
 )
 def test_an_unspaced_dotted_name_is_one_token(text, tokens):
-    lexed, _, _ = dsl._lex(text)
+    lexed, _, _ = read_tokens(text)
     assert [(t.kind, t.value) for t in lexed[:-1]] == tokens
 
 
@@ -735,7 +734,7 @@ def test_well_formed_statements_are_one_token_each():
         "flow A.create -> A.process;\nflow f: A.process->A.B.receive;\n"
         'trigger t1: A.B.receive => A.process if "ok";\ntrigger A.process => A.create;\n'
     )
-    tokens = dsl._lex(text)[0]
+    tokens = read_tokens(text, statements=True)[0]
     assert [t.kind for t in tokens] == ["HEAD", "STAGE", "STAGE", "HEAD", "STAGE", "RBRACE",
                                         "RBRACE", "EDGE", "EDGE", "EDGE", "EDGE", "EOF"]
     head, stage = tokens[:2]
@@ -776,6 +775,21 @@ def test_parsing_a_relay_document_leaves_the_collector_asleep():
     assert int(collections) <= dsl._GEN0_COLLECTIONS_PER_200_PARSES
 
 
+def test_a_statement_is_read_whole_only_where_the_parser_keeps_it(monkeypatch):
+    made = []
+    statement = dsl._statement
+    monkeypatch.setattr(dsl, "_statement", lambda m: made.append(statement(m)) or made[-1])
+    text = (
+        "create store;\nmachine A { create; flow A.create -> A.create; machine B { process; } }\n"
+        'flow A.create -> A.B.process;\nevent E { time "t"; region { machine C { A.create } } }\n'
+    )
+    parser = dsl._Parser(text)
+    parser.parse_model()
+    # not the stage at the top level, the flow in a machine or the head in a region
+    assert [s.kind for s in made if s] == ["HEAD", "STAGE", "HEAD", "STAGE", "EDGE"]
+    assert parser.edges == [s for s in made if s][-1:]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -804,8 +818,8 @@ def test_parsing_a_relay_document_leaves_the_collector_asleep():
     ],
 )
 def test_other_statement_texts_are_read_token_by_token(text):
-    tokens = dsl._lex(text)[0]
-    assert not any(t.kind in dsl._STATEMENTS for t in tokens)
+    tokens = read_tokens(text, statements=True)[0]
+    assert not any(t.kind in _STATEMENT_KINDS for t in tokens)
     assert lex_as_char_lex_did(text) == char_lex(text)
 
 
@@ -825,11 +839,11 @@ _TEXTS = (
 @given(_TEXTS)
 @example('machine m0 {\n  process : "if";\n}\n')  # a label that reads like the guard keyword
 def test_statement_tokens_carry_the_tokens_of_their_text(text):
-    lines = dsl._Lines(text)
-    for tok in dsl._lex(text, lines)[0]:
-        if tok.kind not in dsl._STATEMENTS:
+    tokens = read_tokens(text)[0]
+    for tok in read_tokens(text, statements=True)[0]:
+        if tok.kind not in _STATEMENT_KINDS:
             continue
-        plain = expand([tok], lines)
+        plain = [t for t in tokens if tok.offset <= t.offset < tok.end]
         assert (plain[0].kind, plain[0].value, plain[0].offset) == ("ID", tok.value, tok.offset)
         assert plain[-1].offset + 1 == tok.end and plain[-1].kind in ("SEMI", "LBRACE")
         # the guard keyword is the one ID dropped; a label "if" is a part
@@ -844,14 +858,15 @@ def test_statement_tokens_carry_the_tokens_of_their_text(text):
 @settings(max_examples=400, deadline=None)
 @given(_TEXTS)
 def test_parse_reads_statement_tokens_as_their_tokens(text):
-    lines = dsl._Lines(text)
-    tokens, comments, diagnostics = dsl._lex(text, lines)
-    parser = dsl._Parser(expand(tokens, lines), lines)
-    parser.diagnostics.extend(diagnostics)
+    class TokenByToken(dsl._Parser):
+        def statement(self, kinds):  # never reads a statement whole
+            return super().statement(())
+
+    parser = TokenByToken(text)
     parser.parse_model()
     # model, events, behavior, comments and every diagnostic's code, message
     # and span
-    assert parse(text) == dsl._Resolver(parser, comments).resolve()
+    assert parse(text) == dsl._Resolver(parser).resolve()
 
 
 @pytest.mark.parametrize(

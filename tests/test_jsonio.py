@@ -295,6 +295,67 @@ def test_malformed_activity_shapes_are_activity_errors(text, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _one_machine_json(**fields) -> dict:
+    """A valid document of one machine with one stage and one event; each
+    keyword replaces a field: ``time`` the event's, ``has_storage`` the
+    stage's, anything else the machine's."""
+    stage = {"id": "A.create", "kind": "create", "owner": "A", "has_storage": False}
+    event = {"id": "E", "time": "t", "region": {"stage_ids": ["A.create"]}}
+    machine = {"id": "A", "is_constraint": False, "stages": [stage]}
+    for key, value in fields.items():
+        {"time": event, "has_storage": stage}.get(key, machine)[key] = value
+    return {"machines": [machine], "events": [event]}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # null used to read as the time "None", which check passed and fmt printed
+        ({"time": None}, "event time must be a string, got null"),
+        ({"time": 3}, "event time must be a string, got a number"),
+        # any non-empty string used to read as true
+        ({"is_constraint": "false"}, "machine is_constraint must be true or false, got a string"),
+        ({"has_storage": "no"}, "stage has_storage must be true or false, got a string"),
+        ({"has_storage": 0}, "stage has_storage must be true or false, got a number"),
+        ({"id": 7}, "machine id must be a string, got a number"),
+        ({"name": None}, "machine name must be a string, got null"),
+    ],
+)
+def test_a_field_of_the_wrong_type_is_a_format_error(fields, message, tmp_path, capsys):
+    text = json.dumps(_one_machine_json(**fields))
+    with pytest.raises(JsonFormatError, match=f"^{message}$"):
+        document_from_json(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    for command in ("check", "fmt"):
+        assert run([command, str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+    # the same document with well-typed fields reads
+    document_from_json(json.dumps(_one_machine_json()))
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        # null and 3 used to read as the labels "None" and "3"
+        (None, "node label must be a string, got null"),
+        (3, "node label must be a string, got a number"),
+    ],
+)
+def test_an_activity_label_is_a_string_or_absent(label, message, tmp_path, capsys):
+    doc = json.loads((corpus_dir() / "mentcare.act.json").read_text(encoding="utf-8"))
+    doc["nodes"][0]["label"] = label
+    text = json.dumps(doc)
+    with pytest.raises(ActivityError, match=f"^{message}$"):
+        activity_from_json(text)
+    path = tmp_path / "graph.act.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["import-uml", str(path)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    del doc["nodes"][0]["label"]  # an absent label reads as the empty one
+    assert activity_from_json(json.dumps(doc)).nodes[0].label == ""
+
+
 def test_stage_ids_must_be_an_array_not_a_string():
     # a string used to be read as the set of its characters
     text = (

@@ -172,6 +172,17 @@ def test_export_requires_simplified_form():
         export_activity(two_machine_chain())
 
 
+def test_export_refuses_a_machine_with_two_process_stages_as_ill_formed():
+    from tmkit import ModelError
+    from tmkit.model import Machine, Stage, StaticModel
+
+    process = ActionKind.PROCESS
+    machine = Machine("A", "A", stages=(Stage("A.process", process, "A"),
+                                        Stage("A.process2", process, "A")))
+    with pytest.raises(ModelError, match="^V5 A: machine 'A' has more than one process stage$"):
+        export_activity(StaticModel((machine,)))
+
+
 def test_export_with_no_initial_candidate_raises():
     text = (
         "machine A { create; process; }\nmachine B { process; }\n"
