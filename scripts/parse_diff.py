@@ -7,7 +7,9 @@ class:
 
     same          equal parse results (for an accepted text, also the same
                   output from each writer: `print_model`,
-                  `document_to_json`, `render_static` and `render_behavior`)
+                  `document_to_json`, `render_static` and `render_behavior`,
+                  and the same document read back by `document_from_json`
+                  from that JSON)
     only_order    the same diagnostics in another order
     span          the same codes and messages, some at other positions
     code_message  as many diagnostics, some with another code or message
@@ -19,10 +21,11 @@ class:
 It exits 1 if any text is counted as `ok_flipped` or `valid_differs`.  The
 texts are small documents whose names come from small pools, so machines,
 stages, edge labels and events repeat and share ids; edge labels tie in
-natural order (f1 and f01); edges loop and dangle, constraint machines lack
-a process stage, event regions are empty, name only what does not
-resolve or hold an edge with an end outside them, behavior edges repeat,
-loop and name undeclared events.  Some texts hold a well-formed statement
+natural order (f1 and f01); a machine holds zero to two submachines, down to
+three levels below its root, so the writers order siblings at every depth;
+edges loop and dangle, constraint machines lack a process stage, event
+regions are empty, name only what does not resolve or hold an edge with an
+end outside them, behavior edges repeat, loop and name undeclared events.  Some texts hold a well-formed statement
 where the grammar takes none, which the parser must read token by token: a
 flow or trigger in a machine body, a stage declaration at the top level or
 in an event region, a ``machine ... {`` head in a region.  Some get a syntax
@@ -153,7 +156,7 @@ def document(rng: random.Random) -> str:
         for kind in kinds:
             refs.append(f"{mid}.{kind}")
             lines.append(f"  {kind}{' store' if rng.random() < 0.2 else ''};")
-        if depth < 2 and rng.random() < 0.3:
+        for _ in range(rng.choice((0, 0, 1, 2)) if depth < 3 else 0):
             lines += ["  " + line for line in machine(mid, depth + 1)]
         if rng.random() < 0.05:
             lines.append("  " + rng.choice(IN_MACHINE))
@@ -272,16 +275,19 @@ def main(argv=None) -> int:
 
 
 def _writers(package):
-    """What each writer of ``package`` makes of an accepted parse result."""
+    """What each writer of ``package`` makes of an accepted parse result,
+    and what its JSON reader makes of the JSON written."""
     dsl, jsonio, render = (importlib.import_module(f"{package.__name__}.{name}")
                            for name in ("dsl", "jsonio", "render"))
 
-    def write(r) -> tuple[str, ...]:
+    def write(r) -> tuple:
+        document = jsonio.document_to_json(r.model, r.events, r.behavior)
         return (
             dsl.print_model(r.model, r.events, r.behavior, r.comments),
-            jsonio.document_to_json(r.model, r.events, r.behavior),
+            document,
             render.render_static(r.model),
             render.render_behavior(r.behavior, r.events),
+            plain(jsonio.document_from_json(document)),
         )
 
     return write

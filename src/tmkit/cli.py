@@ -155,7 +155,10 @@ def _dispatch(args: argparse.Namespace) -> int:
     if command == "import-uml":
         from . import transform, uml
 
-        graph = uml.activity_from_json(_read(args.file))
+        try:
+            graph = uml.activity_from_json(_read(args.file))
+        except uml.ActivityError as exc:
+            raise _Failure(1, f"{args.file}: {exc}") from exc
         model = uml.import_activity(graph)
         if args.full:
             model = transform.expand(model)

@@ -89,6 +89,7 @@ from .model import (
     check_events,
     check_regions,
     natural_key,
+    nest,
 )
 
 KIND_WORDS = {k.value: k for k in ActionKind}
@@ -893,18 +894,21 @@ class _Resolver:
         return ParseResult(model, tuple(events), behavior, self.attach_comments(), ())
 
     def build_machines(self) -> tuple[Machine, ...]:
-        """Name the machines and stages in declaration preorder, then build
-        the machines children first; both passes use explicit stacks."""
+        """Name each machine and its stages as `model.nest` opens it, in
+        declaration preorder, and build it as the walk closes it."""
         decls, stage_ids, keys = self.decls, self.stage_ids, self.keys
-        # preorder entries: (raw machine, id, index of the parent entry, stages)
-        order: list[tuple[_RawMachine, str, Optional[int], tuple[Stage, ...]]] = []
-        todo: list[tuple[_RawMachine, Optional[int]]] = [
-            (raw, None) for raw in reversed(self.p.machines)
-        ]
-        while todo:
-            raw, parent = todo.pop()
-            name = raw.name
-            mid = name if parent is None else f"{order[parent][1]}.{name}"
+        # per open machine: its id, its stages and the machines built under
+        # it; the first frame collects the roots
+        frames: list[tuple[str, tuple[Stage, ...], list[Machine]]] = [("", (), [])]
+        for raw, depth, opening in nest(self.p.machines, lambda raw: raw.children):
+            if not opening:
+                mid, stages, subs = frames.pop()
+                parent_id, _, siblings = frames[-1]
+                siblings.append(Machine(mid, raw.display if raw.display is not None else raw.name,
+                                        raw.constraint, stages, tuple(subs),
+                                        parent_id if depth else None))
+                continue
+            mid = f"{frames[-1][0]}.{raw.name}" if depth else raw.name
             decls[mid] = raw.name_at
             if keys is not None:
                 keys.append((raw.name_at, mid))
@@ -918,24 +922,8 @@ class _Resolver:
                     keys.append((raw_stage.offset, sid))
                 stages.append(Stage(sid, KIND_WORDS[word], mid, raw_stage.store is not None,
                                     raw_stage.label))
-            order.append((raw, mid, parent, tuple(stages)))
-            todo += [(child, len(order) - 1) for child in reversed(raw.children)]
-        # a parent precedes its children in preorder, so build back to front;
-        # each parent's children are then collected last one first
-        children: list[list[Machine]] = [[] for _ in order]
-        roots: list[Machine] = []
-        for index in range(len(order) - 1, -1, -1):
-            raw, mid, parent, stages = order[index]
-            machine = Machine(
-                id=mid,
-                name=raw.display if raw.display is not None else raw.name,
-                is_constraint=raw.constraint,
-                stages=stages,
-                submachines=tuple(reversed(children[index])),
-                parent=None if parent is None else order[parent][1],
-            )
-            (roots if parent is None else children[parent]).append(machine)
-        return tuple(reversed(roots))
+            frames.append((mid, tuple(stages), []))
+        return tuple(frames[0][2])
 
     def resolve_ref(self, model: StaticModel, text: str, at: int, end: int) -> Optional[str]:
         """The stage id the reference ``text`` names; ``at`` and ``end`` are
@@ -1033,32 +1021,6 @@ def _check_ident(word: str, what: str) -> str:
     return word
 
 
-class _RefTable:
-    """Maps stage ids to printable dotted references."""
-
-    def __init__(self, model: StaticModel):
-        self.refs: dict[str, str] = {}
-        self.tokens: dict[str, str] = {}
-        todo: list[tuple[Machine, Optional[str]]] = [(m, None) for m in reversed(model.machines)]
-        while todo:  # preorder from an explicit stack
-            machine, prefix = todo.pop()
-            token = _check_ident(machine.id.split(".")[-1], "machine id segment")
-            path = token if prefix is None else f"{prefix}.{token}"
-            self.tokens[machine.id] = token
-            seen = set()
-            for sub in machine.submachines:
-                seg = sub.id.split(".")[-1]
-                if seg in seen:
-                    raise PrintError(f"machines under {machine.id!r} share the segment {seg!r}")
-                seen.add(seg)
-            for stage in machine.stages:
-                self.refs[stage.id] = f"{path}.{stage.kind.value}"
-            todo += [(sub, path) for sub in reversed(machine.submachines)]
-
-    def ref(self, stage_id: str) -> str:
-        return self.refs[stage_id]
-
-
 def print_model(
     model: Optional[StaticModel],
     events: Sequence[Event] = (),
@@ -1074,7 +1036,6 @@ def print_model(
         _raise_problems([*check_behavior(frozenset([e.id for e in events]), behavior.edges),
                          *check_declared(behavior, events)])
     comments = comments or CommentMap()
-    table = _RefTable(model)
     chunks: list[str] = []
 
     if comments.header:
@@ -1084,54 +1045,62 @@ def print_model(
         lines = [f"{indent}# {c}".rstrip() for c in comments.items.get(key, ())]
         return lines + body
 
-    def by_token(machines: Sequence[Machine]) -> list[Machine]:
-        return sorted(machines, key=lambda m: natural_key(table.tokens[m.id]))
+    tokens: dict[str, str] = {}  # machine id -> its printed name, the id's last segment
+    refs: dict[str, str] = {}  # stage id -> its printed dotted reference
 
-    def emit_machine(root: Machine) -> list[str]:
-        lines: list[str] = []
-        # explicit stack of machines to open, and of None for a closing brace
-        todo: list[tuple[Optional[Machine], str]] = [(root, "")]
-        while todo:
-            machine, indent = todo.pop()
-            if machine is None:
-                lines.append(indent + "}")
+    def named(machines: Sequence[Machine], parent: Optional[Machine]) -> list[Machine]:
+        """Sibling machines in printed order, once their names are distinct."""
+        seen = set()
+        for machine in machines:
+            token = tokens[machine.id] = machine.id.rpartition(".")[2]
+            if token in seen:
+                where = "at the top level" if parent is None else f"under {parent.id!r}"
+                raise PrintError(f"machines {where} share the segment {token!r}")
+            seen.add(token)
+        return sorted(machines, key=lambda m: natural_key(tokens[m.id]))
+
+    lines: list[str] = []
+    paths: list[str] = []  # the printed paths of the open machines
+    for machine, depth, opening in nest(named(model.machines, None),
+                                        lambda m: named(m.submachines, m)):
+        indent = "  " * depth
+        if not opening:
+            lines.append(indent + "}")
+            paths.pop()
+            if not depth:  # a root and the machines in it are one chunk
+                chunks.append("\n".join(lines))
+                lines = []
+            continue
+        token = _check_ident(tokens[machine.id], "machine id segment")
+        path = f"{paths[-1]}.{token}" if depth else token
+        paths.append(path)
+        head = f"{indent}machine {token}"
+        if machine.is_constraint:
+            head += " constraint"
+        if machine.name != token:
+            head += f" : {_escape(machine.name)}"
+        lines.extend(annotate(machine.id, [head + " {"], indent))
+        inner = indent + "  "
+        for kind in KIND_ORDER:
+            stage = machine.stage_of(kind)
+            if stage is None:
                 continue
-            token = table.tokens[machine.id]
-            head = f"{indent}machine {token}"
-            if machine.is_constraint:
-                head += " constraint"
-            if machine.name != token:
-                head += f" : {_escape(machine.name)}"
-            lines.extend(annotate(machine.id, [head + " {"], indent))
-            inner = indent + "  "
-            for kind in KIND_ORDER:
-                stage = machine.stage_of(kind)
-                if stage is None:
-                    continue
-                decl = f"{inner}{kind.value}"
-                if stage.has_storage:
-                    decl += " store"
-                if stage.label is not None:
-                    decl += f" : {_escape(stage.label)}"
-                lines.extend(annotate(stage.id, [decl + ";"], inner))
-            if machine.submachines:
-                todo.append((None, indent))
-                todo += [(sub, inner) for sub in reversed(by_token(machine.submachines))]
-            else:
-                lines.append(indent + "}")
-        return lines
-
-    for root in by_token(model.machines):
-        chunks.append("\n".join(emit_machine(root)))
+            refs[stage.id] = f"{path}.{kind.value}"
+            decl = f"{inner}{kind.value}"
+            if stage.has_storage:
+                decl += " store"
+            if stage.label is not None:
+                decl += f" : {_escape(stage.label)}"
+            lines.extend(annotate(stage.id, [decl + ";"], inner))
 
     for flow in model.by_id(model.flows):
         _check_ident(flow.id, "flow id")
-        line = f"flow {flow.id}: {table.ref(flow.source)} -> {table.ref(flow.target)};"
+        line = f"flow {flow.id}: {refs[flow.source]} -> {refs[flow.target]};"
         chunks.append("\n".join(annotate(flow.id, [line])))
 
     for trig in model.by_id(model.triggers):
         _check_ident(trig.id, "trigger id")
-        line = f"trigger {trig.id}: {table.ref(trig.source)} => {table.ref(trig.target)}"
+        line = f"trigger {trig.id}: {refs[trig.source]} => {refs[trig.target]}"
         if trig.guard is not None:
             line += f" if {_escape(trig.guard)}"
         chunks.append("\n".join(annotate(trig.id, [line + ";"])))
@@ -1142,8 +1111,8 @@ def print_model(
         if event.name != event.id:
             head += f" : {_escape(event.name)}"
         lines = [head + " {", f"  time {_escape(event.time)};", "  region {"]
-        for sid in sorted(event.region.stage_ids, key=lambda s: natural_key(table.ref(s))):
-            lines.append(f"    {table.ref(sid)}")
+        for sid in sorted(event.region.stage_ids, key=lambda s: natural_key(refs[s])):
+            lines.append(f"    {refs[sid]}")
         for eid in model.in_natural_order(event.region.edge_ids):
             lines.append(f"    edge {eid}")
         lines.append("  }")

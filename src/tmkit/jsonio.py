@@ -6,9 +6,9 @@ Keys serialize alphabetically and lists sort by id in natural order, so byte
 output is stable: it is ``json.dumps(document, indent=2, sort_keys=True)``
 plus a newline, byte for byte.  The fixed-shape records (stage, flow, trigger,
 event and behavior edge) are written from per-shape templates through the C
-string escaper, machine nesting from an explicit stack, and the model's rank
-table gives the order of its ids.  `uml.activity_to_json` writes the
-activity documents (``.act.json``) the same way.
+string escaper, the machine nesting as `model.nest` walks it, and the
+model's rank table gives the order of its ids.  `uml.activity_to_json`
+writes the activity documents (``.act.json``) the same way.
 
 Reading coerces nothing: a field of another JSON type than the writer
 writes there, such as a ``null`` time or a ``"false"`` flag, is a
@@ -43,6 +43,7 @@ from .model import (
     Trigger,
     build_trees,
     natural_key,
+    nest,
 )
 
 
@@ -87,53 +88,35 @@ def _array(items: list[str], indent: str) -> str:
 
 
 def _machines_json(model: StaticModel) -> str:
-    """The nested machine array, written from an explicit stack so nesting
-    depth is not bounded by Python's recursion limit."""
+    """The nested machine array, written as `model.nest` walks the machines."""
     by_id = model.by_id
     roots = by_id(model.machines)
     if not roots:
         return "[]"
-    shifted: dict[str, tuple[str, str]] = {}  # indent -> (machine, stage) template
+    shifted: list[tuple[str, str]] = []  # per depth: the (machine, stage) template
     out: list[str] = []
-    # open machine arrays, innermost last: (iterator over (text before, machine)
-    # pairs, the machines' indent, text after the last one)
-    frames: list = [(iter(_items(roots, "    ")), "    ", "\n  ]")]
-    while frames:
-        pairs, indent, closing = frames[-1]
-        for text, machine in pairs:
-            out.append(text)
-            templates = shifted.get(indent)
-            if templates is None:
-                templates = shifted[indent] = (
-                    _MACHINE.replace("\n", "\n" + indent),
-                    _STAGE.replace("\n", "\n" + indent + "    "),
-                )
-            machine_t, stage_t = templates
-            stages = _array([
-                stage_t % ("true" if s.has_storage else "false", _esc(s.id),
-                           _esc(s.kind.value), _opt(s.label), _esc(s.owner))
-                for s in by_id(machine.stages)
-            ], indent + "  ")
-            out.append(machine_t % (_esc(machine.id), "true" if machine.is_constraint else "false",
-                                    _esc(machine.name), _opt(machine.parent), stages))
-            if machine.submachines:
-                inner = indent + "    "
-                subs = _items(by_id(machine.submachines), inner)
-                frames.append((iter(subs), inner, "\n" + indent + "  ]\n" + indent + "}"))
-                break
-            out.append("[]\n" + indent + "}")
-        else:
-            frames.pop()
-            out.append(closing)
+    after_open = True  # nothing written since an opening: a next machine starts an array
+    for machine, depth, opening in nest(roots, lambda m: by_id(m.submachines)):
+        indent = "    " * (depth + 1)
+        if not opening:
+            out.append(("[]\n" if after_open else "\n" + indent + "  ]\n") + indent + "}")
+            after_open = False
+            continue
+        if depth == len(shifted):  # the first machine this deep
+            shifted.append((_MACHINE.replace("\n", "\n" + indent),
+                            _STAGE.replace("\n", "\n" + indent + "    ")))
+        machine_t, stage_t = shifted[depth]
+        stages = _array([
+            stage_t % ("true" if s.has_storage else "false", _esc(s.id),
+                       _esc(s.kind.value), _opt(s.label), _esc(s.owner))
+            for s in by_id(machine.stages)
+        ], indent + "  ")
+        out.append(("[\n" if after_open else ",\n") + indent)
+        out.append(machine_t % (_esc(machine.id), "true" if machine.is_constraint else "false",
+                                _esc(machine.name), _opt(machine.parent), stages))
+        after_open = True
+    out.append("\n  ]")
     return "".join(out)
-
-
-def _items(machines: list[Machine], indent: str) -> list[tuple[str, Machine]]:
-    """Each machine of a non-empty array with the text written before it."""
-    sep = ",\n" + indent
-    items = [(sep, m) for m in machines]
-    items[0] = ("[\n" + indent, machines[0])  # opens, not after a comma
-    return items
 
 
 def document_to_json(

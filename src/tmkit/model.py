@@ -367,6 +367,21 @@ def build_trees(
     return tuple(done)
 
 
+def nest(roots: Sequence[T], children: Callable[[T], Sequence[T]]) -> Iterator[tuple[T, int, bool]]:
+    """Walk trees depth first: yield ``(node, depth, True)`` as a node opens,
+    in preorder, and ``(node, depth, False)`` as it closes, after every node
+    under it.  ``children`` is called once per node, after its opening is
+    yielded.  The stack is a list, so depth is not bounded by Python's
+    recursion limit."""
+    todo = [(root, 0, True) for root in reversed(roots)]
+    while todo:
+        node, depth, opening = entry = todo.pop()
+        yield entry
+        if opening:
+            todo.append((node, depth, False))
+            todo += [(child, depth + 1, True) for child in reversed(children(node))]
+
+
 submachines_of = attrgetter("submachines")
 
 

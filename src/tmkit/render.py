@@ -19,6 +19,7 @@ from .model import (
     StaticModel,
     UnknownStage,
     natural_key,
+    nest,
 )
 
 _GROUP_COLORS = (
@@ -56,16 +57,13 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
         '  edge [fontname="Helvetica", fontsize=9];',
     ]
 
-    # clusters in preorder from an explicit stack, so nesting depth is not
-    # bounded by Python's recursion limit; a str entry is a closing line
+    # clusters nested as `model.nest` walks the machines, to any depth
     by_id = model.by_id
-    todo: list = [(root, "  ") for root in by_id(model.machines)[::-1]]
-    while todo:
-        entry = todo.pop()
-        if isinstance(entry, str):
-            lines.append(entry)
+    for machine, depth, opening in nest(by_id(model.machines), lambda m: by_id(m.submachines)):
+        indent = "  " * (depth + 1)
+        if not opening:
+            lines.append(f"{indent}}}")
             continue
-        machine, indent = entry
         lines.append(f"{indent}subgraph {_quote('cluster_' + machine.id)} {{")
         title = machine.name + (" «constraint»" if machine.is_constraint else "")
         lines.append(f"{indent}  label={_quote(title)};")
@@ -82,8 +80,6 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
                 attrs.append("style=filled")
                 attrs.append('fillcolor="#ffe873"')
             lines.append(f"{indent}  {_quote(stage.id)} [{', '.join(attrs)}];")
-        todo.append(f"{indent}}}")
-        todo += [(sub, indent + "  ") for sub in by_id(machine.submachines)[::-1]]
 
     for flow in by_id(model.flows):
         attrs = []

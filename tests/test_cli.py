@@ -116,7 +116,7 @@ def test_input_that_is_not_utf8_is_an_io_error(tmp_path, capsys, argv, data, rea
     (_READ_PATHS["model"], "machine A { create; process; }\n", 1,
      "{f}:1:1: syntax: unexpected character '\\ufeff'"),
     (_READ_PATHS["activity"], '{"nodes": [], "edges": []}', 1,
-     "not valid JSON: Unexpected UTF-8 BOM"),
+     "{f}: not valid JSON: Unexpected UTF-8 BOM"),
     (_READ_PATHS["trace"], '["E1"]', 2, "trace file is not valid JSON: Unexpected UTF-8 BOM"),
     # a JSON document is still sniffed as JSON, and the decoder reports the mark
     (_READ_PATHS["model"], '{"machines": []}', 1, "{f}: not valid JSON: Unexpected UTF-8 BOM"),
@@ -346,6 +346,25 @@ def test_import_uml_full_form(tmp_path, capsys):
     full = tmp_path / "full.tm"
     full.write_text(out, encoding="utf-8")
     assert run(["check", str(full)]) == 0
+
+
+def test_fmt_refuses_roots_whose_names_clash(tmp_path, capsys):
+    path = tmp_path / "roots.json"
+    path.write_text(json.dumps({"machines": [
+        {"id": f"{p}.a", "name": "a",
+         "stages": [{"id": f"{p}.a.create", "kind": "create", "owner": f"{p}.a"}]}
+        for p in ("X", "Y")
+    ]}), encoding="utf-8")
+    assert run(["fmt", str(path)]) == 1
+    assert capsys.readouterr() == ("", "machines at the top level share the segment 'a'\n")
+
+
+def test_import_uml_names_the_file_in_reading_errors(tmp_path, capsys):
+    path = tmp_path / "bad.act.json"
+    path.write_text('{"nodes": [{"id": "n", "kind": "initial", "label": null}], "edges": []}',
+                    encoding="utf-8")
+    assert run(["import-uml", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"{path}: node label must be a string, got null\n")
 
 
 def test_console_entry_point_runs():

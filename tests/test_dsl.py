@@ -306,6 +306,19 @@ def test_print_rejects_sibling_token_collisions():
         print_model(model)
 
 
+def test_print_rejects_root_token_collisions():
+    from tmkit import Machine, Stage, StaticModel
+    from tmkit.model import ActionKind
+
+    # two roots whose ids share the final segment would both print as `machine a`
+    model = StaticModel.build(tuple(
+        Machine(id=f"{p}.a", name="a", stages=(Stage(f"{p}.a.create", ActionKind.CREATE, f"{p}.a"),))
+        for p in ("X", "Y")
+    ))
+    with pytest.raises(dsl.PrintError, match="^machines at the top level share the segment 'a'$"):
+        print_model(model)
+
+
 def test_print_is_deterministic():
     result = parse_or_raise("machine A { create; process; }\nflow A.process -> A.create;")
     one = print_model(result.model, result.events, result.behavior)

@@ -351,7 +351,7 @@ def test_an_activity_label_is_a_string_or_absent(label, message, tmp_path, capsy
     path = tmp_path / "graph.act.json"
     path.write_text(text, encoding="utf-8")
     assert run(["import-uml", str(path)]) == 1
-    assert capsys.readouterr().err == message + "\n"
+    assert capsys.readouterr().err == f"{path}: {message}\n"
     del doc["nodes"][0]["label"]  # an absent label reads as the empty one
     assert activity_from_json(json.dumps(doc)).nodes[0].label == ""
 

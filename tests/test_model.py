@@ -45,6 +45,7 @@ from tmkit.model import (
     check_events,
     check_model,
     natural_key,
+    nest,
     strong_components,
 )
 from tmkit.uml import ActivityEdge, ActivityGraph, ActivityNode
@@ -776,6 +777,60 @@ def test_strong_components_agree_with_networkx(graph):
     # each component comes after every component it leads to
     position = {node: k for k, members in enumerate(components) for node in members}
     assert all(position[u] >= position[v] for u, v in g.subgraph(reachable).edges)
+
+
+@st.composite
+def _forests(draw) -> tuple[list[int], dict[int, list[int]]]:
+    """Roots and each node's children, as numbered nodes: each node after
+    the first is a root or a child of a node numbered below it."""
+    children: dict[int, list[int]] = {}
+    roots: list[int] = []
+    for node in range(draw(st.integers(0, 40))):
+        parent = draw(st.none() | st.integers(0, node - 1)) if node else None
+        (roots if parent is None else children[parent]).append(node)
+        children[node] = []
+    return roots, children
+
+
+def _nest_reference(roots, children, depth=0) -> list[tuple[int, int, bool]]:
+    """What `nest` yields, by recursion."""
+    out = []
+    for node in roots:
+        out.append((node, depth, True))
+        out += _nest_reference(children[node], children, depth + 1)
+        out.append((node, depth, False))
+    return out
+
+
+def _nest_counting_calls(roots, children) -> tuple[list, list]:
+    calls = []
+
+    def kids(node):
+        calls.append(node)
+        return children[node]
+
+    return list(nest(roots, kids)), calls
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forests())
+def test_nest_opens_in_preorder_and_closes_in_postorder(forest):
+    roots, children = forest
+    steps, calls = _nest_counting_calls(roots, children)
+    expected = _nest_reference(roots, children)
+    # the opens in preorder with their depths, the closes in postorder
+    assert [step for step in steps if step[2]] == [step for step in expected if step[2]]
+    assert [step for step in steps if not step[2]] == [step for step in expected if not step[2]]
+    assert steps == expected  # each node closes after everything under it
+    assert sorted(calls) == sorted(children)  # once per node
+
+
+def test_nest_walks_a_5000_deep_chain_without_recursion():
+    n = 5000
+    children = {i: [i + 1] if i + 1 < n else [] for i in range(n)}
+    steps, calls = _nest_counting_calls([0], children)
+    assert steps == [(i, i, True) for i in range(n)] + [(i, i, False) for i in reversed(range(n))]
+    assert calls == list(range(n))
 
 
 def stage_multigraph(model: StaticModel):

@@ -318,4 +318,4 @@ def test_too_deep_activity_json_is_one_line_activity_error(tmp_path, capsys):
     act = tmp_path / "deep.act.json"
     act.write_text("[" * 100000, encoding="utf-8")
     assert run(["import-uml", str(act)]) == 1
-    assert capsys.readouterr() == ("", message + "\n")
+    assert capsys.readouterr() == ("", f"{act}: {message}\n")
