@@ -63,10 +63,9 @@ AT_TOP = ("create;", 'process store : "p";')
 IN_REGION = ("receive;", "create store;", "machine M {", 'machine B : "b" {')
 
 
-def load_revision(rev: str, into: Path):
-    """The ``tmkit`` package of ``rev``, imported as ``tmkit_against``."""
-    package = into / "tmkit_against"
-    package.mkdir()
+def write_revision(rev: str, package: Path) -> None:
+    """Write revision ``rev``'s ``src/tmkit/*.py`` into a new directory ``package``."""
+    package.mkdir(parents=True)
     names = subprocess.run(
         ["git", "-C", str(ROOT), "ls-tree", "--name-only", f"{rev}:src/tmkit"],
         check=True, capture_output=True, text=True,
@@ -78,6 +77,11 @@ def load_revision(rev: str, into: Path):
                 check=True, capture_output=True,
             ).stdout
             (package / name).write_bytes(source)
+
+
+def load_revision(rev: str, into: Path):
+    """The ``tmkit`` package of ``rev``, imported as ``tmkit_against``."""
+    write_revision(rev, into / "tmkit_against")
     sys.path.insert(0, str(into))
     return importlib.import_module("tmkit_against")
 

@@ -44,8 +44,8 @@ _HOMES = {
         "format_text",
         "parse",
         "parse_or_raise",
-        "print_model",
     ),
+    "printer": ("print_model",),
     "validate": (
         "Diagnostic",
         "LEGAL_INTRA_STEPS",

@@ -9,15 +9,19 @@ serialization to canonical JSON.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
-# Each command imports the other modules it runs where it runs them, so a
-# `tmkit` run loads and compiles only those.
-from . import dsl, validate
+# Each command imports the modules it runs where it runs them: `dsl` only to
+# read model text, `printer` only to write it, `validate` only in the
+# commands that validate, and `argparse` only for a command line that
+# `_plain_args` leaves to it.  So a `tmkit` run loads and compiles only those.
 from .model import BehavioralModel, GATE_KINDS, StaticModel, TmError
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class _Failure(Exception):
@@ -60,6 +64,8 @@ def _load(path: str):
         except TmError as exc:
             raise _Failure(1, f"{path}: {exc}") from exc
         return model, events, behav, None
+    from . import dsl
+
     result = dsl.parse(text)
     if not result.ok:
         lines = [f"{path}:{d}" for d in result.diagnostics]
@@ -72,7 +78,9 @@ def _dump(model, events, behav, comments, json_mode: bool) -> str:
         from . import jsonio
 
         return jsonio.document_to_json(model, events, behav)
-    return dsl.print_model(model, events, behav, comments)
+    from .printer import print_model
+
+    return print_model(model, events, behav, comments)
 
 
 def _parse_trace(spec: str) -> list[str]:
@@ -92,47 +100,96 @@ def _parse_trace(spec: str) -> list[str]:
     return [part.strip() for part in spec.split(",") if part.strip()]
 
 
+# Every command's help, its flags ({option strings: help}) and its options
+# that take a value ({option strings: (help, metavar, required)}): the one
+# declaration that `_build_parser` and `_plain_args` both read.  Every
+# command takes the input file, then these flags and options, then its own.
+_FLAGS = {("--json",): "emit canonical JSON output"}
+_OPTIONS = {("-o", "--output"): ("write output to a file", None, False)}
+_COMMANDS = {
+    "check": ("parse and validate, printing diagnostics",
+              {("--simplified",): "validate in simplified mode"}, {}),
+    "fmt": ("reprint in canonical form", {}, {}),
+    "simplify": ("eliminate release/transfer/receive stages", {}, {}),
+    "expand": ("reintroduce canonical gate chains", {}, {}),
+    "import-uml": ("convert an activity graph (.act.json) to a model",
+                   {("--full",): "expand to full five-stage form"}, {}),
+    "export-uml": ("convert a model to an activity graph (.act.json)", {}, {}),
+    "events": ("validate events and print uncovered stage ids", {}, {}),
+    "trace": ("check a trace against the behavioral model", {}, {
+        ("--trace",): ("comma-separated event ids, or @file.json holding a JSON array", None, True),
+    }),
+    "render": ("emit DOT", {("--behavior",): "render the behavioral graph"},
+               {("--highlight",): ("highlight an event region", "EVENT", False)}),
+}
+
+
+def _dest(names: tuple[str, ...]) -> str:
+    """The attribute an option sets, named as `argparse` names it."""
+    return names[-1].lstrip("-").replace("-", "_")
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tmkit",
         description="Model toolkit: check, transform, bridge, and render machine models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_: str, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_, **kwargs)
+    for command, (help_, own_flags, own_options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("file", help="input file (model text or canonical JSON, sniffed)")
-        p.add_argument("--json", action="store_true", help="emit canonical JSON output")
-        p.add_argument("-o", "--output", default=None, help="write output to a file")
-        return p
-
-    p = add("check", "parse and validate, printing diagnostics")
-    p.add_argument("--simplified", action="store_true", help="validate in simplified mode")
-    add("fmt", "reprint in canonical form")
-    add("simplify", "eliminate release/transfer/receive stages")
-    add("expand", "reintroduce canonical gate chains")
-    p = add("import-uml", "convert an activity graph (.act.json) to a model")
-    p.add_argument("--full", action="store_true", help="expand to full five-stage form")
-    add("export-uml", "convert a model to an activity graph (.act.json)")
-    add("events", "validate events and print uncovered stage ids")
-    p = add("trace", "check a trace against the behavioral model")
-    p.add_argument(
-        "--trace",
-        required=True,
-        help="comma-separated event ids, or @file.json holding a JSON array",
-    )
-    p = add("render", "emit DOT")
-    p.add_argument("--behavior", action="store_true", help="render the behavioral graph")
-    p.add_argument("--highlight", default=None, metavar="EVENT", help="highlight an event region")
+        for flags, options in ((_FLAGS, _OPTIONS), (own_flags, own_options)):
+            for names, flag_help in flags.items():
+                p.add_argument(*names, action="store_true", help=flag_help)
+            for names, (option_help, metavar, required) in options.items():
+                p.add_argument(*names, metavar=metavar, required=required, help=option_help)
     return parser
+
+
+def _plain_args(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """What `argparse` makes of a plain command line, read without it: a
+    known command, then one file and that command's flags and options in any
+    order, each option followed by its value.  Anything else gives None:
+    help, a missing or unknown argument, an abbreviation, ``--opt=value``,
+    ``--``, or a file or value that starts with '-'.  `argparse` then reads
+    the command line, or reports what is wrong with it."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, own_flags, own_options = _COMMANDS[argv[0]]
+    # option string -> the attribute it sets
+    flags = {name: _dest(names) for names in (*_FLAGS, *own_flags) for name in names}
+    options = {name: _dest(names) for names in (*_OPTIONS, *own_options) for name in names}
+    required = [_dest(names) for names, (_, _, needed) in (*_OPTIONS.items(), *own_options.items())
+                if needed]
+    values = {"command": argv[0], "file": None, **dict.fromkeys(flags.values(), False),
+              **dict.fromkeys(options.values(), None)}
+    items = iter(argv[1:])
+    for item in items:
+        if item in flags:
+            values[flags[item]] = True
+        elif item in options:
+            value = values[options[item]] = next(items, "-")
+            if value.startswith("-"):
+                return None
+        elif item.startswith("-") or values["file"] is not None:
+            return None
+        else:
+            values["file"] = item
+    if values["file"] is None or any(values[dest] is None for dest in required):
+        return None
+    return SimpleNamespace(**values)
 
 
 def run(argv: Sequence[str]) -> int:
     try:
-        try:
-            args = _build_parser().parse_args(list(argv))
-        except SystemExit as exc:
-            return 0 if exc.code in (0, None) else 2
+        args = _plain_args(argv)
+        if args is None:
+            try:
+                args = _build_parser().parse_args(list(argv))
+            except SystemExit as exc:
+                return 0 if exc.code in (0, None) else 2
         return _dispatch(args)
     except _Failure as failure:
         if failure.message:
@@ -144,12 +201,14 @@ def run(argv: Sequence[str]) -> int:
 
 
 def _require_clean(model: StaticModel, *, mode: str) -> None:
+    from . import validate
+
     diags = validate.validate_static(model, mode=mode)
     if validate.has_errors(diags):
         raise _Failure(1, "\n".join(str(d) for d in diags if d.severity is validate.Severity.ERROR))
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace | SimpleNamespace) -> int:
     command = args.command
 
     if command == "import-uml":
@@ -168,6 +227,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     model, events, behav, comments = _load(args.file)
 
     if command == "check":
+        from . import validate
+
         mode = "simplified" if args.simplified else "full"
         diags = validate.validate_document(model, events, behav, mode=mode)
         lines = [str(d) for d in diags]
@@ -208,7 +269,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if command == "events":
-        from . import behavior as behavior_ops
+        from . import behavior as behavior_ops, validate
 
         diags = validate.validate_events(model, events)
         for diag in diags:
@@ -221,7 +282,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if command == "trace":
-        from . import behavior as behavior_ops
+        from . import behavior as behavior_ops, validate
 
         trace = _parse_trace(args.trace)
         if not trace:

@@ -17,8 +17,9 @@ Grammar (comments run from ``#`` to end of line)::
 ``->`` draws solid flows, ``=>`` dashed triggers.  Machine identifiers are
 dotted paths from the root; a stage is addressed as ``path.kind``.  Unlabeled
 flows and triggers receive ids ``f1, f2, ...`` / ``t1, t2, ...`` in declaration
-order.  The printer is deterministic (everything sorted by id) and always
-emits explicit edge ids, so parse/print round-trips preserve identity.
+order.  The canonical printer is `tmkit.printer` (``dsl.print_model`` still
+reads it): it is deterministic (everything sorted by id) and always emits
+explicit edge ids, so parse/print round-trips preserve identity.
 
 The parser reads the text one token at a time, as its grammar asks for
 them.  A token is one match of a regular expression with a named group per
@@ -64,53 +65,32 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from .model import (
-    ActionKind,
     BehavioralModel,
     BehaviorEdge,
     Event,
     Flow,
-    KIND_ORDER,
+    IDENT,
+    KIND_WORDS,
     Machine,
     Problem,
     Record,
     Region,
+    RESERVED,
     Stage,
     StaticModel,
     TmError,
     Trigger,
     _edge_order,
-    _raise_problems,
-    _require_well_formed,
     check_behavior,
-    check_declared,
     check_events,
     check_regions,
     natural_key,
     nest,
 )
-
-KIND_WORDS = {k.value: k for k in ActionKind}
-
-RESERVED = frozenset(KIND_WORDS) | {
-    "machine",
-    "constraint",
-    "store",
-    "flow",
-    "trigger",
-    "if",
-    "event",
-    "time",
-    "region",
-    "edge",
-    "intensity",
-    "behavior",
-    "excl",
-}
-
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class SourceSpan(Record):
@@ -170,10 +150,6 @@ class ParseError(TmError):
         self.diagnostics = tuple(diagnostics)
 
 
-class PrintError(TmError):
-    pass
-
-
 # -- lexer --------------------------------------------------------------------
 
 
@@ -206,62 +182,33 @@ class _Lines:
 _NEWLINE = re.compile("\n")
 
 
-class _Token(NamedTuple):
-    kind: str  # ID REF STRING LBRACE RBRACE SEMI COLON DOT ARROW DARROW EOF
-    value: str  # a REF's value is its dotted text, e.g. "A.B.process"
-    offset: int
+# The parser's records are named tuples made by `namedtuple`: a
+# `typing.NamedTuple` class would compile each field's annotation into a
+# forward reference each time the module loads.
+#
+# A token: its kind (ID REF STRING LBRACE RBRACE SEMI COLON DOT ARROW DARROW
+# EOF), its text (a REF's is its dotted text, e.g. "A.B.process") and offset.
+_Token = namedtuple("_Token", "kind value offset")
 
+# A flow or trigger statement, one flat tuple: the parser reads a well-formed
+# one whole, and builds one from the tokens of any other.  Its kind is
+# "EDGE", its value and offset are those of its first word ("flow" or
+# "trigger"), and ``end`` is the offset past its ';'.  Each part is its text
+# and offset, None and -1 where absent, and a reference (dotted, ending in a
+# stage kind, e.g. "A.B.process") also has the offset past its last name.
+# The guard is the STRING after 'if', which has no part.
+_Edge = namedtuple("_Edge", "kind value offset end label label_at source source_at source_end"
+                            " target target_at target_end guard guard_at")
 
-class _Edge(NamedTuple):
-    """A flow or trigger statement, one flat tuple: the parser reads a
-    well-formed one whole, and builds one from the tokens of any other.  Its
-    value and offset are those of its first word, and ``end`` is the offset
-    past its ';'.  Each part is its text and offset, None and -1 where
-    absent, and a reference also has the offset past its last name."""
+# A stage declaration, laid out as an `_Edge`: kind "STAGE", the stage kind
+# word, and the parts "store" and the STRING after ':'.
+_StageDecl = namedtuple("_StageDecl", "kind value offset end store store_at label label_at")
 
-    kind: str  # "EDGE"
-    value: str  # "flow" or "trigger"
-    offset: int
-    end: int
-    label: Optional[str]
-    label_at: int
-    source: str  # dotted, ending in a stage kind, e.g. "A.B.process"
-    source_at: int
-    source_end: int
-    target: str
-    target_at: int
-    target_end: int
-    guard: Optional[str]  # the STRING after 'if', which has no part
-    guard_at: int
-
-
-class _StageDecl(NamedTuple):
-    """A stage declaration, laid out as an `_Edge`."""
-
-    kind: str  # "STAGE"
-    value: str  # the stage kind word
-    offset: int
-    end: int
-    store: Optional[str]  # "store"
-    store_at: int
-    label: Optional[str]  # the STRING after ':'
-    label_at: int
-
-
-class _Head(NamedTuple):
-    """A well-formed machine head ``machine ID constraint? (: STRING)? {``,
-    laid out as an `_Edge`; ``end`` is the offset past its '{'."""
-
-    kind: str  # "HEAD"
-    value: str  # "machine"
-    offset: int
-    end: int
-    name: str
-    name_at: int
-    constraint: Optional[str]  # "constraint"
-    constraint_at: int
-    display: Optional[str]
-    display_at: int
+# A well-formed machine head ``machine ID constraint? (: STRING)? {``, laid
+# out as an `_Edge`: kind "HEAD", value "machine", and ``end`` the offset
+# past its '{'.
+_Head = namedtuple("_Head", "kind value offset end name name_at constraint constraint_at"
+                            " display display_at")
 
 
 _EDGE_SHAPES = {("flow", "->", None), ("trigger", "=>", None), ("trigger", "=>", "if")}
@@ -407,13 +354,9 @@ _GEN0_COLLECTIONS_PER_200_PARSES = 20
 # -- raw syntax tree ----------------------------------------------------------
 
 
-class _RawMachine(NamedTuple):
-    name: str
-    name_at: int
-    display: Optional[str]
-    constraint: bool
-    stages: list[_StageDecl]
-    children: list[_RawMachine]
+# a machine: its name, display name, constraint flag, stage declarations
+# and submachines (lists of `_StageDecl` and `_RawMachine`)
+_RawMachine = namedtuple("_RawMachine", "name name_at display constraint stages children")
 
 
 _Ref = tuple[str, int, int]  # a reference's dotted text, its offset and the offset past it
@@ -424,19 +367,10 @@ def _part(tok: Optional[_Token]) -> tuple[Optional[str], int]:
     return (None, -1) if tok is None else (tok.value, tok.offset)
 
 
-class _RawEvent(NamedTuple):
-    id_tok: _Token
-    display: Optional[str]
-    time: str
-    stage_refs: list[_Ref]
-    edge_refs: list[_Token]
-    intensity: Optional[str]
-
-
-class _RawBehaviorEdge(NamedTuple):
-    from_tok: _Token
-    to_tok: _Token
-    group: Optional[str]
+# an event: the token of its id, its texts, its region's stage references
+# (`_Ref`s) and edge tokens
+_RawEvent = namedtuple("_RawEvent", "id_tok display time stage_refs edge_refs intensity")
+_RawBehaviorEdge = namedtuple("_RawBehaviorEdge", "from_tok to_tok group")
 
 
 class _Skip(Exception):
@@ -827,7 +761,7 @@ class _Resolver:
 
     def error(self, offset: int, code: str, message: str) -> None:
         """Report on the name that starts at ``offset``."""
-        length = _IDENT.match(self.lines.text, offset).end() - offset  # type: ignore[union-attr]
+        length = IDENT.match(self.lines.text, offset).end() - offset  # type: ignore[union-attr]
         self.diagnostics.append(ParseDiagnostic(self.lines.span(offset, length), code, message))
 
     def report(self, problems: Sequence[Problem], decls: dict[str, int]) -> None:
@@ -1006,138 +940,20 @@ def parse_or_raise(text: str) -> ParseResult:
     return result
 
 
-# -- printer ------------------------------------------------------------------
-
-
-def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
-    return f'"{out}"'
-
-
-def _check_ident(word: str, what: str) -> str:
-    if not _IDENT.fullmatch(word) or word in RESERVED:
-        raise PrintError(f"{what} {word!r} is not a printable identifier")
-    return word
-
-
-def print_model(
-    model: Optional[StaticModel],
-    events: Sequence[Event] = (),
-    behavior: Optional[BehavioralModel] = None,
-    comments: Optional[CommentMap] = None,
-) -> str:
-    """Render the canonical text form: deterministic, sorted by id."""
-    model = model or StaticModel()
-    # refuse a document whose text parse would reject
-    _require_well_formed(model)
-    _raise_problems([*check_events(model, events), *check_regions(model, events)])
-    if behavior is not None:
-        _raise_problems([*check_behavior(frozenset([e.id for e in events]), behavior.edges),
-                         *check_declared(behavior, events)])
-    comments = comments or CommentMap()
-    chunks: list[str] = []
-
-    if comments.header:
-        chunks.append("\n".join(f"# {line}".rstrip() for line in comments.header))
-
-    def annotate(key: str, body: list[str], indent: str = "") -> list[str]:
-        lines = [f"{indent}# {c}".rstrip() for c in comments.items.get(key, ())]
-        return lines + body
-
-    tokens: dict[str, str] = {}  # machine id -> its printed name, the id's last segment
-    refs: dict[str, str] = {}  # stage id -> its printed dotted reference
-
-    def named(machines: Sequence[Machine], parent: Optional[Machine]) -> list[Machine]:
-        """Sibling machines in printed order, once their names are distinct."""
-        seen = set()
-        for machine in machines:
-            token = tokens[machine.id] = machine.id.rpartition(".")[2]
-            if token in seen:
-                where = "at the top level" if parent is None else f"under {parent.id!r}"
-                raise PrintError(f"machines {where} share the segment {token!r}")
-            seen.add(token)
-        return sorted(machines, key=lambda m: natural_key(tokens[m.id]))
-
-    lines: list[str] = []
-    paths: list[str] = []  # the printed paths of the open machines
-    for machine, depth, opening in nest(named(model.machines, None),
-                                        lambda m: named(m.submachines, m)):
-        indent = "  " * depth
-        if not opening:
-            lines.append(indent + "}")
-            paths.pop()
-            if not depth:  # a root and the machines in it are one chunk
-                chunks.append("\n".join(lines))
-                lines = []
-            continue
-        token = _check_ident(tokens[machine.id], "machine id segment")
-        path = f"{paths[-1]}.{token}" if depth else token
-        paths.append(path)
-        head = f"{indent}machine {token}"
-        if machine.is_constraint:
-            head += " constraint"
-        if machine.name != token:
-            head += f" : {_escape(machine.name)}"
-        lines.extend(annotate(machine.id, [head + " {"], indent))
-        inner = indent + "  "
-        for kind in KIND_ORDER:
-            stage = machine.stage_of(kind)
-            if stage is None:
-                continue
-            refs[stage.id] = f"{path}.{kind.value}"
-            decl = f"{inner}{kind.value}"
-            if stage.has_storage:
-                decl += " store"
-            if stage.label is not None:
-                decl += f" : {_escape(stage.label)}"
-            lines.extend(annotate(stage.id, [decl + ";"], inner))
-
-    for flow in model.by_id(model.flows):
-        _check_ident(flow.id, "flow id")
-        line = f"flow {flow.id}: {refs[flow.source]} -> {refs[flow.target]};"
-        chunks.append("\n".join(annotate(flow.id, [line])))
-
-    for trig in model.by_id(model.triggers):
-        _check_ident(trig.id, "trigger id")
-        line = f"trigger {trig.id}: {refs[trig.source]} => {refs[trig.target]}"
-        if trig.guard is not None:
-            line += f" if {_escape(trig.guard)}"
-        chunks.append("\n".join(annotate(trig.id, [line + ";"])))
-
-    for event in sorted(events, key=lambda e: natural_key(e.id)):
-        _check_ident(event.id, "event id")
-        head = f"event {event.id}"
-        if event.name != event.id:
-            head += f" : {_escape(event.name)}"
-        lines = [head + " {", f"  time {_escape(event.time)};", "  region {"]
-        for sid in sorted(event.region.stage_ids, key=lambda s: natural_key(refs[s])):
-            lines.append(f"    {refs[sid]}")
-        for eid in model.in_natural_order(event.region.edge_ids):
-            lines.append(f"    edge {eid}")
-        lines.append("  }")
-        if event.intensity is not None:
-            lines.append(f"  intensity {_escape(event.intensity)};")
-        lines.append("}")
-        chunks.append("\n".join(annotate(event.id, lines)))
-
-    if behavior is not None and behavior.edges:
-        lines = annotate("behavior", ["behavior {"])
-        for edge in behavior.edges:
-            stmt = f"  {edge.source} -> {edge.target}"
-            if edge.exclusive_group is not None:
-                stmt += f" excl {_escape(edge.exclusive_group)}"
-            lines.extend(annotate(f"{edge.source}->{edge.target}", [stmt + ";"], "  "))
-        lines.append("}")
-        chunks.append("\n".join(lines))
-
-    if not chunks:
-        return ""
-    chunks[-1] += "\n"  # the final line break, before the join copies every chunk once
-    return "\n\n".join(chunks)
-
-
 def format_text(text: str) -> str:
     """Reprint a document in canonical form, preserving attached comments."""
+    from .printer import print_model
+
     result = parse_or_raise(text)
     return print_model(result.model, result.events, result.behavior, result.comments)
+
+
+def __getattr__(name: str):
+    """`print_model` and `PrintError`, which live in `tmkit.printer` and are
+    still read from here: imported on first use and cached."""
+    if name not in ("print_model", "PrintError"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import printer
+
+    value = globals()[name] = getattr(printer, name)
+    return value

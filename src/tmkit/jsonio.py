@@ -12,8 +12,9 @@ writes the activity documents (``.act.json``) the same way.
 
 Reading coerces nothing: a field of another JSON type than the writer
 writes there, such as a ``null`` time or a ``"false"`` flag, is a
-JsonFormatError.  Each entry's shape and fields are checked in the loop that
-builds its record.
+JsonFormatError.  So is a top-level key other than the five above, such as
+an activity graph's ``nodes``.  Each entry's shape and fields are checked in
+the loop that builds its record.
 
 Writing has no depth limit, but reading does: the standard library's JSON
 decoder recurses once per nested array or object, two per machine level,
@@ -229,6 +230,9 @@ def _machine_from(raw: dict, _parent: Optional[dict], submachines: tuple[Machine
     return Machine(mid, name, constraint, stages, submachines, parent)
 
 
+_DOCUMENT_KEYS = frozenset({"machines", "flows", "triggers", "events", "behavior"})
+
+
 def document_from_json(
     text: str,
 ) -> tuple[StaticModel, tuple[Event, ...], BehavioralModel]:
@@ -236,6 +240,10 @@ def document_from_json(
                   " decoder reads (model text has no such limit)")
     if not isinstance(doc, dict):
         raise JsonFormatError("expected a JSON object")
+    unknown = doc.keys() - _DOCUMENT_KEYS
+    if unknown:
+        raise JsonFormatError(f"unknown document key {min(unknown)!r}: a document holds only"
+                              f" {', '.join(sorted(_DOCUMENT_KEYS))}")
     try:
         machines = build_trees(
             _shaped(doc.get("machines", []), list, "machines"),

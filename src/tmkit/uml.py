@@ -27,15 +27,14 @@ from .model import (
     Flow,
     Machine,
     Record,
+    RESERVED,
     Stage,
     StaticModel,
     TmError,
     Trigger,
-    _digraph_isomorphic,
     _edge_order,
     natural_key,
 )
-from .dsl import RESERVED
 from .jsonio import _TEXT, _TEXT_OR_NULL, _array, _decode, _esc, _opt, _refused, _shaped
 from .transform import _require_simplified
 
@@ -461,4 +460,6 @@ def activity_isomorphic(a: ActivityGraph, b: ActivityGraph) -> bool:
             edges.setdefault((e.source, e.target), []).append(e.guard or "")
         return {n.id: (n.kind, n.label) for n in graph.nodes}, edges
 
-    return _digraph_isomorphic(digraph(a), digraph(b))
+    from .iso import digraph_isomorphic
+
+    return digraph_isomorphic(digraph(a), digraph(b))

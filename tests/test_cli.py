@@ -359,6 +359,16 @@ def test_fmt_refuses_roots_whose_names_clash(tmp_path, capsys):
     assert capsys.readouterr() == ("", "machines at the top level share the segment 'a'\n")
 
 
+@pytest.mark.parametrize("command", ["check", "fmt", "export-uml"])
+def test_an_activity_graph_is_no_model_document(capsys, command):
+    """`check` used to pass an activity graph as an empty model, and
+    `export-uml` to fail on it with "initial machine candidates: <none>"."""
+    act = corpus_dir() / "mentcare.act.json"
+    assert run([command, str(act)]) == 1
+    assert capsys.readouterr() == ("", f"{act}: unknown document key 'edges': a document holds"
+                                       " only behavior, events, flows, machines, triggers\n")
+
+
 def test_import_uml_names_the_file_in_reading_errors(tmp_path, capsys):
     path = tmp_path / "bad.act.json"
     path.write_text('{"nodes": [{"id": "n", "kind": "initial", "label": null}], "edges": []}',

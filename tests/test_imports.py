@@ -17,16 +17,16 @@ from tmkit.corpus import corpus_dir, mentcare_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Runs one command line through `cli.run`, output to a file, and prints its
-# status, whether `json` was imported, which of `dataclasses` and `inspect`
-# were ("-" for neither; a cold start pays milliseconds for each), and every
-# tmkit module loaded.
+# Runs one command line through `cli.run`, output to a file, and prints, on
+# its last line, its status, whether `json` and `argparse` were imported,
+# which of `dataclasses` and `inspect` were ("-" for neither; a cold start
+# pays milliseconds for each), and every tmkit module loaded.
 _PROBE = (
     "import sys\n"
     "from tmkit.cli import run\n"
     "status = run(sys.argv[1:])\n"
     "slow = ','.join(sorted({'dataclasses', 'inspect'} & sys.modules.keys())) or '-'\n"
-    "print(status, 'json' in sys.modules, slow,"
+    "print(status, 'json' in sys.modules, 'argparse' in sys.modules, slow,"
     " *sorted(m for m in sys.modules if m.split('.')[0] == 'tmkit'))\n"
 )
 
@@ -40,7 +40,15 @@ def _fresh(*args: str) -> str:
     return proc.stdout
 
 
-BASE = {"tmkit", "tmkit.cli", "tmkit.model", "tmkit.dsl", "tmkit.validate"}
+def _probe(argv: list[str]) -> tuple[int, bool, bool, str, set[str]]:
+    status, json_loaded, argparse_loaded, slow, *modules = (
+        _fresh("-c", _PROBE, *argv).splitlines()[-1].split())
+    return int(status), json_loaded == "True", argparse_loaded == "True", slow, set(modules)
+
+
+# every command line loads these; `tmkit.iso` is loaded by none
+BASE = {"tmkit", "tmkit.cli", "tmkit.model"}
+TEXT_IN, TEXT_OUT, CHECKS = "tmkit.dsl", "tmkit.printer", "tmkit.validate"
 UML = {"tmkit.uml", "tmkit.transform", "tmkit.jsonio"}  # uml imports both
 
 
@@ -57,21 +65,23 @@ def inputs(tmp_path_factory) -> dict[str, Path]:
 
 
 COMMANDS = [
-    (["check", "{tm}"], 0, set(), False),
-    (["check", "{tm}", "--simplified"], 1, set(), False),
-    (["fmt", "{tm}"], 0, set(), False),
-    (["fmt", "{tm}", "--json"], 0, {"tmkit.jsonio"}, True),
-    (["check", "{json}"], 0, {"tmkit.jsonio"}, True),
-    (["render", "{tm}"], 0, {"tmkit.render"}, False),
-    (["render", "{tm}", "--behavior"], 0, {"tmkit.render"}, False),
-    (["render", "{tm}", "--highlight", "E5"], 0, {"tmkit.render", "tmkit.behavior"}, False),
-    (["events", "{tm}"], 0, {"tmkit.behavior"}, False),
-    (["trace", "{tm}", "--trace", "E1,E2"], 0, {"tmkit.behavior"}, False),
-    (["trace", "{tm}", "--trace", "@{trace}"], 0, {"tmkit.behavior"}, True),
-    (["simplify", "{tm}"], 0, {"tmkit.transform"}, False),
-    (["expand", "{simplified}"], 0, {"tmkit.transform"}, False),
-    (["export-uml", "{tm}"], 0, UML, True),
-    (["import-uml", "{act}", "--full"], 0, UML, True),
+    (["check", "{tm}"], 0, {TEXT_IN, CHECKS}, False),
+    (["check", "{tm}", "--simplified"], 1, {TEXT_IN, CHECKS}, False),
+    (["fmt", "{tm}"], 0, {TEXT_IN, TEXT_OUT}, False),
+    (["fmt", "{tm}", "--json"], 0, {TEXT_IN, "tmkit.jsonio"}, True),
+    (["fmt", "{json}"], 0, {"tmkit.jsonio", TEXT_OUT}, True),
+    (["check", "{json}"], 0, {"tmkit.jsonio", CHECKS}, True),
+    (["render", "{tm}"], 0, {TEXT_IN, "tmkit.render"}, False),
+    (["render", "{tm}", "--behavior"], 0, {TEXT_IN, "tmkit.render"}, False),
+    (["render", "{tm}", "--highlight", "E5"], 0, {TEXT_IN, "tmkit.render", "tmkit.behavior"},
+     False),
+    (["events", "{tm}"], 0, {TEXT_IN, CHECKS, "tmkit.behavior"}, False),
+    (["trace", "{tm}", "--trace", "E1,E2"], 0, {TEXT_IN, CHECKS, "tmkit.behavior"}, False),
+    (["trace", "{tm}", "--trace", "@{trace}"], 0, {TEXT_IN, CHECKS, "tmkit.behavior"}, True),
+    (["simplify", "{tm}"], 0, {TEXT_IN, CHECKS, "tmkit.transform", TEXT_OUT}, False),
+    (["expand", "{simplified}"], 0, {TEXT_IN, CHECKS, "tmkit.transform", TEXT_OUT}, False),
+    (["export-uml", "{tm}"], 0, {TEXT_IN, CHECKS, *UML}, True),
+    (["import-uml", "{act}", "--full"], 0, {*UML, TEXT_OUT}, True),
 ]
 
 
@@ -81,9 +91,25 @@ def test_each_command_loads_only_the_modules_it_runs(
     inputs, tmp_path, argv, status, extra, json_loaded
 ):
     argv = [a.format(**inputs) for a in argv] + ["-o", str(tmp_path / "out")]
-    got_status, got_json, slow, *modules = _fresh("-c", _PROBE, *argv).split()
-    assert (int(got_status), got_json, slow) == (status, str(json_loaded), "-")
-    assert set(modules) == BASE | extra
+    # a plain command line is read without argparse
+    assert _probe(argv) == (status, json_loaded, False, "-", BASE | extra)
+
+
+def test_the_expected_modules_leave_out_what_each_command_does_not_run():
+    loaded = {}
+    for argv, _, extra, _ in COMMANDS:
+        loaded.setdefault(argv[0], set()).update(BASE | extra)
+    for command in ("check", "events", "trace", "render", "export-uml"):
+        assert TEXT_OUT not in loaded[command], command
+    for command in ("fmt", "render", "import-uml"):
+        assert CHECKS not in loaded[command], command
+    assert TEXT_IN not in loaded["import-uml"]
+    assert all("tmkit.iso" not in modules for modules in loaded.values())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"], ["trace", "x.tm", "--help"]])
+def test_help_still_goes_through_argparse(argv):
+    assert _probe(argv) == (0, False, True, "-", BASE)
 
 
 def test_import_cli_loads_neither_dataclasses_nor_inspect():

@@ -77,6 +77,19 @@ def test_rejects_malformed_document():
         document_from_json('{"machines": [{"name": "missing id"}]}')
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"machines": [], "flow": []}, "flow"),  # a misspelt key was read as no flows
+    ({"nodes": [], "edges": []}, "edges"),  # an activity graph was read as an empty model
+    ({"machines": [], "flows": [], "triggers": [], "events": [], "behavior": {}, "z": None}, "z"),
+])
+def test_rejects_a_top_level_key_the_writer_does_not_write(doc, key):
+    error = (f"unknown document key {key!r}: a document holds only"
+             " behavior, events, flows, machines, triggers")
+    with pytest.raises(JsonFormatError) as caught:
+        document_from_json(json.dumps(doc))
+    assert str(caught.value) == error
+
+
 def test_rejects_invariant_violations():
     bad = {
         "machines": [
