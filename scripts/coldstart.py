@@ -10,15 +10,18 @@ ones and one `trace` per trace file of the corpus) as a fresh
     installed  a second copy after ``compileall``, as `pip install` leaves
                it, so runs read bytecode
 
-It also runs a bare ``python -B -c pass``.  The states are pinned by the
-directories, not by ``PYTHONPYCACHEPREFIX``, which would move the standard
-library's bytecode too and make the bare interpreter compile it; that
-variable is removed from the children's environment.  Each round runs every
-command line once per state (and per revision, with ``--against``), one after
-another, so slow spells of the host fall on all of them alike.  It prints one
-JSON line: per revision, state and command line, the minimum and median wall
-time in ms and the largest peak resident size of the child in MiB, its exit
-status, and the same for the bare interpreter.  Run from a git checkout:
+It also runs a bare ``python -B -c pass`` and ``python -B -c "import os;
+os._exit(0)"``, which leaves before the interpreter's teardown, so the
+difference between the two is what the teardown costs.  The states are
+pinned by the directories, not by ``PYTHONPYCACHEPREFIX``, which would move
+the standard library's bytecode too and make the bare interpreter compile
+it; that variable is removed from the children's environment.  Each round
+runs every command line once per state (and per revision, with
+``--against``), one after another, so slow spells of the host fall on all of
+them alike.  It prints one JSON line: per revision, state and command line,
+the minimum and median wall time in ms and the largest peak resident size of
+the child in MiB, its exit status, and the same for the bare interpreter
+with and without its teardown.  Run from a git checkout:
 
     python3 scripts/coldstart.py [--rounds 15] [--against REV]
 
@@ -121,28 +124,31 @@ def main(argv=None) -> int:
         envs = [{**env, "PYTHONPATH": str(states[state])}
                 for states in trees.values() for state in STATES]
         keys = [(tree, state) for tree in trees for state in STATES]
-        argvs = [[sys.executable, "-B", "-c", "pass"]]
+        argvs = [[sys.executable, "-B", "-c", "pass"],
+                 [sys.executable, "-B", "-c", "import os; os._exit(0)"]]
+        bare = len(argvs)
         argvs += [[sys.executable, "-B", "-m", "tmkit.cli", *line] for line in lines.values()]
-        order = []  # (argv, env) per child: each round the bare interpreter, then each line
+        order = []  # (argv, env) per child: each round the bare interpreters, then each line
         for _ in range(opts.rounds):
-            order.append((0, 0))
-            order += [(i, j) for i in range(1, len(argvs)) for j in range(len(envs))]
+            order += [(i, 0) for i in range(bare)]
+            order += [(i, j) for i in range(bare, len(argvs)) for j in range(len(envs))]
         plan = json.dumps([argvs, envs, order])
         done = subprocess.run([sys.executable, "-B", "-c", LAUNCHER], input=plan, check=True,
                               capture_output=True, text=True).stdout
     names = list(lines)
     runs: dict = {}  # (tree, state, command line name) -> its results
-    bare = []
+    interpreter: dict = {}  # bare argv index -> its results
     for (i, j), result in zip(order, json.loads(done)):
-        if i:
-            runs.setdefault((*keys[j], names[i - 1]), []).append(result)
+        if i < bare:
+            interpreter.setdefault(i, []).append(result)
         else:
-            bare.append(result)
+            runs.setdefault((*keys[j], names[i - bare]), []).append(result)
     changed = sorted({name for (_, _, name), got in runs.items() if len({s for _, s, _ in got}) > 1})
     print(json.dumps({
         "python": sys.version.split()[0],
         "rounds": opts.rounds,
-        "interpreter": summary(bare),
+        "interpreter": summary(interpreter[0]),
+        "interpreter_without_teardown": summary(interpreter[1]),
         "trees": {tree: {state: {name: summary(runs[tree, state, name]) for name in lines}
                          for state in STATES}
                   for tree in trees},

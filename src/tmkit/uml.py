@@ -106,6 +106,10 @@ class ActivityGraph(Record):
         nodes, edges = self.nodes, self.edges
         by_id: dict[str, ActivityNode] = {}
         for node in nodes:
+            if type(node.id) is not str:
+                raise ActivityError(f"node id must be a string, got {node.id!r}")
+            if type(node.label) is not str:
+                raise ActivityError(f"node {node.id!r} label must be a string, got {node.label!r}")
             if node.kind not in NODE_KINDS:
                 raise UnsupportedConstruct(f"node {node.id!r} has kind {node.kind!r}")
             if node.id in by_id:
@@ -117,6 +121,9 @@ class ActivityGraph(Record):
             for end in (edge.source, edge.target):
                 if end not in by_id:
                     raise ActivityError(f"edge endpoint {end!r} does not resolve")
+            if edge.guard is not None and type(edge.guard) is not str:
+                raise ActivityError(f"edge {edge.source!r} -> {edge.target!r} guard must be"
+                                    f" a string or None, got {edge.guard!r}")
             out_deg[edge.source] = out_deg.get(edge.source, 0) + 1
             in_deg[edge.target] = in_deg.get(edge.target, 0) + 1
             if by_id[edge.source].kind == "Decision" and edge.guard is None:
@@ -190,6 +197,10 @@ def activity_from_json(text: str) -> ActivityGraph:
                   "the activity graph nests deeper than this Python's JSON decoder reads")
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise ActivityError("expected an object with 'nodes' and 'edges'")
+    unknown = doc.keys() - {"nodes", "edges"}
+    if unknown:
+        raise ActivityError(f"unknown activity graph key {min(unknown)!r}: an activity graph"
+                            " holds only edges, nodes")
     try:
         nodes = []
         for raw in _shaped(doc["nodes"], list, "nodes", ActivityError):

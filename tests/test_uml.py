@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from strategies import activity_graphs
+from strategies import activity_graphs, label_text
 from tmkit import (
     ActionKind,
     ActivityEdge,
@@ -136,7 +138,13 @@ _I, _A, _F = (ActivityNode("i", "Initial"), ActivityNode("a", "Action", "a"),
     ((_I, _A, _F, ActivityNode("m", "Merge")),
      (ActivityEdge("i", "a"), ActivityEdge("a", "m"), ActivityEdge("m", "f"))),
     ((_I, ActivityNode("x", "Fork"), _F), ()),
-], ids=["unguarded", "duplicate", "endpoint", "no-initial", "merge", "kind"])
+    # `activity_to_json` wrote a null label, which `activity_from_json` refused
+    ((ActivityNode("i", "Initial", None), _A, _F),
+     (ActivityEdge("i", "a"), ActivityEdge("a", "f"))),
+    ((_I, ActivityNode(1, "Action"), _F), ()),
+    ((_I, _A, _F), (ActivityEdge("i", "a"), ActivityEdge("a", "f", 0))),
+], ids=["unguarded", "duplicate", "endpoint", "no-initial", "merge", "kind", "label", "id",
+        "guard"])
 def test_import_checks_a_graph_made_without_build(nodes, edges):
     with pytest.raises(ActivityError) as built:
         ActivityGraph.build(nodes, edges)
@@ -319,3 +327,49 @@ def test_too_deep_activity_json_is_one_line_activity_error(tmp_path, capsys):
     act.write_text("[" * 100000, encoding="utf-8")
     assert run(["import-uml", str(act)]) == 1
     assert capsys.readouterr() == ("", f"{act}: {message}\n")
+
+
+def test_activity_json_refuses_a_top_level_key_the_writer_does_not_write(tmp_path, capsys):
+    """A model document's key used to pass unread, and the graph was then
+    refused for having no initial node."""
+    text = '{"nodes": [], "edges": [], "machines": []}'
+    message = "unknown activity graph key 'machines': an activity graph holds only edges, nodes"
+    with pytest.raises(ActivityError, match=f"^{message}$"):
+        activity_from_json(text)
+    act = tmp_path / "model.act.json"
+    act.write_text(text, encoding="utf-8")
+    assert run(["import-uml", str(act)]) == 1
+    assert capsys.readouterr() == ("", f"{act}: {message}\n")
+
+
+_ANY_VALUE = st.none() | st.booleans() | st.integers() | st.binary(max_size=2) | label_text
+
+
+@st.composite
+def _retyped_graphs(draw) -> tuple[list, list]:
+    """The nodes and edges of an `activity_graphs` draw, with at most one
+    node id or label, or edge guard, replaced by any value."""
+    graph = draw(activity_graphs())
+    nodes, edges = list(graph.nodes), list(graph.edges)
+    field = draw(st.sampled_from(["none", "id", "label", "guard"]))
+    if field == "guard":
+        k = draw(st.integers(0, len(edges) - 1))
+        edges[k] = edges[k].replace(guard=draw(_ANY_VALUE))
+    elif field != "none":
+        k = draw(st.integers(0, len(nodes) - 1))
+        nodes[k] = nodes[k].replace(**{field: draw(_ANY_VALUE)})
+    return nodes, edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(_retyped_graphs())
+def test_every_graph_build_accepts_reads_back_from_its_json(drawn):
+    try:
+        graph = ActivityGraph.build(*drawn)
+    except ActivityError:
+        return
+    text = activity_to_json(graph)
+    back = activity_from_json(text)
+    assert Counter(back.nodes) == Counter(graph.nodes)
+    assert Counter(back.edges) == Counter(graph.edges)
+    assert activity_to_json(back) == text
