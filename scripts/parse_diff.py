@@ -7,9 +7,13 @@ class:
 
     same          equal parse results (for an accepted text, also the same
                   output from each writer: `print_model`,
-                  `document_to_json`, `render_static` and `render_behavior`,
-                  and the same document read back by `document_from_json`
-                  from that JSON)
+                  `document_to_json`, `render_static` and `render_behavior`;
+                  the same document read back by `document_from_json` from
+                  that JSON; the same `coverage` of the eventized events; and
+                  the same `print_model` of `simplify` and of `expand` after
+                  it, and `activity_to_json` of `export_activity` after
+                  `simplify`, or the same `TmError` class and message where
+                  one of these refuses the model)
     only_order    the same diagnostics in another order
     span          the same codes and messages, some at other positions
     code_message  as many diagnostics, some with another code or message
@@ -32,8 +36,11 @@ in an event region, a ``machine ... {`` head in a region.  Some get a syntax
 error spliced in: a character dropped, or a piece of syntax, a '$' or an
 'é' put in.  No time is blank, not even after a splice drops a character of it:
 the parser rejects a blank time, which older revisions accepted, so such a
-text would flip by design.  Run from a git checkout; REV's sources are read
-with `git show`:
+text would flip by design.  A quarter of the texts are relay documents,
+which `simplify` accepts: machines with names that tie in natural order (A1
+and A01) send to each other through complete gate chains, so the transforms
+order many sources and targets.  Run from a git checkout; REV's sources are
+read with `git show`:
 
     python3 scripts/parse_diff.py --against HEAD~1 [--count 20000]
 """
@@ -61,6 +68,8 @@ EVENTS = ("E1", "E2", "E3", "A", "f1", "t1")
 IN_MACHINE = ("flow A.create -> A.process;", 'trigger t1: A.process => B.create if "g";')
 AT_TOP = ("create;", 'process store : "p";')
 IN_REGION = ("receive;", "create store;", "machine M {", 'machine B : "b" {')
+# machine names of relay documents, tied in natural order (A1 and A01)
+RELAYS = ("A1", "A01", "A2", "B", "B10", "B010")
 
 
 def write_revision(rev: str, package: Path) -> None:
@@ -244,6 +253,44 @@ def document(rng: random.Random) -> str:
     return text
 
 
+def relay_document(rng: random.Random) -> str:
+    """A document `simplify` accepts: machines with tied names whose
+    create or process stages send to others' process stages through complete
+    gate chains, some gates fed or feeding a trigger, and events over the
+    stages."""
+    names = rng.sample(RELAYS, rng.randint(2, 5))
+    sends = [(src, dst) for src in names for dst in names if src != dst and rng.random() < 0.4]
+    cores = {name: rng.sample(("create", "process"), rng.randint(1, 2)) for name in names}
+    for _, dst in sends:
+        cores[dst] = ["process"] + [kind for kind in cores[dst] if kind != "process"]
+    gates = {name: set() for name in names}
+    for src, dst in sends:
+        gates[src] |= {"release", "transfer"}
+        gates[dst] |= {"transfer", "receive"}
+    statements = []
+    for name in names:
+        kinds = [kind for kind in KINDS if kind in cores[name] or kind in gates[name]]
+        statements.append("\n".join([f"machine {name} {{", *(f"  {kind};" for kind in kinds), "}"]))
+    edges, stages = [], [f"{name}.{kind}" for name in names for kind in cores[name]]
+    for src, dst in sends:
+        chain = (f"{src}.{rng.choice(cores[src])}", f"{src}.release", f"{src}.transfer",
+                 f"{dst}.transfer", f"{dst}.receive", f"{dst}.process")
+        edges += [pair for pair in zip(chain, chain[1:]) if pair not in edges]
+    labels = iter(rng.sample(("f01", "f02", "f010", "f001", "g1", "g01"), 6))
+    for source, target in edges:
+        label = next(labels, None) if rng.random() < 0.3 else None
+        statements.append(f"flow {label + ': ' if label else ''}{source} -> {target};")
+    gated = [f"{name}.{gate}" for name in names for gate in sorted(gates[name])]
+    for _ in range(rng.randint(0, 2) if gated else 0):
+        ends = [rng.choice(gated), rng.choice(stages)]
+        rng.shuffle(ends)
+        statements.append(f"trigger {ends[0]} => {ends[1]};")
+    for eid in rng.sample(EVENTS[:3], rng.randint(0, 3)):
+        region = " ".join(rng.sample(stages + gated, min(3, rng.randint(1, len(stages)))))
+        statements.append(f'event {eid} {{ time "t1"; region {{ {region} }} }}')
+    return "\n".join(statements) + "\n"
+
+
 def splice(rng: random.Random, text: str) -> str:
     """The text with a syntax error: a character dropped or a piece put in."""
     at = rng.randrange(len(text))
@@ -268,7 +315,7 @@ def main(argv=None) -> int:
         counts: Counter = Counter()
         valid = 0
         for _ in range(opts.count):
-            text = document(rng)
+            text = relay_document(rng) if rng.random() < 0.25 else document(rng)
             new, old = tmkit.dsl.parse(text), old_tmkit.dsl.parse(text)
             counts[classify(new, old, *writers)] += 1
             valid += new.ok and old.ok
@@ -280,9 +327,26 @@ def main(argv=None) -> int:
 
 def _writers(package):
     """What each writer of ``package`` makes of an accepted parse result,
-    and what its JSON reader makes of the JSON written."""
-    dsl, jsonio, render = (importlib.import_module(f"{package.__name__}.{name}")
-                           for name in ("dsl", "jsonio", "render"))
+    what its JSON reader makes of the JSON written, and what `coverage` and
+    the transforms make of the model."""
+    behavior, dsl, jsonio, model, render, transform, uml = (
+        importlib.import_module(f"{package.__name__}.{name}")
+        for name in ("behavior", "dsl", "jsonio", "model", "render", "transform", "uml"))
+
+    def attempt(make):
+        """make(), or the class name and message of the `TmError` it raises."""
+        try:
+            return make()
+        except model.TmError as exc:
+            return type(exc).__name__, str(exc)
+
+    def transformed(m) -> tuple:
+        simple = transform.simplify(m)
+        return (
+            dsl.print_model(simple),
+            attempt(lambda: uml.activity_to_json(uml.export_activity(simple))),
+            attempt(lambda: dsl.print_model(transform.expand(simple))),
+        )
 
     def write(r) -> tuple:
         document = jsonio.document_to_json(r.model, r.events, r.behavior)
@@ -292,6 +356,9 @@ def _writers(package):
             render.render_static(r.model),
             render.render_behavior(r.behavior, r.events),
             plain(jsonio.document_from_json(document)),
+            attempt(lambda: behavior.coverage(
+                r.model, [behavior.eventize(r.model, e) for e in r.events])),
+            attempt(lambda: transformed(r.model)),
         )
 
     return write

@@ -66,11 +66,12 @@ def eventize(model: StaticModel, event: Event) -> Event:
 
 def coverage(model: StaticModel, events: Sequence[Event]) -> tuple[str, ...]:
     """Stage ids belonging to no event's region, in natural order.  Only
-    these are keyed: the model's rank table would key every id."""
+    these are keyed, through the model's `natural_keys`."""
     covered: set[str] = set()
     for event in events:
         covered |= event.region.stage_ids
-    return tuple(sorted([s.id for s in model.all_stages() if s.id not in covered], key=natural_key))
+    return tuple(sorted([s.id for s in model.all_stages() if s.id not in covered],
+                        key=model.natural_keys().__getitem__))
 
 
 def conform(trace: Trace, behavior: BehavioralModel) -> Verdict:

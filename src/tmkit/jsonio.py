@@ -7,7 +7,7 @@ output is stable: it is ``json.dumps(document, indent=2, sort_keys=True)``
 plus a newline, byte for byte.  The fixed-shape records (stage, flow, trigger,
 event and behavior edge) are written from per-shape templates through the C
 string escaper, the machine nesting as `model.nest` walks it, and the
-model's rank table gives the order of its ids.  `uml.activity_to_json`
+ids are sorted by the model's `natural_keys`.  `uml.activity_to_json`
 writes the activity documents (``.act.json``) the same way.
 
 Reading coerces nothing: a field of another JSON type than the writer
@@ -127,13 +127,13 @@ def document_to_json(
 ) -> str:
     model = model or StaticModel()
     behavior = behavior or BehavioralModel()
-    by_id, in_order = model.by_id, model.in_natural_order
+    by_id, in_order, keys = model.by_id, model.in_natural_order, model.natural_keys()
     return _DOCUMENT % (
         _array([
             _BEHAVIOR_EDGE % (_opt(e.exclusive_group), _esc(e.source), _esc(e.target))
             for e in behavior.edges
         ], "    "),
-        _array(list(map(_esc, sorted(behavior.event_ids, key=natural_key))), "    "),
+        _array(list(map(_esc, in_order(behavior.event_ids))), "    "),
         _array([
             _EVENT % (
                 _esc(e.id), _opt(e.intensity), _esc(e.name),
@@ -141,7 +141,7 @@ def document_to_json(
                 _array(list(map(_esc, in_order(e.region.stage_ids))), "        "),
                 _esc(e.time),
             )
-            for e in sorted(events, key=lambda e: natural_key(e.id))
+            for e in sorted(events, key=lambda e: keys[e.id])
         ], "  "),
         _array([_FLOW % (_esc(f.id), _esc(f.source), _esc(f.target)) for f in by_id(model.flows)],
                "  "),

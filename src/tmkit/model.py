@@ -8,9 +8,10 @@ are pure functions.
 Because a model never changes, it walks its machine trees once: the first
 query builds a preorder index of its machines and their stages, which
 `all_machines`, `all_stages`, the id lookups and `check_model` all read.  It
-sorts once too: the first sort by id ranks every id of the model in natural
-order, and the printer, the JSON writer and `render` read those ranks.  It
-is checked once too: `StaticModel.problems` keeps what `check_model` found,
+keys each id once too: `StaticModel.natural_keys` keeps the `natural_key` of
+every string a sort of the model has asked for, and the printer, the JSON
+writer, `render`, `coverage` and the transforms sort by it.  It is checked
+once too: `StaticModel.problems` keeps what `check_model` found,
 `StaticModel.build` raises from it and `validate_static` reports it, so a
 built model is not checked again.
 """
@@ -102,19 +103,33 @@ IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _NAT_SPLIT = re.compile(r"(\d+)")
 
 
-def natural_key(text: str) -> tuple:
+def natural_key(text: str) -> str:
     """Sort key that orders embedded integers numerically (f2 before f10).
-    A digit run keys as (1, length, digits) without its leading zeros, which
-    orders as int() does, with no limit on the number of digits."""
-    # tuple() of a list, not of a generator, which would allocate a tuple of
-    # a guessed size and shrink it; isdecimal, not isdigit: a digit such as
-    # "²" is not in \d
-    return tuple([
-        (1, len(digits := (part if part.isascii() else _ascii_digits(part)).lstrip("0")), digits)
-        if part.isdecimal() else (0, part)
-        for part in _NAT_SPLIT.split(text)
-        if part
-    ])
+
+    The key is a string, built from the text's parts in turn:
+    - a text part stays as it is, with NUL escaped as ``"\\x00\\x7f"``;
+    - a digit run, in ASCII digits from any script and without its leading
+      zeros, is written as ``"\\x00" + chr(len(str(n))) + str(n) + digits``
+      for its ``n`` digits left;
+    - the key starts with ``"\\x01"`` when the text starts with a non-digit
+      and ``"\\x02"`` when it starts with a digit; the key of ``""`` is ``""``.
+
+    Two keys compare, by ``<`` and by ``==``, as the tuples of text parts
+    ``(0, part)`` and digit runs ``(1, n, digits)`` do: a digit run orders as
+    int() does, with no limit on its number of digits, and f1 and f01 have
+    equal keys."""
+    # a NUL is no digit, so the whole text is escaped before it is split; the
+    # escape's "\x7f" sorts above every run's chr(len(str(n))), which stays
+    # below 127 for any run that fits in memory
+    parts = _NAT_SPLIT.split(text.replace("\x00", "\x00\x7f"))
+    for i in range(1, len(parts), 2):
+        run = parts[i]
+        digits = (run if run.isascii() else _ascii_digits(run)).lstrip("0")
+        size = str(len(digits))
+        parts[i] = f"\x00{chr(len(size))}{size}{digits}"
+    if parts[0]:
+        return "\x01" + "".join(parts)
+    return "\x02" + "".join(parts) if text else ""
 
 
 def _ascii_digits(digits: str) -> str:
@@ -123,6 +138,17 @@ def _ascii_digits(digits: str) -> str:
     import unicodedata  # an extension module, loaded only for such a digit run
 
     return "".join([str(unicodedata.decimal(c)) for c in digits])
+
+
+class _NaturalKeys(dict):
+    """A memo of `natural_key`: a missing string is keyed, stored and
+    returned."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        key = self[text] = natural_key(text)
+        return key
 
 
 class Record:
@@ -265,7 +291,7 @@ class StaticModel(Record):
         return model
 
     # -- derived state (model is immutable, so caching is safe); the index, the
-    # ranks and the problems sit in the instance dict, read directly, which is cheaper
+    # natural keys and the problems sit in the instance dict, read directly, which is cheaper
     # than a cached_property on the small models most calls see
 
     def _index(self) -> tuple[tuple[Machine, ...], tuple[Stage, ...]]:
@@ -278,38 +304,31 @@ class StaticModel(Record):
             index = self.__dict__["_preorder"] = (machines, stages)
         return index
 
-    def _ranks(self) -> dict[str, int]:
-        """Every machine, stage, flow and trigger id to its place in
-        `natural_key` order, built on first use.  Ids with equal keys (f1 and
-        f01) share a place, so a stable sort by place is a sort by key."""
-        ranks = self.__dict__.get("_rank")
-        if ranks is None:
-            machines, stages = self._index()
-            keys = {x.id: natural_key(x.id)
-                    for x in (*machines, *stages, *self.flows, *self.triggers)}
-            ranks = {}
-            place, last = -1, None
-            for i in sorted(keys, key=keys.__getitem__):
-                if keys[i] != last:
-                    place, last = place + 1, keys[i]
-                ranks[i] = place
-            self.__dict__["_rank"] = ranks
-        return ranks
+    def natural_keys(self) -> dict[str, str]:
+        """`natural_key` of each string this model's sorts have asked for,
+        kept for the model's life: ``model.natural_keys()[text]`` computes
+        the key on first use only.  A key depends on its string alone, so
+        the memo serves any string, in or out of the model."""
+        keys = self.__dict__.get("_keys")
+        if keys is None:
+            keys = self.__dict__["_keys"] = _NaturalKeys()
+        return keys
+
+    def keyed_like(self, other: StaticModel) -> StaticModel:
+        """This model, sharing ``other``'s `natural_keys` from now on; a
+        transform hands its input's keys on to the model it returns."""
+        self.__dict__["_keys"] = other.natural_keys()
+        return self
 
     def by_id(self, items: Iterable[T]) -> list[T]:
-        """This model's machines, stages, flows or triggers sorted by id in
-        natural order, read from the rank table."""
-        ranks = self._ranks()
-        return sorted(items, key=lambda item: ranks[item.id])
+        """Machines, stages, flows or triggers sorted by id in natural order,
+        those whose ids tie there (f1, f01) in the order they came in."""
+        keys = self.natural_keys()
+        return sorted(items, key=lambda item: keys[item.id])
 
     def in_natural_order(self, ids: Iterable[str]) -> list[str]:
-        """``sorted(ids, key=natural_key)``, read from the rank table when
-        every id is one of this model's."""
-        ranks = self._ranks()
-        ids = list(ids)
-        if all(map(ranks.__contains__, ids)):
-            return sorted(ids, key=ranks.__getitem__)
-        return sorted(ids, key=natural_key)
+        """``sorted(ids, key=natural_key)``, keyed through `natural_keys`."""
+        return sorted(ids, key=self.natural_keys().__getitem__)
 
     def problems(self) -> tuple[Problem, ...]:
         """What `check_model` finds wrong with this model, checked on first

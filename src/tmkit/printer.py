@@ -27,7 +27,6 @@ from .model import (
     check_declared,
     check_events,
     check_regions,
-    natural_key,
     nest,
 )
 
@@ -66,6 +65,7 @@ def print_model(
         _raise_problems([*check_behavior(frozenset([e.id for e in events]), behavior.edges),
                          *check_declared(behavior, events)])
     header, notes = ((), {}) if comments is None else (comments.header, comments.items)
+    keys = model.natural_keys()
     chunks: list[str] = []
 
     if header:
@@ -87,7 +87,7 @@ def print_model(
                 where = "at the top level" if parent is None else f"under {parent.id!r}"
                 raise PrintError(f"machines {where} share the segment {token!r}")
             seen.add(token)
-        return sorted(machines, key=lambda m: natural_key(tokens[m.id]))
+        return sorted(machines, key=lambda m: keys[tokens[m.id]])
 
     lines: list[str] = []
     paths: list[str] = []  # the printed paths of the open machines
@@ -135,13 +135,13 @@ def print_model(
             line += f" if {_escape(trig.guard)}"
         chunks.append("\n".join(annotate(trig.id, [line + ";"])))
 
-    for event in sorted(events, key=lambda e: natural_key(e.id)):
+    for event in sorted(events, key=lambda e: keys[e.id]):
         _check_ident(event.id, "event id")
         head = f"event {event.id}"
         if event.name != event.id:
             head += f" : {_escape(event.name)}"
         lines = [head + " {", f"  time {_escape(event.time)};", "  region {"]
-        for sid in sorted(event.region.stage_ids, key=lambda s: natural_key(refs[s])):
+        for sid in sorted(event.region.stage_ids, key=lambda s: keys[refs[s]]):
             lines.append(f"    {refs[sid]}")
         for eid in model.in_natural_order(event.region.edge_ids):
             lines.append(f"    edge {eid}")

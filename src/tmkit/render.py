@@ -4,8 +4,8 @@ Machines draw as nested clusters, stages as boxes labeled with their kind
 (cylinders when the stage carries storage), flows as solid edges, triggers as
 dashed edges labeled with their guard.  A highlighted region fills its stages
 and thickens its edges.  Output is byte-deterministic: everything is sorted
-by id in natural order, read from the model's rank table, and no timestamps
-or environment data leak in.
+by id in natural order, keyed through the model's `natural_keys`, and no
+timestamps or environment data leak in.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def render_static(model: StaticModel, highlight: Optional[Region] = None) -> str
     hi_stages: frozenset[str] = frozenset()
     hi_edges: frozenset[str] = frozenset()
     if highlight is not None:
-        for sid in sorted(highlight.stage_ids, key=natural_key):
+        for sid in model.in_natural_order(highlight.stage_ids):
             if sid not in model.stages_by_id:
                 raise UnknownStage(f"highlight references unknown stage {sid!r}")
-        for eid in sorted(highlight.edge_ids, key=natural_key):
+        for eid in model.in_natural_order(highlight.edge_ids):
             if eid not in model.flows_by_id and eid not in model.triggers_by_id:
                 raise UnknownStage(f"highlight references unknown edge {eid!r}")
         hi_stages = highlight.stage_ids

@@ -217,7 +217,7 @@ def _nearest_surviving(
                 else:
                     nxt.append(n)
         if found:
-            return min(found, key=natural_key)
+            return min(found, key=model.natural_keys().__getitem__)
         frontier = nxt
     return None
 
@@ -281,8 +281,9 @@ def simplify(model: StaticModel) -> StaticModel:
             direct_pairs.add((flow.source, flow.target))
 
     fresh = _fresh_edge_ids(model, "f")
-    for source_id in sorted(delivered, key=natural_key):
-        for target_id in sorted(delivered[source_id], key=natural_key):
+    key = model.natural_keys().__getitem__
+    for source_id in sorted(delivered, key=key):
+        for target_id in sorted(delivered[source_id], key=key):
             if (source_id, target_id) in direct_pairs or source_id == target_id:
                 continue
             direct_pairs.add((source_id, target_id))
@@ -312,7 +313,7 @@ def simplify(model: StaticModel) -> StaticModel:
             storage_moves[home] = True
 
     machines = _rebuild_machines(model, storage_moves)
-    return StaticModel.build(machines, flows, triggers)
+    return StaticModel.build(machines, flows, triggers).keyed_like(model)
 
 
 def expand(model: StaticModel) -> StaticModel:
@@ -361,7 +362,8 @@ def expand(model: StaticModel) -> StaticModel:
         pairs.add((source_id, target_id))
         flows.append(Flow(fresh(), source_id, target_id))
 
-    order = sorted(inter, key=lambda st: (natural_key(st[0].id), natural_key(st[1].id)))
+    keys = model.natural_keys()
+    order = sorted(inter, key=lambda st: (keys[st[0].id], keys[st[1].id]))
     for src, dst in order:
         src_rel = f"{src.owner}.release"
         src_tra = f"{src.owner}.transfer"
@@ -373,4 +375,4 @@ def expand(model: StaticModel) -> StaticModel:
         connect(dst_tra, dst_rec)
         connect(dst_rec, dst.id)
 
-    return StaticModel.build(machines, flows, model.triggers)
+    return StaticModel.build(machines, flows, model.triggers).keyed_like(model)

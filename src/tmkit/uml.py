@@ -192,6 +192,13 @@ def activity_to_json(graph: ActivityGraph) -> str:
     )
 
 
+def _unknown_key(raw: dict, entry: str, fields: tuple[str, ...]) -> ActivityError:
+    """The error for an entry (``"a node"``) holding a key besides ``fields``."""
+    key = min(raw.keys() - set(fields))
+    return ActivityError(f"unknown {entry.split()[1]} key {key!r}: {entry} holds only"
+                         f" {', '.join(fields)}")
+
+
 def activity_from_json(text: str) -> ActivityGraph:
     doc = _decode(text, ActivityError,
                   "the activity graph nests deeper than this Python's JSON decoder reads")
@@ -206,6 +213,8 @@ def activity_from_json(text: str) -> ActivityGraph:
         for raw in _shaped(doc["nodes"], list, "nodes", ActivityError):
             nid, kind = _shaped(raw, dict, "each node", ActivityError)["id"], raw["kind"]
             label = raw.get("label", "")
+            if len(raw) != 2 + ("label" in raw):
+                raise _unknown_key(raw, "a node", ("id", "kind", "label"))
             if not type(nid) is type(kind) is type(label) is str:
                 raise _refused("node", (("id", nid, _TEXT), ("kind", kind, _TEXT),
                                         ("label", label, _TEXT)), ActivityError)
@@ -214,6 +223,8 @@ def activity_from_json(text: str) -> ActivityGraph:
         for raw in _shaped(doc["edges"], list, "edges", ActivityError):
             source, target = _shaped(raw, dict, "each edge", ActivityError)["from"], raw["to"]
             guard = raw.get("guard")
+            if len(raw) != 2 + ("guard" in raw):
+                raise _unknown_key(raw, "an edge", ("from", "guard", "to"))
             if not (type(source) is type(target) is str and (guard is None or type(guard) is str)):
                 raise _refused("edge", (("from", source, _TEXT), ("to", target, _TEXT),
                                         ("guard", guard, _TEXT_OR_NULL)), ActivityError)

@@ -9,11 +9,14 @@ through merges, decisions with two or more guarded action successors.
 `mutated_texts` prints a document and breaks the shape of its statements.
 `tied_documents` adds copies whose ids tie their originals in natural order.
 `event_mutations` breaks one event or behavior rule of a document.
+`count_natural_keys` counts the strings tmkit keys for natural order.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from collections import Counter
 
 from hypothesis import strategies as st
 
@@ -35,6 +38,7 @@ from tmkit import (
     induced_region,
     print_model,
 )
+import tmkit.model
 from tmkit.model import build_trees, submachines_of
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
@@ -234,6 +238,23 @@ def tied(ident: str) -> str:
     """``ident`` with a zero before its first digit run (f01 for f1): a
     different id with the same natural key.  An id without digits stays."""
     return re.sub(r"\d+", r"0\g<0>", ident, count=1)
+
+
+def count_natural_keys(monkeypatch) -> Counter:
+    """How many times each string reaches `natural_key` from here on,
+    through every tmkit module that holds it, until ``monkeypatch`` undoes
+    the wrapping."""
+    keyed: Counter = Counter()
+    natural_key = tmkit.model.natural_key
+
+    def counted(text: str) -> str:
+        keyed[text] += 1
+        return natural_key(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tmkit.") and getattr(module, "natural_key", None) is natural_key:
+            monkeypatch.setattr(module, "natural_key", counted)
+    return keyed
 
 
 @st.composite

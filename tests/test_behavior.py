@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import canonical_models
+from strategies import canonical_models, count_natural_keys
 from tmkit import (
     BehavioralModel,
     BehaviorEdge,
@@ -109,14 +109,16 @@ def test_coverage_is_the_set_difference(police_model):
     assert coverage(police_model, events) == got  # deterministic order
 
 
-def test_coverage_sorts_only_the_uncovered_ids():
+def test_coverage_sorts_only_the_uncovered_ids(monkeypatch):
     model = parse_or_raise(
         "machine M1 { create; process; }\nmachine M01 { create; }\nmachine M2 { create; }\n"
     ).model
     events = [Event("E", "E", "t", Region(frozenset({"M2.create"})))]
+    keyed = count_natural_keys(monkeypatch)
     # M1.create and M01.create tie in natural order and keep the model's order
     assert coverage(model, events) == ("M1.create", "M01.create", "M1.process")
-    assert "_rank" not in model.__dict__  # the whole model's rank table is not built
+    # each uncovered id is keyed once, and no other id
+    assert keyed == dict.fromkeys(["M1.create", "M01.create", "M1.process"], 1)
     assert coverage(model, events) == tuple(model.in_natural_order(
         ["M1.create", "M1.process", "M01.create"]))
 

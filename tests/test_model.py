@@ -6,6 +6,8 @@ import contextlib
 import copy
 import inspect
 import pickle
+import re
+import unicodedata
 from itertools import permutations
 
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tmkit.model
-from strategies import canonical_models, documents, simplified_models, tied, tied_documents
+from strategies import (
+    canonical_models,
+    count_natural_keys,
+    documents,
+    simplified_models,
+    tied,
+    tied_documents,
+)
 from tmkit import (
     ActionKind,
     BehavioralModel,
@@ -28,10 +37,15 @@ from tmkit import (
     Trigger,
     UnknownMachine,
     UnknownStage,
+    document_to_json,
+    expand,
     find_stage,
     induced_region,
     model_isomorphic,
     parse_or_raise,
+    print_model,
+    render_static,
+    simplify,
     validate_static,
 )
 from tmkit.behavior import Verdict
@@ -110,6 +124,44 @@ def test_natural_key_orders_digit_runs_as_int_does(runs):
     assert sorted(runs, key=natural_key) == sorted(runs, key=int)
     named = ["f" + run for run in runs]
     assert sorted(named, key=natural_key) == sorted(named, key=lambda s: int(s[1:]))
+
+
+def tuple_natural_key(text: str) -> tuple:
+    """The oracle: natural order as a tuple of text parts ``(0, part)`` and
+    digit runs ``(1, n, digits)``, the run in ASCII digits without its
+    leading zeros, ``n`` of them."""
+    return tuple([
+        (1, len(digits := "".join(str(unicodedata.decimal(c)) for c in part).lstrip("0")), digits)
+        if part.isdecimal() else (0, part)
+        for part in re.split(r"(\d+)", text)
+        if part
+    ])
+
+
+# digits of three scripts, runs of zeros, separators, the characters the
+# string key writes between parts, and an astral character
+_KEY_PIECES = ("0", "00", "000", "1", "7", "9", "10", "\u0663", "\u07c7", ".", "_", "a", "f",
+               "\x00", "\x01", "\x02", "\x7f", "\U0001f600")
+_key_texts = st.lists(st.sampled_from(_KEY_PIECES), max_size=8).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.tuples(_key_texts, _key_texts) | st.tuples(st.text(), st.text()))
+def test_natural_key_compares_as_the_tuple_key(pair):
+    a, b = pair
+    key_a, key_b = natural_key(a), natural_key(b)
+    oracle_a, oracle_b = tuple_natural_key(a), tuple_natural_key(b)
+    assert (key_a < key_b) == (oracle_a < oracle_b)
+    assert (key_b < key_a) == (oracle_b < oracle_a)
+    assert (key_a == key_b) == (oracle_a == oracle_b)
+
+
+def test_natural_key_writes_the_documented_string():
+    assert natural_key("") == ""
+    assert natural_key("f010") == "\x01f\x00\x01" "2" "10"
+    assert natural_key("7a\x00") == "\x02\x00\x01" "1" "7" "a\x00\x7f"
+    assert natural_key("x000") == "\x01x\x00\x01" "0"
+    assert natural_key("1" * 12) == "\x02\x00\x02" "12" + "1" * 12
 
 
 # -- constructors -------------------------------------------------------------
@@ -331,12 +383,12 @@ def test_index_walks_a_5000_deep_nest_without_recursion():
     assert [s.id for s in model.all_stages()] == ["n5000.process", "n2.process"]
 
 
-# -- one sort per model ---------------------------------------------------------
+# -- one key per id -------------------------------------------------------------
 
 
-def _assert_ranks_sort_as_natural_key(model: StaticModel, events=()) -> None:
-    """Sorting by the model's ranks gives, element for element, the order
-    ``sorted(..., key=natural_key)`` gives."""
+def _assert_memo_sorts_as_natural_key(model: StaticModel, events=()) -> None:
+    """Sorting through the model's natural-key memo gives, element for
+    element, the order ``sorted(..., key=natural_key)`` gives."""
     def same(ranked: list, items) -> None:
         expected = sorted(items, key=lambda item: natural_key(item.id))
         assert len(ranked) == len(expected) and all(a is b for a, b in zip(ranked, expected))
@@ -357,18 +409,18 @@ def _assert_ranks_sort_as_natural_key(model: StaticModel, events=()) -> None:
 
 @settings(max_examples=100, deadline=None)
 @given(documents() | tied_documents())
-def test_ranks_sort_as_natural_key_on_documents(doc):
-    _assert_ranks_sort_as_natural_key(doc[0], doc[1])
+def test_memo_sorts_as_natural_key_on_documents(doc):
+    _assert_memo_sorts_as_natural_key(doc[0], doc[1])
 
 
 @settings(max_examples=60, deadline=None)
 @given(simplified_models() | canonical_models(), st.data())
-def test_ranks_sort_as_natural_key_on_raw_breaks(model, data):
+def test_memo_sorts_as_natural_key_on_raw_breaks(model, data):
     broken = data.draw(st.sampled_from(_mutations(model)))(model)
-    _assert_ranks_sort_as_natural_key(broken)
+    _assert_memo_sorts_as_natural_key(broken)
 
 
-def test_ranks_tie_ids_whose_natural_keys_are_equal():
+def test_memo_ties_ids_whose_natural_keys_are_equal():
     long_a7 = "a" + "0" * 5000 + "7"
     a7, a07, a8 = (Machine(i, "n", stages=(Stage(f"{i}.create", C, i),))
                    for i in ("a7", tied("a7"), "a8"))
@@ -376,17 +428,113 @@ def test_ranks_tie_ids_whose_natural_keys_are_equal():
     flows = tuple(Flow(i, "a7.create", "a8.create") for i in ("f10", "f01", "f2", "f1", "f001"))
     # a repeated id too: the machine a7 is a root and a submachine
     model = StaticModel((a8.replace(submachines=subs), a07, a7), flows)
-    ranks = model._ranks()
-    assert ranks["a7"] == ranks["a07"] == ranks[long_a7] < ranks["a8"] < ranks["a10"]
+    keys = model.natural_keys()
+    assert keys["a7"] == keys["a07"] == keys[long_a7] < keys["a8"] < keys["a10"]
     assert [f.id for f in model.by_id(flows)] == ["f01", "f1", "f001", "f2", "f10"]
     assert [m.id for m in model.by_id(subs)] == [long_a7, "a7", "a10"]
     event = Event("E", "E", "t", Region(frozenset({"a07.create"})))
-    _assert_ranks_sort_as_natural_key(model, (event,))
+    _assert_memo_sorts_as_natural_key(model, (event,))
+    assert model.natural_keys() is keys
     # derived state: not a field, and not carried by equality, copies or replace
-    assert model == StaticModel(model.machines, flows) and "_rank" not in model.replace().__dict__
-    assert "_rank" not in pickle.loads(pickle.dumps(model)).__dict__
+    assert model == StaticModel(model.machines, flows) and "_keys" not in model.replace().__dict__
+    assert "_keys" not in pickle.loads(pickle.dumps(model)).__dict__
 
 
+# machines, flows and events whose ids tie in natural order (M1 and M01, f1
+# and f01), gate chains for simplify, and a trigger on a gate stage
+_TIED_DOCUMENT = """\
+machine M1 {
+  create;
+  process;
+  release;
+  transfer;
+  machine S1 {
+    create;
+  }
+  machine S01 {
+    create;
+  }
+}
+
+machine M01 {
+  process store;
+  transfer;
+  receive;
+}
+
+machine M2 {
+  create;
+  process;
+  transfer;
+  receive;
+}
+
+flow f1: M1.create -> M1.process;
+
+flow f01: M1.process -> M1.release;
+
+flow f2: M1.release -> M1.transfer;
+
+flow f3: M01.transfer -> M01.receive;
+
+flow f4: M01.receive -> M01.process;
+
+flow f5: M1.transfer -> M2.transfer;
+
+flow f6: M2.transfer -> M2.receive;
+
+flow f7: M2.receive -> M2.process;
+
+flow f8: M1.S1.create -> M1.S01.create;
+
+flow f10: M1.transfer -> M01.transfer;
+
+trigger t1: M1.transfer => M01.process if "sent";
+
+trigger t01: M01.process => M2.create;
+
+event E1 {
+  time "t1";
+  region {
+    M1.create
+    M1.process
+    edge f1
+  }
+}
+
+event E01 {
+  time "t01";
+  region {
+    M01.process
+  }
+}
+
+behavior {
+  E1 -> E01;
+}
+"""
+
+
+def test_each_string_reaches_natural_key_once_across_the_writers_and_transforms(monkeypatch):
+    doc = parse_or_raise(_TIED_DOCUMENT)
+    model, events, behavior = doc.model, doc.events, doc.behavior
+    keyed = count_natural_keys(monkeypatch)
+    simple = simplify(model)
+    expanded = expand(simple)
+    coverage = tmkit.coverage(model, events)
+    assert print_model(model, events, behavior) == _TIED_DOCUMENT
+    document_to_json(model, events, behavior)
+    render_static(model)
+    print_model(simple)
+    document_to_json(expanded)
+    render_static(expanded, doc.events[0].region)
+    covered = set().union(*[e.region.stage_ids for e in events])
+    assert coverage == tuple(sorted([s.id for s in model.all_stages() if s.id not in covered],
+                                    key=tuple_natural_key))
+    ids = {x.id for m in (model, simple, expanded)
+           for x in (*m.all_machines(), *m.all_stages(), *m.flows, *m.triggers)}
+    assert ids <= keyed.keys() and max(keyed.values()) == 1
+    assert simple.natural_keys() is expanded.natural_keys() is model.natural_keys()
 def test_a_built_model_is_checked_once_and_a_raw_one_on_first_use(monkeypatch):
     checked = []
 

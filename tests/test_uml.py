@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 
@@ -340,6 +341,31 @@ def test_activity_json_refuses_a_top_level_key_the_writer_does_not_write(tmp_pat
     act.write_text(text, encoding="utf-8")
     assert run(["import-uml", str(act)]) == 1
     assert capsys.readouterr() == ("", f"{act}: {message}\n")
+
+
+@pytest.mark.parametrize("node, edge, message", [
+    # a misspelt label was read as absent, and the node got the label ""
+    ({"id": "a", "kind": "Action", "lable": "Assess"}, {"from": "a", "to": "end"},
+     "unknown node key 'lable': a node holds only id, kind, label"),
+    # a misspelt guard was read as absent, and the edge got no guard
+    ({"id": "a", "kind": "Action"}, {"from": "a", "to": "end", "gaurd": "x"},
+     "unknown edge key 'gaurd': an edge holds only from, guard, to"),
+])
+def test_activity_json_refuses_an_entry_key_the_writer_does_not_write(tmp_path, capsys, node, edge,
+                                                                       message):
+    graph = {"nodes": [{"id": "start", "kind": "Initial"}, node, {"id": "end", "kind": "Final"}],
+             "edges": [{"from": "start", "to": "a"}, edge]}
+    text = json.dumps(graph)
+    with pytest.raises(ActivityError, match=f"^{message}$"):
+        activity_from_json(text)
+    act = tmp_path / "graph.act.json"
+    act.write_text(text, encoding="utf-8")
+    assert run(["import-uml", str(act)]) == 1
+    assert capsys.readouterr() == ("", f"{act}: {message}\n")
+    key = message.split("'")[1]  # the same graph without the key is read
+    activity_from_json(json.dumps({part: [{k: v for k, v in entry.items() if k != key}
+                                          for entry in entries]
+                                   for part, entries in graph.items()}))
 
 
 _ANY_VALUE = st.none() | st.booleans() | st.integers() | st.binary(max_size=2) | label_text
