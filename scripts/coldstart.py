@@ -21,7 +21,12 @@ runs every command line once per state (and per revision, with
 them alike.  It prints one JSON line: per revision, state and command line,
 the minimum and median wall time in ms and the largest peak resident size of
 the child in MiB, its exit status, and the same for the bare interpreter
-with and without its teardown.  Run from a git checkout:
+with and without its teardown.  Under ``modules`` it gives, for each module
+of this checkout's ``src/tmkit``, its code tokens (`code_tokens`, the count
+tests/test_imports.py caps) and the peak `tracemalloc` reading in MiB while
+``compile()`` runs on it, all measured in one child: in a cold run the
+largest module a command line loads sets the run's peak.  Run from a git
+checkout:
 
     python3 scripts/coldstart.py [--rounds 15] [--against REV]
 
@@ -33,12 +38,14 @@ exits 1 if a command line's exit status changes between runs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 from parse_diff import write_revision
@@ -98,6 +105,54 @@ json.dump(out, sys.stdout)
 """
 
 
+def code_tokens(source: str) -> int:
+    """The code tokens of Python ``source``: every `tokenize` token but
+    COMMENT and NL.  From Python 3.12 on, `tokenize` splits an f-string into
+    parts; each run from FSTRING_START to its FSTRING_END counts as the one
+    STRING token earlier versions give, so the count is the same on every
+    version."""
+    start, end = getattr(tokenize, "FSTRING_START", None), getattr(tokenize, "FSTRING_END", None)
+    count = depth = 0
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == start:
+            count += depth == 0
+            depth += 1
+        elif tok.type == end:
+            depth -= 1
+        elif depth == 0 and tok.type not in (tokenize.COMMENT, tokenize.NL):
+            count += 1
+    return count
+
+
+# Compiles each module of the directory argv[1] as an import compiles it,
+# and prints, per module, the peak traced memory in MiB above what was traced
+# before the compile began.
+COMPILE_PEAKS = """
+import json, sys, tracemalloc
+from pathlib import Path
+sources = {path.stem: (str(path), path.read_text(encoding="utf-8"))
+           for path in sorted(Path(sys.argv[1]).glob("*.py"))}
+peaks = {}
+tracemalloc.start()
+for name, (path, source) in sources.items():
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    code = compile(source, path, "exec", dont_inherit=True)
+    peaks[name] = round((tracemalloc.get_traced_memory()[1] - before) / 2**20, 2)
+    del code
+json.dump(peaks, sys.stdout)
+"""
+
+
+def module_costs(package: Path) -> dict[str, dict]:
+    """Code tokens and compile peak (MiB) of each module of ``package``."""
+    peaks = json.loads(subprocess.run([sys.executable, "-B", "-c", COMPILE_PEAKS, str(package)],
+                                      check=True, capture_output=True, text=True).stdout)
+    return {name: {"code_tokens": code_tokens((package / f"{name}.py").read_text(encoding="utf-8")),
+                   "compile_peak_mib": peak}
+            for name, peak in peaks.items()}
+
+
 def summary(runs: list[tuple[float, int, int]]) -> dict:
     times = sorted(ms for ms, _, _ in runs)
     mid = len(times) // 2
@@ -153,6 +208,7 @@ def main(argv=None) -> int:
                          for state in STATES}
                   for tree in trees},
         "unstable_status": changed,
+        "modules": module_costs(ROOT / "src" / "tmkit"),
     }))
     return 1 if changed else 0
 

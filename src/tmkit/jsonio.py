@@ -12,9 +12,12 @@ writes the activity documents (``.act.json``) the same way.
 
 Reading coerces nothing: a field of another JSON type than the writer
 writes there, such as a ``null`` time or a ``"false"`` flag, is a
-JsonFormatError.  So is a top-level key other than the five above, such as
-an activity graph's ``nodes``.  Each entry's shape and fields are checked in
-the loop that builds its record.
+JsonFormatError.  So is a key the writer does not write, at the top level
+(such as an activity graph's ``nodes``) or in any entry (a misspelt
+``"lable"``), and a machine's ``"parent"`` other than the id of the machine
+it is nested in (null at the root).  A field left out takes its default,
+such as the id for a name and the nesting for a parent.  Each entry's shape
+and fields are checked in the loop that builds its record.
 
 Writing has no depth limit, but reading does: the standard library's JSON
 decoder recurses once per nested array or object, two per machine level,
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     ActionKind,
@@ -192,6 +195,15 @@ def _refused(what: str, fields: tuple, error: type[TmError] = JsonFormatError) -
     return error(f"{what} {key} must be {_SHAPE_NAMES[shape]}, got {_JSON_NAMES[type(value)]}")
 
 
+def _unknown_key(raw: dict, entry: str, fields: Iterable[str],
+                 error: type[TmError] = JsonFormatError) -> TmError:
+    """The error for an entry (``"a node"``, ``"an event region"``) holding a
+    key besides ``fields``."""
+    key = min(raw.keys() - set(fields))
+    return error(f"unknown {entry.split(' ', 1)[1]} key {key!r}: {entry} holds only"
+                 f" {', '.join(sorted(fields))}")
+
+
 def _strings(value, what: str) -> list[str]:
     """The decoded JSON ``value`` if it is an array of strings."""
     for item in _shaped(value, list, what):
@@ -205,9 +217,23 @@ def _submachine_entries(raw) -> list:
                    "submachines")
 
 
+# the keys the writer writes in each kind of entry: a reader refuses any other
+_STAGE_KEYS = frozenset({"has_storage", "id", "kind", "label", "owner"})
+_MACHINE_KEYS = frozenset({"id", "is_constraint", "name", "parent", "stages", "submachines"})
+_FLOW_KEYS = frozenset({"id", "source", "target"})
+_TRIGGER_KEYS = frozenset({"guard", "id", "source", "target"})
+_EVENT_KEYS = frozenset({"id", "intensity", "name", "region", "time"})
+_REGION_KEYS = frozenset({"edge_ids", "stage_ids"})
+_BEHAVIOR_KEYS = frozenset({"edges", "event_ids"})
+_BEHAVIOR_EDGE_KEYS = frozenset({"exclusive_group", "from", "to"})
+_DOCUMENT_KEYS = frozenset({"machines", "flows", "triggers", "events", "behavior"})
+
+
 def _stage_from(s) -> Stage:
     sid, owner = _shaped(s, dict, "each stage")["id"], s["owner"]
     storage, label = s.get("has_storage", False), s.get("label")
+    if not s.keys() <= _STAGE_KEYS:
+        raise _unknown_key(s, "a stage", _STAGE_KEYS)
     if not (type(sid) is type(owner) is str and type(storage) is bool
             and (label is None or type(label) is str)):
         raise _refused("stage", (("id", sid, _TEXT), ("owner", owner, _TEXT),
@@ -215,22 +241,32 @@ def _stage_from(s) -> Stage:
     return Stage(sid, ActionKind(s["kind"]), owner, storage, label)
 
 
-def _machine_from(raw: dict, _parent: Optional[dict], submachines: tuple[Machine, ...]) -> Machine:
+def _machine_from(raw: dict, enclosing: Optional[dict],
+                  submachines: tuple[Machine, ...]) -> Machine:
+    """The machine of entry ``raw``, nested in the entry ``enclosing`` (None
+    at the root).  A ``"parent"`` it holds must be the enclosing machine's
+    id, or null at the root; a missing one is set from the nesting when the
+    model is built."""
     try:
         stages = tuple([_stage_from(s) for s in _shaped(raw.get("stages", []), list, "stages")])
         mid = raw["id"]
     except (KeyError, ValueError) as exc:
         raise JsonFormatError(f"bad machine entry: {exc}") from exc
     name, constraint, parent = raw.get("name", mid), raw.get("is_constraint", False), raw.get("parent")
+    if not raw.keys() <= _MACHINE_KEYS:
+        raise _unknown_key(raw, "a machine", _MACHINE_KEYS)
     if not (type(mid) is type(name) is str and type(constraint) is bool
             and (parent is None or type(parent) is str)):
         raise _refused("machine", (("id", mid, _TEXT), ("name", name, _TEXT),
                                    ("is_constraint", constraint, _FLAG),
                                    ("parent", parent, _TEXT_OR_NULL)))
+    if "parent" in raw:
+        nested_in = None if enclosing is None else enclosing.get("id")
+        if parent != nested_in:
+            given = "null" if parent is None else repr(parent)
+            where = "a root, whose parent is null" if nested_in is None else f"nested in {nested_in!r}"
+            raise JsonFormatError(f"machine {mid!r} has parent {given}, but is {where}")
     return Machine(mid, name, constraint, stages, submachines, parent)
-
-
-_DOCUMENT_KEYS = frozenset({"machines", "flows", "triggers", "events", "behavior"})
 
 
 def document_from_json(
@@ -240,10 +276,8 @@ def document_from_json(
                   " decoder reads (model text has no such limit)")
     if not isinstance(doc, dict):
         raise JsonFormatError("expected a JSON object")
-    unknown = doc.keys() - _DOCUMENT_KEYS
-    if unknown:
-        raise JsonFormatError(f"unknown document key {min(unknown)!r}: a document holds only"
-                              f" {', '.join(sorted(_DOCUMENT_KEYS))}")
+    if not doc.keys() <= _DOCUMENT_KEYS:
+        raise _unknown_key(doc, "a document", _DOCUMENT_KEYS)
     try:
         machines = build_trees(
             _shaped(doc.get("machines", []), list, "machines"),
@@ -253,6 +287,8 @@ def document_from_json(
         flows = []
         for f in _shaped(doc.get("flows", []), list, "flows"):
             fid, source, target = _shaped(f, dict, "each flow")["id"], f["source"], f["target"]
+            if not f.keys() <= _FLOW_KEYS:
+                raise _unknown_key(f, "a flow", _FLOW_KEYS)
             if not type(fid) is type(source) is type(target) is str:
                 raise _refused("flow", (("id", fid, _TEXT), ("source", source, _TEXT),
                                         ("target", target, _TEXT)))
@@ -261,6 +297,8 @@ def document_from_json(
         for t in _shaped(doc.get("triggers", []), list, "triggers"):
             tid, source, target = _shaped(t, dict, "each trigger")["id"], t["source"], t["target"]
             guard = t.get("guard")
+            if not t.keys() <= _TRIGGER_KEYS:
+                raise _unknown_key(t, "a trigger", _TRIGGER_KEYS)
             if not (type(tid) is type(source) is type(target) is str
                     and (guard is None or type(guard) is str)):
                 raise _refused("trigger", (("id", tid, _TEXT), ("source", source, _TEXT),
@@ -270,20 +308,28 @@ def document_from_json(
         for e in _shaped(doc.get("events", []), list, "events"):
             eid, time = _shaped(e, dict, "each event")["id"], e["time"]
             name, intensity = e.get("name", eid), e.get("intensity")
+            if not e.keys() <= _EVENT_KEYS:
+                raise _unknown_key(e, "an event", _EVENT_KEYS)
             if not (type(eid) is type(time) is type(name) is str
                     and (intensity is None or type(intensity) is str)):
                 raise _refused("event", (("id", eid, _TEXT), ("time", time, _TEXT),
                                          ("name", name, _TEXT), ("intensity", intensity, _TEXT_OR_NULL)))
             region = _shaped(e["region"], dict, "an event region")
+            if not region.keys() <= _REGION_KEYS:
+                raise _unknown_key(region, "an event region", _REGION_KEYS)
             events.append(Event(eid, name, time, Region(
                 frozenset(_strings(region["stage_ids"], "stage_ids")),
                 frozenset(_strings(region.get("edge_ids", []), "edge_ids")),
             ), intensity))
         raw_behavior = _shaped(doc.get("behavior", {}), dict, "behavior")
+        if not raw_behavior.keys() <= _BEHAVIOR_KEYS:
+            raise _unknown_key(raw_behavior, "the behavior object", _BEHAVIOR_KEYS)
         edges = []
         for e in _shaped(raw_behavior.get("edges", []), list, "behavior edges"):
             source, target = _shaped(e, dict, "each behavior edge")["from"], e["to"]
             group = e.get("exclusive_group")
+            if not e.keys() <= _BEHAVIOR_EDGE_KEYS:
+                raise _unknown_key(e, "a behavior edge", _BEHAVIOR_EDGE_KEYS)
             if not (type(source) is type(target) is str and (group is None or type(group) is str)):
                 raise _refused("behavior edge", (("from", source, _TEXT), ("to", target, _TEXT),
                                                  ("exclusive_group", group, _TEXT_OR_NULL)))

@@ -38,6 +38,7 @@ from tmkit import (
     print_model,
     validate_document,
 )
+from tmkit import grammar, lexer
 from tmkit.model import natural_key
 
 
@@ -405,7 +406,7 @@ def test_escaped_newline_in_a_string_starts_a_new_line():
         "2:15: syntax: unknown escape \\ followed by '\\n'",
         "6:1: syntax: unexpected character '$'",
     ]
-    position = dsl._Lines(text).position
+    position = lexer._Lines(text).position
     semi = next(t for t in tokens if t.kind == "SEMI")
     assert position(semi.offset) == (3, 4)
     process = next(t for t in tokens if t.value == "process")
@@ -421,7 +422,7 @@ def test_backslash_at_end_of_text_stays_inside_the_text():
         "1:22: syntax: unterminated string literal",
     ]
     assert diagnostics[1].span.length == 4  # '"ab\' and no further
-    assert dsl._Lines(text).position(tokens[-1].offset) == (1, 26)
+    assert lexer._Lines(text).position(tokens[-1].offset) == (1, 26)
 
 
 _OLD_PUNCT = {"->": "ARROW", "=>": "DARROW", "{": "LBRACE", "}": "RBRACE", ";": "SEMI",
@@ -736,7 +737,7 @@ def statement_parts(tok):
     for name, kind in _PART_KINDS[tok.kind]:
         value, offset = getattr(tok, name), getattr(tok, f"{name}_at")
         assert (value is None) == (offset == -1)
-        parts.append(None if value is None else dsl._Token(kind, value, offset))
+        parts.append(None if value is None else lexer._Token(kind, value, offset))
     return parts
 
 
@@ -790,8 +791,8 @@ def test_parsing_a_relay_document_leaves_the_collector_asleep():
 
 def test_a_statement_is_read_whole_only_where_the_parser_keeps_it(monkeypatch):
     made = []
-    statement = dsl._statement
-    monkeypatch.setattr(dsl, "_statement", lambda m: made.append(statement(m)) or made[-1])
+    statement = lexer._statement
+    monkeypatch.setattr(grammar, "_statement", lambda m: made.append(statement(m)) or made[-1])
     text = (
         "create store;\nmachine A { create; flow A.create -> A.create; machine B { process; } }\n"
         'flow A.create -> A.B.process;\nevent E { time "t"; region { machine C { A.create } } }\n'

@@ -369,6 +369,106 @@ def test_an_activity_label_is_a_string_or_absent(label, message, tmp_path, capsy
     assert activity_from_json(json.dumps(doc)).nodes[0].label == ""
 
 
+def _corpus_document() -> dict:
+    """`tmkit fmt --json corpus/mentcare.tm`, decoded."""
+    result = parse_or_raise(mentcare_path().read_text(encoding="utf-8"))
+    return json.loads(document_to_json(result.model, result.events, result.behavior))
+
+
+def _machine_entry(doc: dict, mid: str) -> dict:
+    todo = list(doc["machines"])
+    while todo:
+        machine = todo.pop()
+        if machine["id"] == mid:
+            return machine
+        todo += machine["submachines"]
+    raise KeyError(mid)
+
+
+def _stage_entry(doc: dict, sid: str) -> dict:
+    return next(s for s in _machine_entry(doc, sid.rpartition(".")[0])["stages"] if s["id"] == sid)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # each used to read back as if the entry held the right parent
+        (lambda doc: _machine_entry(doc, "InfoSystem.Authorization").update(parent="Nowhere"),
+         "machine 'InfoSystem.Authorization' has parent 'Nowhere', but is nested in 'InfoSystem'"),
+        (lambda doc: _machine_entry(doc, "InfoSystem.Authorization").update(parent=None),
+         "machine 'InfoSystem.Authorization' has parent null, but is nested in 'InfoSystem'"),
+        (lambda doc: _machine_entry(doc, "Person").update(parent="InfoSystem"),
+         "machine 'Person' has parent 'InfoSystem', but is a root, whose parent is null"),
+        # each unknown key used to read as absent: the label None, no error
+        (lambda doc: _stage_entry(doc, "InfoSystem.Authorization.process").update(
+            lable=_stage_entry(doc, "InfoSystem.Authorization.process").pop("label")),
+         "unknown stage key 'lable': a stage holds only has_storage, id, kind, label, owner"),
+        (lambda doc: _machine_entry(doc, "Person").update(colour="red"),
+         "unknown machine key 'colour': a machine holds only id, is_constraint, name, parent,"
+         " stages, submachines"),
+        (lambda doc: doc["flows"][0].update(weight=3),
+         "unknown flow key 'weight': a flow holds only id, source, target"),
+    ],
+)
+def test_a_parent_or_key_the_writer_would_not_write_is_refused(change, message, tmp_path, capsys):
+    doc = _corpus_document()
+    change(doc)
+    text = json.dumps(doc)
+    with pytest.raises(JsonFormatError) as caught:
+        document_from_json(text)
+    assert str(caught.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+def test_a_missing_parent_is_read_from_the_nesting():
+    doc = _corpus_document()
+    written = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    todo = list(doc["machines"])
+    while todo:
+        machine = todo.pop()
+        del machine["parent"]
+        todo += machine["submachines"]
+    assert document_to_json(*document_from_json(json.dumps(doc))) == written
+
+
+def _entries(doc: dict) -> list[tuple[str, dict]]:
+    """Every entry of a written document, with the name its kind has in an
+    unknown-key error."""
+    entries = [("behavior object", doc["behavior"])]
+    todo = list(doc["machines"])
+    while todo:
+        machine = todo.pop()
+        entries += [("machine", machine), *(("stage", s) for s in machine["stages"])]
+        todo += machine["submachines"]
+    entries += [("flow", f) for f in doc["flows"]] + [("trigger", t) for t in doc["triggers"]]
+    for event in doc["events"]:
+        entries += [("event", event), ("event region", event["region"])]
+    return entries + [("behavior edge", e) for e in doc["behavior"]["edges"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(documents(), st.data())
+def test_any_unknown_key_in_any_entry_is_refused(tmp_path_factory, doc, data):
+    written = json.loads(document_to_json(*doc))
+    kind, entry = data.draw(st.sampled_from(_entries(written)))
+    key = data.draw(st.text(max_size=8).filter(lambda key: key not in entry))
+    entry[key] = data.draw(st.none() | st.booleans() | st.text(max_size=3))
+    text = json.dumps(written)
+    with pytest.raises(JsonFormatError) as caught:
+        document_from_json(text)
+    message = str(caught.value)
+    assert message.startswith(f"unknown {kind} key {key!r}: ") and "\n" not in message
+    path = tmp_path_factory.getbasetemp() / "unknown-key.json"
+    path.write_text(text, encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert run(["check", str(path)]) == 1
+    assert err.getvalue() == f"{path}: {message}\n"
+
+
 def test_stage_ids_must_be_an_array_not_a_string():
     # a string used to be read as the set of its characters
     text = (

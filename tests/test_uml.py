@@ -30,7 +30,7 @@ from tmkit import (
     validate_static,
 )
 from tmkit.cli import run
-from tmkit import uml
+from tmkit import activity
 from tmkit.uml import ActivityError
 
 C, P = ActionKind.CREATE, ActionKind.PROCESS
@@ -157,7 +157,7 @@ def test_import_does_not_check_a_built_graph_again(monkeypatch):
     graph = linear("one", "two")
     raw = ActivityGraph(graph.nodes, graph.edges)
     assert import_activity(raw) == import_activity(graph)
-    monkeypatch.setattr(uml, "NODE_KINDS", ())  # any check from here on fails
+    monkeypatch.setattr(activity, "NODE_KINDS", ())  # any check from here on fails
     assert import_activity(graph) == import_activity(raw)
     with pytest.raises(UnsupportedConstruct):
         import_activity(ActivityGraph(graph.nodes, graph.edges))
